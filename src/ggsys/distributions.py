@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .series import _factorials, _shell_indices
-from .verify import ResidualReport, _report
+from .verify import ResidualReport, residual_report
 
 _DECAY = 1e-14
 _TINY = 1e-300
@@ -212,5 +212,6 @@ def fourier_consistency_check(
         return _TWO_PI * complex(np.sum(weights * psi_vals * np.exp(-1j * z * xi)))
 
     rhs = gg_distribution_pair([[ell]], [x], transform, M, R)
-    scale = max(abs(lhs), abs(rhs.value), _TINY)
-    return _report("fourier-consistency", [abs(lhs - rhs.value)], scale, tolerance)
+    return residual_report(
+        "fourier-consistency", [abs(lhs - rhs.value)], [abs(lhs), abs(rhs.value)], tolerance
+    )

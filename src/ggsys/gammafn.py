@@ -1,4 +1,4 @@
-"""Complex gamma utilities: entire reciprocal gamma and the base-indexed product.
+"""Complex gamma utilities: entire reciprocal gamma and the shared pole predicate.
 
 Every series coefficient in this package runs through ``rgamma``, so it has
 to be vectorized, accurate to ~1e-13 at desk scale, and *exactly* zero at the
@@ -42,6 +42,18 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_SNAP = 1e-12
 
 
+def _pole_mask(z):
+    """True where z lies within _POLE_SNAP, in both real and imaginary part,
+    of a non-positive integer: the points where 1/Gamma is snapped to 0."""
+    z = np.asarray(z, dtype=np.complex128)
+    nearest = np.round(z.real)
+    return (
+        (np.abs(z.real - nearest) <= _POLE_SNAP)
+        & (np.abs(z.imag) <= _POLE_SNAP)
+        & (nearest <= 0.0)
+    )
+
+
 @dataclass(frozen=True)
 class GammaValue:
     """Gamma evaluated at one point, with an explicit pole flag.
@@ -80,14 +92,8 @@ def rgamma(z):
     zf = np.atleast_1d(z)
     out = np.empty(zf.shape, dtype=np.complex128)
 
-    re = zf.real
-    nearest = np.round(re)
-    pole = (
-        (np.abs(re - nearest) <= _POLE_SNAP)
-        & (np.abs(zf.imag) <= _POLE_SNAP)
-        & (nearest <= 0.0)
-    )
-    left = (re < 0.5) & ~pole
+    pole = _pole_mask(zf)
+    left = (zf.real < 0.5) & ~pole
     right = ~left & ~pole
 
     out[pole] = 0.0
@@ -125,13 +131,3 @@ def gamma_fn(z):
         out[~zero] = 1.0 / r[~zero]
         return out
     return complex("inf") if r == 0 else 1.0 / r
-
-
-def gamma_I_reciprocal(base, beta) -> complex:
-    """1/Gamma_I(beta): product of rgamma over the base coordinates of beta.
-
-    ``base`` is a BaseSelection; ``beta`` is an ambient n-vector.  The
-    coordinates are taken with respect to the basis selected by ``base``.
-    """
-    coords = base.coords(np.asarray(beta, dtype=np.complex128))
-    return complex(np.prod(rgamma(coords)))

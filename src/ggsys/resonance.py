@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .model import VectorSet
-from .verify import ResidualReport, _report
+from .verify import ResidualReport, residual_report
 
 _REL_TOL = 1e-9
 _RANK_TOL = 1e-9
@@ -235,8 +235,7 @@ def check_extra_relation(
                 a = rng.uniform(0.5, 1.5, A.N).astype(np.complex128)
             pairs.append((beta, a))
 
-    residuals = []
-    scale = 1e-300
+    residuals, scales = [], []
     for beta, a in pairs:
         terms = []
         for label in analysis.a_indices:
@@ -248,9 +247,8 @@ def check_extra_relation(
                 value = f(beta - target, a)
             terms.append(np.dot(lam, omega) * a[label - 1] * value)
         residuals.append(abs(sum(terms)))
-        if terms:
-            scale = max(scale, max(abs(t) for t in terms))
-    return _report("extra-resonance-relation", residuals, scale, tolerance)
+        scales += [abs(t) for t in terms]
+    return residual_report("extra-resonance-relation", residuals, scales, tolerance)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, PoleError
-from .gammafn import gamma_fn, rgamma
+from .gammafn import _pole_mask, gamma_fn, rgamma
 from .model import ReducedSystem
 
 _TWO_PI_I = 2j * np.pi
 _MAX_TERMS = 2_000_000
 _MAX_FACTORIAL = 150
-_POLE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,12 +236,7 @@ def mixed_gamma_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
     m, shifted, phases = _spec_tables(spec, beta)
 
     gamma_args = -shifted[:, pos_one]
-    pole_re = np.round(gamma_args.real)
-    pole_mask = (
-        (np.abs(gamma_args.real - pole_re) <= _POLE_SNAP)
-        & (np.abs(gamma_args.imag) <= _POLE_SNAP)
-        & (pole_re <= 0)
-    )
+    pole_mask = _pole_mask(gamma_args)
     if pole_mask.any():
         rows, cols = np.nonzero(pole_mask)
         offenders = [
@@ -341,10 +335,10 @@ def monomial_solution_zero(gamma, a) -> complex:
     out = 1.0 + 0j
     for g, base in zip(gamma, a):
         if base == 0:
-            g_int = round(g.real)
-            if abs(g - g_int) > _POLE_SNAP or g_int < 0:
+            # 0**g / Gamma(g+1) is defined only for g a non-negative integer
+            if not _pole_mask(-g):
                 raise DomainError("zero argument with non-integer exponent")
-            out *= 1.0 if g_int == 0 else 0.0
+            out *= 1.0 if round(g.real) == 0 else 0.0
         else:
             out *= np.exp(g * np.log(base)) * rgamma(g + 1.0)
     return complex(out)
@@ -354,12 +348,7 @@ def gauss_coefficients(a, b, c, M: int) -> np.ndarray:
     """Taylor coefficients Gamma(a+m)Gamma(b+m)/(Gamma(c+m) m!), m <= M."""
     m = np.arange(M + 1)
     for label, v in (("a", complex(a)), ("b", complex(b))):
-        arg = v + m
-        pole = (
-            (np.abs(arg.real - np.round(arg.real)) <= _POLE_SNAP)
-            & (np.abs(arg.imag) <= _POLE_SNAP)
-            & (np.round(arg.real) <= 0)
-        )
+        pole = _pole_mask(v + m)
         if pole.any():
             offenders = [(label, (int(i),)) for i in np.nonzero(pole)[0]]
             raise PoleError(

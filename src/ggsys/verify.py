@@ -1,10 +1,12 @@
 """Residual harness: numerically certify that evaluators solve their systems.
 
-All checks share the same reporting shape: the maximum absolute residual
-over a seeded sample set, normalized by the largest function value seen, and
-a pass flag at a relative tolerance (default 1e-8).  Sample draws avoid the
-neighborhoods of gamma poles; arguments on base positions stay positive so
-principal powers are unambiguous.
+Every check collects plain lists of residuals and scale values over a seeded
+sample set and hands them to ``residual_report``, the one place that decides
+a verdict: the maximum absolute residual, normalized by the largest scale
+value seen (usually the function value), passes at a relative tolerance
+(default 1e-8) only if every residual and scale value was finite.  Sample
+draws avoid the neighborhoods of gamma poles; arguments on base positions
+stay positive so principal powers are unambiguous.
 """
 from __future__ import annotations
 
@@ -30,11 +32,24 @@ class ResidualReport:
     passed: bool
 
 
-def _report(equation_id, residuals, scale, tolerance) -> ResidualReport:
-    max_abs = float(max(residuals)) if residuals else 0.0
-    max_rel = max_abs / float(max(scale, _FLOOR))
+def residual_report(equation_id, residuals, scale_values, tolerance) -> ResidualReport:
+    """Verdict on one equation from its residuals and the magnitudes that set
+    its scale.
+
+    The relative residual is the largest residual over the largest scale
+    value, floored at 1e-300.  The check fails closed: if any residual or
+    scale value is non-finite, the relative residual reads NaN and the check
+    fails.  An empty residual list passes with zero residual.
+    """
+    res = np.asarray(residuals, dtype=np.float64)
+    scales = np.asarray(scale_values, dtype=np.float64)
+    max_abs = float(np.max(res)) if res.size else 0.0
+    if np.all(np.isfinite(res)) and np.all(np.isfinite(scales)):
+        max_rel = max_abs / max(float(np.max(scales)) if scales.size else 0.0, _FLOOR)
+    else:
+        max_rel = float("nan")
     return ResidualReport(
-        equation_id, max_abs, max_rel, len(residuals), tolerance, bool(max_rel <= tolerance)
+        equation_id, max_abs, max_rel, int(res.size), tolerance, bool(max_rel <= tolerance)
     )
 
 
@@ -103,13 +118,16 @@ def check_gg_system(
     tolerance: float = DEFAULT_TOLERANCE,
     base=None,
     x_bound: float = 0.3,
-) -> tuple[ResidualReport, ResidualReport]:
+) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
     """Residuals of the defining system for an evaluator f(beta, a).
 
-    First report: every partial derivative in a_j (central differences)
-    matches the parameter shift by -omega^j.  Second report: the weighted
-    sum of shifts reproduces beta times the function, checked directly with
-    no differentiation.
+    One pass over the samples gives three reports.  First: every partial
+    derivative in a_j (central differences) matches the parameter shift by
+    -omega^j.  Second: the weighted sum of shifts reproduces beta times the
+    function, checked directly with no differentiation.  Third: the
+    derivative-weighted and shift-weighted forms of the system agree,
+    sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0, from the same
+    difference quotients and shifted values as the first report.
     """
     rng = np.random.default_rng(seed)
     system = build_reduced_system(
@@ -117,12 +135,12 @@ def check_gg_system(
     )
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
-    shift_res, weighted_res = [], []
-    scale = _FLOOR
+    shift_res, weighted_res, forms_res, scales = [], [], [], []
     for beta, a in zip(betas, args):
         f0 = _call(f, beta, a)
-        scale = max(scale, abs(f0))
+        scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
+        forms = np.zeros(A.n, dtype=np.complex128)
         for j in range(1, A.N + 1):
             h = _fd_step(a[j - 1])
             bump = np.zeros(A.N, dtype=np.complex128)
@@ -131,43 +149,14 @@ def check_gg_system(
             shifted = _call(f, beta - A.row(j), a)
             shift_res.append(abs(fd - shifted))
             weighted += a[j - 1] * shifted * A.row(j)
+            forms += a[j - 1] * (fd - shifted) * A.row(j)
         weighted_res.append(float(np.max(np.abs(weighted))))
+        forms_res.append(float(np.max(np.abs(forms))))
     return (
-        _report("derivative-shift", shift_res, scale, tolerance),
-        _report("weighted-shift", weighted_res, scale, tolerance),
+        residual_report("derivative-shift", shift_res, scales, tolerance),
+        residual_report("weighted-shift", weighted_res, scales, tolerance),
+        residual_report("weighted-forms-agreement", forms_res, scales, tolerance),
     )
-
-
-def gg_forms_agreement(
-    f,
-    A: VectorSet,
-    samples: int = 20,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-    base=None,
-    x_bound: float = 0.3,
-) -> ResidualReport:
-    """The derivative-weighted and shift-weighted forms of the system agree:
-    sum_j a_j (df/da_j) omega^j equals sum_j a_j f(beta - omega^j) omega^j."""
-    rng = np.random.default_rng(seed)
-    system = build_reduced_system(
-        select_base(A, base) if base is not None else enumerate_bases(A)[0]
-    )
-    betas = sample_parameters(system, samples, rng)
-    args = sample_arguments(system, samples, rng, x_bound)
-    residuals = []
-    scale = _FLOOR
-    for beta, a in zip(betas, args):
-        scale = max(scale, abs(_call(f, beta, a)))
-        diff = np.zeros(A.n, dtype=np.complex128)
-        for j in range(1, A.N + 1):
-            h = _fd_step(a[j - 1])
-            bump = np.zeros(A.N, dtype=np.complex128)
-            bump[j - 1] = h
-            fd = (_call(f, beta, a + bump) - _call(f, beta, a - bump)) / (2 * h)
-            diff += a[j - 1] * (fd - _call(f, beta - A.row(j), a)) * A.row(j)
-        residuals.append(float(np.max(np.abs(diff))))
-    return _report("weighted-forms-agreement", residuals, scale, tolerance)
 
 
 def check_def2_system(
@@ -211,13 +200,12 @@ def check_def2_system(
         annihilators = [Vh[k].conj() for k in range(rank, size)]
 
     eye = np.eye(size)
-    deriv_res, period_res, pairing_res = [], [], []
-    scale = _FLOOR
+    deriv_res, period_res, pairing_res, scales = [], [], [], []
     for _ in range(samples):
         gamma = _draw_off_integer(rng, (size,))
         a = rng.uniform(0.5, 1.5, size=size).astype(np.complex128)
         f0 = _call(F, gamma, a)
-        scale = max(scale, abs(f0))
+        scales.append(abs(f0))
         for i in range(size):
             if derivative is not None:
                 d = complex(derivative(gamma, a, i + 1))
@@ -235,9 +223,9 @@ def check_def2_system(
             )
             pairing_res.append(abs(lhs - np.dot(nu, gamma) * f0))
     return (
-        _report("partial-shift", deriv_res, scale, tolerance),
-        _report("relation-periodicity", period_res, scale, tolerance),
-        _report("orthogonal-pairing", pairing_res, scale, tolerance),
+        residual_report("partial-shift", deriv_res, scales, tolerance),
+        residual_report("relation-periodicity", period_res, scales, tolerance),
+        residual_report("orthogonal-pairing", pairing_res, scales, tolerance),
     )
 
 
@@ -277,16 +265,14 @@ def check_reduced_system(
             np.asarray([_disk(rng, x_bound) for _ in range(system.r)])
             for _ in range(samples)
         ]
-    base_res, off_res = [], []
-    scale = _FLOOR
-
+    base_res, off_res, scales = [], [], []
     for beta, x in zip(betas, xs):
         if mode == "exact":
             S = F(beta, truncation)
             if not isinstance(S, TruncatedSeries):
                 raise InvalidInputError("exact mode needs a TruncatedSeries factory")
             f0 = S.value(x).value
-            scale = max(scale, abs(f0))
+            scales.append(abs(f0))
             beta_I = base.coords(beta)
             for pos, i in enumerate(base.I):
                 lhs = beta_I[pos] * f0
@@ -302,7 +288,7 @@ def check_reduced_system(
                 off_res.append(abs(lhs - rhs))
         else:
             f0 = _call(F, beta, x)
-            scale = max(scale, abs(f0))
+            scales.append(abs(f0))
             beta_I = base.coords(beta)
 
             def partial(b, row):
@@ -319,8 +305,8 @@ def check_reduced_system(
             for row, j in enumerate(base.J):
                 off_res.append(abs(partial(beta, row) - _call(F, beta - A.row(j), x)))
     return (
-        _report("reduced-base", base_res, scale, tolerance),
-        _report("reduced-offbase", off_res, scale, tolerance),
+        residual_report("reduced-base", base_res, scales, tolerance),
+        residual_report("reduced-offbase", off_res, scales, tolerance),
     )
 
 
@@ -362,13 +348,13 @@ def check_gauss_relations(
             for _ in range(samples)
         ]
     res = {label: [] for label in ("derivative-up", "shift-a", "shift-b", "shift-c")}
-    scale = _FLOOR
+    scales = []
     for a, b, c, x in points:
         here = gauss_coefficients(a, b, c, M)
         plus = gauss_coefficients(a + 1, b + 1, c + 1, M - 1)
         f0 = _gauss_eval(here, x)
         fplus = _gauss_eval(plus, x)
-        scale = max(scale, abs(f0))
+        scales.append(abs(f0))
         res["derivative-up"].append(abs(_gauss_deriv(here, x) - fplus))
         res["shift-a"].append(
             abs(a * f0 + x * fplus - _gauss_eval(gauss_coefficients(a + 1, b, c, M), x))
@@ -384,7 +370,7 @@ def check_gauss_relations(
             )
         )
     return tuple(
-        _report(label, values, scale, tolerance) for label, values in res.items()
+        residual_report(label, values, scales, tolerance) for label, values in res.items()
     )
 
 
@@ -410,17 +396,16 @@ def check_gauss_ode(
         xs = [_disk(rng, x_bound) for _ in range(samples)]
     coeffs = gauss_coefficients(a, b, c, M)
     bb = b + perturbation
-    residuals = []
-    scale = _FLOOR
+    residuals, scales = [], []
     for x in xs:
         f0 = _gauss_eval(coeffs, x)
         d1 = _gauss_deriv(coeffs, x)
         d2 = _gauss_deriv(coeffs, x, 2)
-        scale = max(scale, abs(f0))
+        scales.append(abs(f0))
         residuals.append(
             abs(x * (1 - x) * d2 + (c - (a + bb + 1) * x) * d1 - a * bb * f0)
         )
-    return _report("hypergeometric-ode", residuals, scale, tolerance)
+    return residual_report("hypergeometric-ode", residuals, scales, tolerance)
 
 
 @dataclass(frozen=True)
@@ -497,23 +482,24 @@ def solution_family_rank(
     top = float(svals[0]) if len(svals) else 0.0
     rank = int(np.sum(svals > sv_threshold * max(top, _FLOOR)))
 
-    worst_abs, worst_rel, points = 0.0, 0.0, 0
-    all_pass = True
+    member_reports = []
     for idx, (I, k) in enumerate(family):
         spec = specs[(I, k)]
 
         def member(beta_arg, a_arg, spec=spec):
             return gg_series_eval(spec, beta_arg, a_arg).value
 
-        r1, r2 = check_gg_system(
+        shift_rep, weighted_rep, _ = check_gg_system(
             member, A, samples=samples, seed=seed + idx + 1, tolerance=tolerance, base=I
         )
-        for rep in (r1, r2):
-            worst_abs = max(worst_abs, rep.max_abs_residual)
-            worst_rel = max(worst_rel, rep.max_rel_residual)
-            points += rep.sample_points
-            all_pass = all_pass and rep.passed
+        member_reports += [shift_rep, weighted_rep]
+    # np.max, unlike the builtin max, carries a NaN through to the summary
     report = ResidualReport(
-        "family-member-system", worst_abs, worst_rel, points, tolerance, all_pass
+        "family-member-system",
+        float(np.max([rep.max_abs_residual for rep in member_reports])),
+        float(np.max([rep.max_rel_residual for rep in member_reports])),
+        sum(rep.sample_points for rep in member_reports),
+        tolerance,
+        all(rep.passed for rep in member_reports),
     )
     return FamilyRankResult(rank, tuple(float(s) for s in svals), report, delta)

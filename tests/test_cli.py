@@ -11,7 +11,7 @@ import pytest
 import ggsys
 from ggsys.cli import main, run
 from ggsys.model import build_reduced_system, select_base, vector_set
-from ggsys.series import SeriesSpec, gg_series_eval, reduced_series_eval
+from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
 
 CONFIG_DIR = Path(ggsys.__file__).parent / "configs"
 
@@ -181,6 +181,31 @@ def test_eval_full_mode(tmp_path):
     assert complex(*point["value"]) == pytest.approx(expected.value, abs=1e-14)
 
 
+def test_eval_mixed_mode(tmp_path):
+    cfg = {
+        "task": "eval",
+        "omega": [[1, 0], [0, 1], [-1, -2]],
+        "base": [1, 2],
+        "mode": "mixed",
+        "partition": [[1], [2]],
+        "truncation": 10,
+        "beta": [[0.3, 0.7]],
+        "x": [[0.2]],
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    point = _report(out)["results"]["points"][0]
+
+    A = vector_set([[1, 0], [0, 1], [-1, -2]])
+    spec = SeriesSpec(
+        build_reduced_system(select_base(A, (1, 2))), (0, 0), 10,
+        mode="mixed", partition=((1,), (2,)),
+    )
+    expected = mixed_gamma_series_eval(spec, [0.3, 0.7], [0.2])
+    assert complex(*point["value"]) == expected.value
+    assert point["terms_used"] == expected.terms_used
+
+
 def test_integral_task_bessel_config(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--config", "bessel-hankel.json", "--quiet", "--out", str(out)]) == 0
@@ -296,3 +321,4 @@ def test_run_module_entrypoint():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["results"]["quotient"]["order"] == 2
+    assert rep["version"] == ggsys.__version__

@@ -210,10 +210,14 @@ def test_monomial_solution():
     assert monomial_solution_zero(np.zeros(3), np.ones(3)) == pytest.approx(1.0)
     got = monomial_solution_zero([1, 0, 0], [2, 1, 1])
     assert got == pytest.approx(2.0)  # Gamma(2) = 1
-    with pytest.raises(DomainError):
-        monomial_solution_zero([0.5, 0], [0, 1])
-    # zero argument with zero exponent contributes a factor 1
+    for bad in ([0.5, 0], [-1, 0], [1e-9j, 0]):
+        with pytest.raises(DomainError):
+            monomial_solution_zero(bad, [0, 1])
+    # zero argument with zero exponent contributes a factor 1, with a
+    # positive integer exponent a factor 0
     assert monomial_solution_zero([0, 1], [0, 3]) == pytest.approx(3.0)
+    assert monomial_solution_zero([1e-13j, 1], [0, 3]) == pytest.approx(3.0)
+    assert monomial_solution_zero([2, 1], [0, 3]) == 0
 
 
 def test_gauss_log_value():

@@ -17,7 +17,7 @@ from ggsys.verify import (
     check_gauss_relations,
     check_gg_system,
     check_reduced_system,
-    gg_forms_agreement,
+    residual_report,
     solution_family_rank,
 )
 
@@ -45,10 +45,11 @@ def _series_factory(system, k=None):
 
 def test_gg_system_on_running_example():
     f = _gg_evaluator(A_G, (1, 2, 3))
-    r1, r2 = check_gg_system(f, A_G, samples=20, seed=3, base=(1, 2, 3))
+    r1, r2, r3 = check_gg_system(f, A_G, samples=20, seed=3, base=(1, 2, 3))
     assert r1.equation_id == "derivative-shift"
     assert r2.equation_id == "weighted-shift"
-    assert r1.passed and r2.passed
+    assert r3.equation_id == "weighted-forms-agreement"
+    assert r1.passed and r2.passed and r3.passed
 
 
 def test_gg_system_negative_control():
@@ -57,13 +58,15 @@ def test_gg_system_negative_control():
     def broken(beta, a):
         return f(beta, a) + 1e-3 * a[0]
 
-    r1, r2 = check_gg_system(broken, A_G, samples=10, seed=3, base=(1, 2, 3))
+    r1, r2, _ = check_gg_system(broken, A_G, samples=10, seed=3, base=(1, 2, 3))
     assert not (r1.passed and r2.passed)
 
 
 def test_gg_forms_agree():
     f = _gg_evaluator(A_G, (1, 2, 3))
-    rep = gg_forms_agreement(f, A_G, samples=10, seed=5, base=(1, 2, 3))
+    rep = check_gg_system(f, A_G, samples=10, seed=5, tolerance=1e-9, base=(1, 2, 3))[2]
+    assert rep.equation_id == "weighted-forms-agreement"
+    assert rep.sample_points == 10
     assert rep.passed
 
 
@@ -71,6 +74,49 @@ def test_report_invariant_pass_iff_rel_below_tol():
     f = _gg_evaluator(A_G, (1, 2, 3))
     for rep in check_gg_system(f, A_G, samples=5, seed=1, base=(1, 2, 3)):
         assert rep.passed == (rep.max_rel_residual <= rep.tolerance)
+
+
+@pytest.mark.parametrize(
+    "residuals, scales",
+    [
+        ([1e-12, float("nan")], [1.0]),
+        ([float("nan"), 1e-12], [1.0]),
+        ([1e-12, float("inf")], [1.0]),
+        ([1e-12], [1.0, float("inf")]),
+        ([1e-12], [float("nan"), 1.0]),
+    ],
+)
+def test_residual_report_fails_closed(residuals, scales):
+    rep = residual_report("x", residuals, scales, 1e-8)
+    assert not rep.passed
+    assert np.isnan(rep.max_rel_residual)
+    assert rep.sample_points == len(residuals)
+
+
+def test_residual_report_finite_numbers():
+    rep = residual_report("x", [2e-12, 5e-12, 1e-12], [0.5, 2.0], 1e-8)
+    assert rep.max_abs_residual == 5e-12
+    assert rep.max_rel_residual == 5e-12 / 2.0
+    assert rep.sample_points == 3 and rep.passed
+    floored = residual_report("x", [1e-305], [0.0], 1e-8)
+    assert floored.max_rel_residual == 1e-305 / 1e-300 and not floored.passed
+
+
+def test_gg_system_fails_closed_on_a_late_nan():
+    f = _gg_evaluator(A_G, (1, 2, 3))
+    calls = []
+
+    def flaky(beta, a):
+        calls.append(1)
+        # call 1 + 3N = 13 ends the first sample; call 15 is the first
+        # difference quotient of the second sample
+        return complex("nan") if len(calls) == 15 else f(beta, a)
+
+    r1, r2, r3 = check_gg_system(flaky, A_G, samples=5, seed=3, base=(1, 2, 3))
+    assert not r1.passed and np.isnan(r1.max_abs_residual)
+    assert not r3.passed and np.isnan(r3.max_abs_residual)
+    # the weighted-shift equation never reads a difference quotient
+    assert r2.passed
 
 
 def test_reports_are_deterministic():
