@@ -15,8 +15,21 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# |det| <= _RANK_TOL * (max column norm)^n declares linear dependence
+# singular values <= _RANK_TOL * max(1, largest) do not count toward the
+# rank; |det| <= _RANK_TOL * (max column norm)^n declares linear dependence
 _RANK_TOL = 1e-10
+# span-membership and equal-vector tolerance of reducibility_check
+_REDUCIBILITY_TOL = 1e-9
+
+
+def _svd_rank(matrix) -> tuple[int, np.ndarray]:
+    """Numerical rank of ``matrix`` and its full right singular vectors.
+
+    The package's one rank rule; Vh[:rank] spans the row space and the
+    conjugates of Vh[rank:] span the null space.
+    """
+    _, s, Vh = np.linalg.svd(matrix, full_matrices=True)
+    return int(np.sum(s > _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0))), Vh
 
 
 def _positions(labels) -> np.ndarray:
@@ -95,8 +108,7 @@ def vector_set(rows) -> VectorSet:
     N, n = omega.shape
     if n < 1 or N < n:
         raise InvalidInputError(f"need N >= n >= 1, got N={N}, n={n}")
-    s = np.linalg.svd(omega, compute_uv=False)
-    if s[-1] <= _RANK_TOL * max(1.0, s[0]):
+    if _svd_rank(omega)[0] < n:
         raise InvalidInputError("vectors do not span the ambient space")
     omega.setflags(write=False)
     return VectorSet(omega, tuple(exact) if exact is not None else None)
@@ -163,8 +175,7 @@ def kernel_space(A: VectorSet) -> np.ndarray:
     ``sum_j c_j omega^j = 0``; its dimension is N - n for a spanning family.
     """
     W = A.omega.T  # (n, N), columns are the vectors
-    _, s, Vh = np.linalg.svd(W, full_matrices=True)
-    rank = int(np.sum(s > _RANK_TOL * max(1.0, float(s[0]))))
+    rank, Vh = _svd_rank(W)
     if rank < A.n:
         raise InvalidInputError("vectors do not span the ambient space")
     null_rows = Vh[rank:].conj()
@@ -258,7 +269,8 @@ def _in_row_span(rows: np.ndarray, w: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(w - proj) <= tol * max(1.0, float(np.linalg.norm(w))))
 
 
-def reducibility_check(A: VectorSet, tol: float = 1e-9) -> ReducibilityReport:
+def reducibility_check(A: VectorSet) -> ReducibilityReport:
+    tol = _REDUCIBILITY_TOL
     Lrows = kernel_space(A)
     N = A.N
     eye = np.eye(N, dtype=np.complex128)
@@ -286,8 +298,7 @@ def reducibility_check(A: VectorSet, tol: float = 1e-9) -> ReducibilityReport:
     outside = False
     for i in range(N):
         others = np.delete(A.omega, i, axis=0)
-        _, s, Vh = np.linalg.svd(others, full_matrices=True)
-        rank = int(np.sum(s > _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)))
+        rank, Vh = _svd_rank(others)
         span_rows = Vh[:rank]
         if not _in_row_span(span_rows, A.omega[i], tol):
             outside = True

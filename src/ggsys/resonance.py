@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet
+from .model import VectorSet, _svd_rank
 from .verify import ResidualReport, residual_report
 
 _REL_TOL = 1e-9
-_RANK_TOL = 1e-9
 
 
 def _match_tolerance(A: VectorSet) -> float:
@@ -128,8 +127,7 @@ def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
             b_idx.append(label)
     rows = A.omega[[l - 1 for l in b_idx]] if b_idx else np.zeros((0, A.n))
     if rows.shape[0]:
-        _, sv, vh = np.linalg.svd(rows)
-        rank = int(np.sum(sv > _RANK_TOL * max(sv[0], 1e-30)))
+        rank, vh = _svd_rank(rows)
         basis = vh[:rank]
     else:
         rank = 0

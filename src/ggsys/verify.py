@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet, ReducedSystem, build_reduced_system, enumerate_bases, select_base
+from .model import VectorSet, ReducedSystem, _svd_rank, build_reduced_system, enumerate_bases, select_base
 from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
 
 DEFAULT_TOLERANCE = 1e-8
@@ -195,8 +195,7 @@ def check_def2_system(
     if rows.shape[0] == 0:
         annihilators = [np.eye(size)[i] for i in range(size)]
     else:
-        _, s, Vh = np.linalg.svd(rows, full_matrices=True)
-        rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
+        rank, Vh = _svd_rank(rows)
         annihilators = [Vh[k].conj() for k in range(rank, size)]
 
     eye = np.eye(size)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ggsys
-from ggsys.cli import main, run
+from ggsys.cli import _FIELDS, main
+from ggsys.errors import InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
 
@@ -322,3 +323,120 @@ def test_run_module_entrypoint():
     rep = json.loads(proc.stdout)
     assert rep["results"]["quotient"]["order"] == 2
     assert rep["version"] == ggsys.__version__
+
+
+def _reads_numbers(reader, path):
+    try:
+        reader(100, path)
+    except InvalidInputError:
+        return False
+    return True
+
+
+# every field whose reader takes a plain number
+NUMERIC_FIELDS = [
+    path
+    for path, (reader, _) in _FIELDS.items()
+    if reader is not None and _reads_numbers(reader, path)
+]
+
+
+def _config_reading(path):
+    """A valid config whose task reads the field at ``path``."""
+    if path.startswith("integral."):
+        sub = {"kind": "hankel-loop", "beta": 0.5, "x": [0.25]}
+        return {"task": "integral", "omega": [[1], [-1]], "integral": sub}
+    if path.startswith("distribution."):
+        sub = {"ell": [1], "x": [0.3], "phi": {"kind": "poly-exp"}, "fourier": {}}
+        return {"task": "distribution", "omega": [[1]], "distribution": sub}
+    if path == "sv_threshold":
+        omega = _load_bundled("gauss.json")["omega"]
+        return {"task": "family", "omega": omega, "bases": [[1, 2, 3]], "samples": 2, "truncation": 12}
+    return _load_bundled("gauss.json")
+
+
+def _set(cfg, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
+
+
+def test_field_table_base_configs_are_valid(tmp_path):
+    out = tmp_path / "report.json"
+    for path in ("integral.nodes", "distribution.fourier.x", "sv_threshold", "tolerance"):
+        code = main(["--config", _write(tmp_path, _config_reading(path)), "--quiet", "--out", str(out)])
+        assert code == 0, _report(out)
+    assert {"tolerance", "x_bound", "integral.cutoff", "distribution.fourier.support"} <= set(NUMERIC_FIELDS)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["NaN", "Infinity", "true"])
+@pytest.mark.parametrize("path", NUMERIC_FIELDS)
+def test_numeric_field_rejects_non_finite_and_bool(tmp_path, path, value):
+    cfg = _config_reading(path)
+    _set(cfg, path, value)
+    out = tmp_path / "report.json"
+    code = main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)])
+    assert code == 2
+    assert _report(out)["error"].startswith(f"{path}:")
+
+
+@pytest.mark.parametrize(
+    "where", ["config", "integral", "distribution", "distribution.phi", "distribution.fourier"]
+)
+def test_unknown_field_in_every_object(tmp_path, where):
+    cfg = _config_reading("integral.x" if where == "integral" else "distribution.x")
+    target = cfg
+    for name in ([] if where == "config" else where.split(".")):
+        target = target[name]
+    target["bogus"] = 1
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"].startswith(f"{where}: unknown field(s) ['bogus']")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--truncation", "-1")],
+)
+def test_overrides_go_through_the_field_table(tmp_path, flag, value):
+    out = tmp_path / "report.json"
+    code = main(["--config", "gauss.json", "--quiet", "--out", str(out), flag, value])
+    assert code == 2
+    assert _report(out)["error"].startswith(flag[2:] + ":")
+
+
+@pytest.mark.parametrize("value", [float("nan"), 10**400], ids=["NaN", "past-float-range"])
+def test_non_finite_late_in_omega_exits_2(tmp_path, value):
+    cfg = _load_bundled("gauss.json")
+    cfg["omega"][3][2] = value
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"].startswith("omega[3][2]:")
+
+
+@pytest.mark.parametrize("task", ["eval", "verify"])
+def test_twist_of_the_wrong_length_names_k(tmp_path, task):
+    cfg = _load_bundled("gauss.json")
+    cfg["k"] = [1, 0]
+    if task == "eval":
+        cfg.update(task="eval", beta=[[0.1, 0.2, 0.3]], x=[[0.1]])
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "k: expected 3 entries, got 2"
+
+
+def test_overflow_report_is_strict_json(tmp_path):
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        code = main(["--config", "gauss.json", "--quiet", "--out", str(out), "--truncation", "149"])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    rep = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+    assert rep["passed"] is False
+    unsettled = [c for c in rep["checks"] if c["max_rel_residual"] is None]
+    assert unsettled
+    assert all(c["passed"] is False for c in unsettled)
