@@ -501,7 +501,12 @@ def _task_family(cfg: dict, A: VectorSet, params: dict):
         family = candidate_family(A, bases)
     except (InvalidInputError, DomainError) as exc:
         raise _bad("bases", str(exc))
-    outcome = solution_family_rank(A, family, sv_threshold=sv_threshold, **params)
+    # only the convergence-domain failure belongs to the bases; a truncation
+    # past the factorial range keeps its own message
+    try:
+        outcome = solution_family_rank(A, family, sv_threshold=sv_threshold, **params)
+    except DomainError as exc:
+        raise _bad("bases", str(exc))
     results = {
         "family": [{"base": list(I), "twist": list(k)} for I, k in family],
         "sv_threshold": sv_threshold,

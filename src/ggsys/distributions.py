@@ -22,16 +22,11 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Entire test function; the pairings only ever probe lattice points.
-
-    ``growth_hint`` is an optional order-of-magnitude bound at the outer
-    probe radius, used for nothing but early convergence complaints.
-    """
+    """Entire test function; the pairings only ever probe lattice points."""
 
     __test__ = False  # keep pytest collection away from the Test- prefix
 
     fn: object
-    growth_hint: float | None = None
 
     def __call__(self, z):
         return self.fn(z)
@@ -49,10 +44,15 @@ def _as_callable(phi):
     return phi.fn if isinstance(phi, TestFunction) else phi
 
 
+def _not_decaying(last: float, value: complex) -> bool:
+    """The last shell is not negligible against the sum it ends."""
+    return last >= _DECAY * max(abs(value), _TINY) and last > _TINY
+
+
 def _checked_sum(terms, what: str):
     value = complex(sum(terms))
     last = abs(terms[-1])
-    if last >= _DECAY * max(abs(value), _TINY) and last > _TINY:
+    if _not_decaying(last, value):
         raise ConvergenceError(
             f"{what}: terms are not decaying at the truncation "
             f"(last magnitude {last:.3e})"
@@ -99,7 +99,7 @@ def _cm_terms(ell: np.ndarray, m, fn, R: int):
         value += term
         if int(r.sum()) == R:
             last_shell += abs(term)
-    if last_shell >= _DECAY * max(abs(value), _TINY) and last_shell > _TINY:
+    if _not_decaying(last_shell, value):
         raise ConvergenceError(
             "inner comb sum is not decaying at the truncation "
             f"(last shell {last_shell:.3e})"
@@ -155,7 +155,7 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
         magnitude_acc += abs(term)
         if int(m.sum()) == M:
             outer_last += abs(term)
-    if outer_last >= _DECAY * max(abs(value), _TINY) and outer_last > _TINY:
+    if _not_decaying(outer_last, value):
         raise ConvergenceError(
             f"outer series is not decaying at the truncation ({outer_last:.3e})"
         )

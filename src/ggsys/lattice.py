@@ -9,6 +9,7 @@ index the distinct series twists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidInputError
@@ -233,9 +234,11 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
     """Quotient of the integer coordinate space of a base by the projection
     of ``lat`` onto the base positions.
 
-    Representatives are enumerated through the Smith change of basis: with
-    divisors d and column-inverse W, the vectors c @ W for c in the box
-    prod [0, d_i) hit every coset exactly once.
+    The projection is kept in Hermite form, upper triangular with positive
+    diagonal h, so the box prod [0, h_i) holds exactly one point of every
+    coset: fixing coordinates left to right with rows i = 1, 2, ... leaves
+    the already-fixed ones untouched.  The order is prod h_i; Smith
+    reduction supplies the elementary divisors.
     """
     proj = project_lattice(lat, I)
     n = len(tuple(I))
@@ -243,16 +246,10 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
         raise InvalidInputError(
             "projection onto the chosen positions is not full-rank"
         )
-    divisors, W = smith_normal_form([list(r) for r in proj.basis_rows])
-    order = 1
-    for d in divisors:
-        order *= d
-    reps = []
-    for c in itertools.product(*[range(d) for d in divisors]):
-        reps.append(
-            tuple(sum(c[i] * W[i][l] for i in range(n)) for l in range(n))
-        )
-    return QuotientStructure(tuple(divisors), order, tuple(reps))
+    divisors, _ = smith_normal_form([list(r) for r in proj.basis_rows])
+    h_diag = [proj.basis_rows[i][i] for i in range(n)]
+    reps = tuple(itertools.product(*(range(h) for h in h_diag)))
+    return QuotientStructure(tuple(divisors), math.prod(h_diag), reps)
 
 
 def candidate_family(A: VectorSet, bases) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -170,31 +170,24 @@ def _spec_tables(spec: SeriesSpec, beta):
     return m, shifted, phases
 
 
-def reduced_series(spec: SeriesSpec, beta, u_callback=None) -> TruncatedSeries:
+def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
     """Tabulate the reduced series coefficients c_m for one parameter value.
 
-    c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1); the default u is
-    the exponential twist named by spec.k.  A user-supplied ``u_callback``
-    (ambient-vector argument) replaces it; the result only solves the system
-    if the callback is 1-periodic in every base coordinate.
+    c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1), where u is the
+    exponential twist named by spec.k.
     """
-    system = spec.system
-    m, shifted, phases = _spec_tables(spec, beta)
-    if u_callback is not None:
-        omega_J = system.base.parent.rows(system.base.J)
-        ambient = np.asarray(beta, dtype=np.complex128)[None, :] - m @ omega_J
-        phases = np.asarray([u_callback(v) for v in ambient], dtype=np.complex128)
+    _, shifted, phases = _spec_tables(spec, beta)
     raw = phases * np.prod(rgamma(shifted + 1.0), axis=1)
     return TruncatedSeries(spec, beta, raw)
 
 
-def reduced_series_eval(spec: SeriesSpec, beta, x, u_callback=None) -> SeriesValue:
+def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
     if spec.mode != "reduced":
         raise InvalidInputError("reduced_series_eval needs mode='reduced'")
-    return reduced_series(spec, beta, u_callback).value(x)
+    return reduced_series(spec, beta).value(x)
 
 
-def gg_series_eval(spec: SeriesSpec, beta, a, u_callback=None) -> SeriesValue:
+def gg_series_eval(spec: SeriesSpec, beta, a) -> SeriesValue:
     """Series in the original variables: prod a_i^{beta_i} times the reduced
     series at the invariant point x(a).  Principal branch throughout."""
     if spec.mode != "full":
@@ -211,7 +204,7 @@ def gg_series_eval(spec: SeriesSpec, beta, a, u_callback=None) -> SeriesValue:
     beta_I = base.coords(beta)
     prefactor = np.exp(np.sum(beta_I * np.log(a_I)))
     inner = SeriesSpec(system, spec.k, spec.truncation, mode="reduced")
-    val = reduced_series_eval(inner, beta, system.x_from_a(a), u_callback)
+    val = reduced_series_eval(inner, beta, system.x_from_a(a))
     scale = abs(prefactor)
     return SeriesValue(
         complex(prefactor * val.value), scale * val.tail_estimate, val.terms_used

@@ -106,8 +106,12 @@ def _call(f, beta, a_or_x):
         ) from exc
 
 
-def _fd_step(component: complex) -> float:
-    return 1e-6 * max(abs(component), 1.0)
+def _central_difference(f, beta, z, index) -> complex:
+    """d f(beta, z) / d z_index by central differences, step 1e-6 * max(|z_index|, 1)."""
+    h = 1e-6 * max(abs(z[index]), 1.0)
+    bump = np.zeros(len(z), dtype=np.complex128)
+    bump[index] = h
+    return (_call(f, beta, z + bump) - _call(f, beta, z - bump)) / (2 * h)
 
 
 def check_gg_system(
@@ -142,10 +146,7 @@ def check_gg_system(
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
         forms = np.zeros(A.n, dtype=np.complex128)
         for j in range(1, A.N + 1):
-            h = _fd_step(a[j - 1])
-            bump = np.zeros(A.N, dtype=np.complex128)
-            bump[j - 1] = h
-            fd = (_call(f, beta, a + bump) - _call(f, beta, a - bump)) / (2 * h)
+            fd = _central_difference(f, beta, a, j - 1)
             shifted = _call(f, beta - A.row(j), a)
             shift_res.append(abs(fd - shifted))
             weighted += a[j - 1] * shifted * A.row(j)
@@ -167,15 +168,16 @@ def check_def2_system(
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
     derivative=None,
-    lattice_shifts=None,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
     """Residuals of the subspace form of the system for F(gamma, a).
 
     ``relation_rows`` spans the relation subspace (empty sequence for the
     zero subspace).  Three reports: partial derivatives against unit shifts
-    of gamma; periodicity of F under integer shifts inside the subspace;
-    and the pairing identity against vectors annihilating the subspace
-    under the plain (bilinear, no conjugation) pairing.
+    of gamma; periodicity of F under the relation rows, when they are all
+    integer vectors; and the pairing identity against vectors annihilating
+    the subspace under the plain (bilinear, no conjugation) pairing.  The
+    unit-shifted values F(gamma - e_i) are computed once per sample and
+    serve both the first and the third report.
 
     ``derivative(gamma, a, i)`` may supply exact partials; the default is
     central differences, whose noise floor sits near 5e-11.
@@ -188,9 +190,8 @@ def check_def2_system(
     if rows.shape[1] != size:
         raise InvalidInputError("relation rows have the wrong width")
 
-    if lattice_shifts is None:
-        integral = np.all(np.abs(rows - np.round(rows.real)) < 1e-12)
-        lattice_shifts = [np.round(r.real).astype(int) for r in rows] if integral else []
+    integral = np.all(np.abs(rows - np.round(rows.real)) < 1e-12)
+    lattice_shifts = [np.round(r.real).astype(int) for r in rows] if integral else []
 
     if rows.shape[0] == 0:
         annihilators = [np.eye(size)[i] for i in range(size)]
@@ -205,21 +206,18 @@ def check_def2_system(
         a = rng.uniform(0.5, 1.5, size=size).astype(np.complex128)
         f0 = _call(F, gamma, a)
         scales.append(abs(f0))
+        shifted = []
         for i in range(size):
             if derivative is not None:
                 d = complex(derivative(gamma, a, i + 1))
             else:
-                h = _fd_step(a[i])
-                d = (_call(F, gamma, a + h * eye[i]) - _call(F, gamma, a - h * eye[i])) / (
-                    2 * h
-                )
-            deriv_res.append(abs(d - _call(F, gamma - eye[i], a)))
+                d = _central_difference(F, gamma, a, i)
+            shifted.append(_call(F, gamma - eye[i], a))
+            deriv_res.append(abs(d - shifted[i]))
         for shift in lattice_shifts:
             period_res.append(abs(_call(F, gamma + np.asarray(shift), a) - f0))
         for nu in annihilators:
-            lhs = sum(
-                nu[i] * a[i] * _call(F, gamma - eye[i], a) for i in range(size)
-            )
+            lhs = sum(nu[i] * a[i] * shifted[i] for i in range(size))
             pairing_res.append(abs(lhs - np.dot(nu, gamma) * f0))
     return (
         residual_report("partial-shift", deriv_res, scales, tolerance),
@@ -245,7 +243,9 @@ def check_reduced_system(
     derivatives are term-wise, so residuals measure floating noise only
     (shifted right-hand series are truncated one order lower where the
     identity demands it).  mode="fd": F is an evaluator (beta, x) -> complex
-    and x-derivatives come from central differences.
+    and x-derivatives come from central differences.  Either way each
+    sample computes the value, the r partials and the n + r shifted values
+    once, and both equations are read from them.
 
     ``points`` overrides the sampler with explicit (beta, x) pairs, for
     evaluators whose domain excludes the default parameter box.
@@ -271,38 +271,23 @@ def check_reduced_system(
             if not isinstance(S, TruncatedSeries):
                 raise InvalidInputError("exact mode needs a TruncatedSeries factory")
             f0 = S.value(x).value
-            scales.append(abs(f0))
-            beta_I = base.coords(beta)
-            for pos, i in enumerate(base.I):
-                lhs = beta_I[pos] * f0
-                for row, j in enumerate(base.J):
-                    lhs += (
-                        system.l_on_base[row, pos] * x[row] * S.derivative(x, j)
-                    )
-                rhs = F(beta - A.row(i), truncation).value(x).value
-                base_res.append(abs(lhs - rhs))
-            for j in base.J:
-                lhs = S.derivative(x, j)
-                rhs = F(beta - A.row(j), truncation - 1).value(x).value
-                off_res.append(abs(lhs - rhs))
+            partials = [S.derivative(x, j) for j in base.J]
+            base_shifted = [F(beta - A.row(i), truncation).value(x).value for i in base.I]
+            off_shifted = [F(beta - A.row(j), truncation - 1).value(x).value for j in base.J]
         else:
             f0 = _call(F, beta, x)
-            scales.append(abs(f0))
-            beta_I = base.coords(beta)
-
-            def partial(b, row):
-                h = _fd_step(x[row])
-                bump = np.zeros(system.r, dtype=np.complex128)
-                bump[row] = h
-                return (_call(F, b, x + bump) - _call(F, b, x - bump)) / (2 * h)
-
-            for pos, i in enumerate(base.I):
-                lhs = beta_I[pos] * f0
-                for row in range(system.r):
-                    lhs += system.l_on_base[row, pos] * x[row] * partial(beta, row)
-                base_res.append(abs(lhs - _call(F, beta - A.row(i), x)))
-            for row, j in enumerate(base.J):
-                off_res.append(abs(partial(beta, row) - _call(F, beta - A.row(j), x)))
+            partials = [_central_difference(F, beta, x, row) for row in range(system.r)]
+            base_shifted = [_call(F, beta - A.row(i), x) for i in base.I]
+            off_shifted = [_call(F, beta - A.row(j), x) for j in base.J]
+        scales.append(abs(f0))
+        beta_I = base.coords(beta)
+        for pos, rhs in enumerate(base_shifted):
+            lhs = beta_I[pos] * f0
+            for row, d in enumerate(partials):
+                lhs += system.l_on_base[row, pos] * x[row] * d
+            base_res.append(abs(lhs - rhs))
+        for d, rhs in zip(partials, off_shifted):
+            off_res.append(abs(d - rhs))
     return (
         residual_report("reduced-base", base_res, scales, tolerance),
         residual_report("reduced-offbase", off_res, scales, tolerance),

@@ -313,6 +313,18 @@ def test_family_task_rank_two(tmp_path):
     assert rep["checks"][0]["passed"] is True
 
 
+def test_family_without_a_convergence_domain_names_bases(tmp_path):
+    cfg = {
+        "task": "family",
+        "omega": _load_bundled("gauss.json")["omega"],
+        "samples": 4,
+        "truncation": 16,
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"].startswith("bases: ")
+
+
 def test_run_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "ggsys", "--config", "two-points-lattice.json"],

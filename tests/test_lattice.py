@@ -157,6 +157,17 @@ def test_quotient_one_dimensional_bases():
     assert q1.order == 1
 
 
+def test_quotient_representatives_lie_in_the_hermite_box():
+    lat = orthogonal_lattice(vector_set([(-3, -3), (-3, -1), (1, 0), (0, 1)]))
+    q = lattice_quotient(lat, (1, 2))
+    proj = project_lattice(lat, (1, 2))
+    h_diag = [proj.basis_rows[i][i] for i in range(2)]
+    assert h_diag == [3, 2]
+    assert q.order == 6 and len(q.representatives) == 6
+    for rep in q.representatives:
+        assert all(0 <= c < h for c, h in zip(rep, h_diag))
+
+
 def test_quotient_rejects_rank_deficient_projection():
     # the zero vector contributes a zero column, so projecting onto its
     # position collapses the lattice

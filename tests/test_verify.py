@@ -9,6 +9,7 @@ from ggsys.series import (
     gg_series_eval,
     mixed_gamma_series_eval,
     monomial_solution_zero,
+    TruncatedSeries,
     reduced_series,
 )
 from ggsys.verify import (
@@ -218,6 +219,41 @@ def test_reduced_fd_error_shrinks_with_step():
     assert exact[0].max_rel_residual <= 1e-11
     assert fd[0].max_rel_residual <= 1e-7
     assert fd[0].max_rel_residual >= exact[0].max_rel_residual
+
+
+def _counting(f):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    return counted, calls
+
+
+def test_reduced_exact_mode_takes_each_partial_once(monkeypatch):
+    counted, calls = _counting(TruncatedSeries.derivative)
+    monkeypatch.setattr(TruncatedSeries, "derivative", counted)
+    check_reduced_system(_series_factory(R_G), R_G, samples=4, seed=7, mode="exact")
+    assert len(calls) == 4 * R_G.r
+
+
+def test_reduced_fd_mode_evaluates_each_value_once():
+    def F(beta, x):
+        return reduced_series(SeriesSpec(R_G, (0, 0, 0), 20), beta).value(x).value
+
+    counted, calls = _counting(F)
+    check_reduced_system(counted, R_G, samples=4, seed=7, mode="fd")
+    n = R_G.base.parent.n
+    # the value, a central difference per partial, and the n + r shifts
+    assert len(calls) == 4 * (1 + n + 3 * R_G.r)
+
+
+def test_def2_pairing_reuses_the_shifted_values():
+    counted, calls = _counting(monomial_solution_zero)
+    size = 3
+    check_def2_system(counted, size, [], samples=4, seed=2)
+    assert len(calls) == 4 * (1 + 3 * size)
 
 
 def test_reduced_rejects_unknown_mode():
