@@ -46,6 +46,7 @@ from .model import (
 )
 from .resonance import ChainDecomposition, ResonanceAnalysis, analyze_vector, candidate_consistent_vectors
 from .series import (
+    _MAX_FACTORIAL,
     SeriesSpec,
     convergence_condition,
     gg_series_eval,
@@ -58,6 +59,7 @@ from .verify import (
     ResidualReport,
     check_gg_system,
     check_reduced_system,
+    residual_report,
     solution_family_rank,
 )
 
@@ -79,26 +81,13 @@ def _as_complex(value, field: str) -> complex:
     raise _bad(field, "expected a number or an [re, im] pair")
 
 
-def _as_complex_vector(value, field: str, length: int | None = None) -> list[complex]:
-    if not isinstance(value, list):
-        raise _bad(field, "expected an array")
-    out = [_as_complex(v, f"{field}[{i}]") for i, v in enumerate(value)]
-    if length is not None and len(out) != length:
-        raise _bad(field, f"expected {length} entries, got {len(out)}")
-    return out
-
-
-def _as_vectors(value, field: str, length: int) -> list[list[complex]]:
-    if not isinstance(value, list):
-        raise _bad(field, "expected an array of vectors")
-    return [_as_complex_vector(v, f"{field}[{i}]", length) for i, v in enumerate(value)]
-
-
-def _as_int(value, field: str, minimum: int | None = None) -> int:
+def _as_int(value, field: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise _bad(field, "expected an integer")
     if minimum is not None and value < minimum:
         raise _bad(field, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise _bad(field, f"must be <= {maximum}")
     return value
 
 
@@ -126,41 +115,51 @@ def _one_of(*choices: str):
     return read
 
 
-def _as_int_list(value, field: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise _bad(field, "expected an array of integers")
-    return tuple(_as_int(v, f"{field}[{i}]") for i, v in enumerate(value))
+def _array(value, field: str, entry, length: int | None = None, non_empty: bool = False) -> list:
+    """A JSON array read entry by entry; entry i is read as ``field[i]``."""
+    if not isinstance(value, list) or (non_empty and not value):
+        raise _bad(field, "expected a non-empty array" if non_empty else "expected an array")
+    out = [entry(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    if length is not None and len(out) != length:
+        raise _bad(field, f"expected {length} entries, got {len(out)}")
+    return out
 
 
-def _as_labels(value, field: str, N: int) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise _bad(field, "expected a non-empty array of 1-based labels")
-    out = []
-    for i, v in enumerate(value):
-        label = _as_int(v, f"{field}[{i}]", minimum=1)
-        if label > N:
-            raise _bad(f"{field}[{i}]", f"label {label} exceeds N={N}")
-        out.append(label)
-    if len(set(out)) != len(out):
+def _as_complex_vector(value, field: str, length: int | None = None) -> list[complex]:
+    return _array(value, field, _as_complex, length)
+
+
+def _as_vectors(value, field: str, length: int | None = None) -> list[list[complex]]:
+    return _array(value, field, partial(_as_complex_vector, length=length))
+
+
+def _as_labels(value, field: str, N: int | None = None) -> tuple[int, ...]:
+    """Distinct 1-based labels of the N vectors."""
+    labels = tuple(_array(value, field, partial(_as_int, minimum=1, maximum=N), non_empty=True))
+    if len(set(labels)) != len(labels):
         raise _bad(field, "labels must be distinct")
-    return tuple(out)
+    return labels
 
 
-def _as_ell_rows(value, field: str) -> list[list[float]]:
-    """Shift rows of the delta comb; a bare number is a one-entry row."""
-    if not isinstance(value, list) or not value:
-        raise _bad(field, "expected a non-empty array of shift rows")
-    rows = []
-    for i, row in enumerate(value):
-        if _is_number(row):
-            rows.append([_as_float(row, f"{field}[{i}]")])
-        elif isinstance(row, list) and row:
-            rows.append([_as_float(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
-        else:
-            raise _bad(f"{field}[{i}]", "expected a number or an array")
+def _as_label_sets(
+    value, field: str, N: int | None = None, length: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    return tuple(_array(value, field, partial(_as_labels, N=N), length, non_empty=True))
+
+
+def _as_rows(value, field: str, row) -> list[list]:
+    """A non-empty array of equal-length rows."""
+    rows = _array(value, field, row, non_empty=True)
     if len({len(r) for r in rows}) != 1:
         raise _bad(field, "rows have inconsistent lengths")
     return rows
+
+
+def _as_shift_row(value, field: str) -> list[float]:
+    """A shift row of the delta comb; a bare number is a one-entry row."""
+    if _is_number(value):
+        return [_as_float(value, field)]
+    return _array(value, field, _as_float, non_empty=True)
 
 
 def _field_names(where: str) -> set[str]:
@@ -180,27 +179,21 @@ def _as_object(value, field: str) -> dict:
     return value
 
 
-def _get(obj: dict, path: str):
-    """Read field ``path`` of ``obj`` through the table; an absent required field reads as null."""
+def _get(obj: dict, path: str, **sizes):
+    """Read field ``path`` of ``obj`` through the table; an absent required field reads as null.
+
+    ``sizes`` (``N``, ``length``) go on to readers whose shape depends on the vector set.
+    """
     reader, default = _FIELDS[path]
     key = path.rpartition(".")[2]
     if key not in obj and default is not _REQUIRED:
         return default
     value = obj.get(key)
-    return value if reader is None else reader(value, path)
+    return value if reader is None else reader(value, path, **sizes)
 
 
 def _vector_set_from(cfg: dict) -> VectorSet:
-    omega = _get(cfg, "omega")
-    if not isinstance(omega, list) or not omega:
-        raise _bad("omega", "expected a non-empty array of rows")
-    rows = []
-    for i, row in enumerate(omega):
-        if not isinstance(row, list) or not row:
-            raise _bad(f"omega[{i}]", "expected a non-empty array of entries")
-        rows.append([_as_complex(v, f"omega[{i}][{j}]") for j, v in enumerate(row)])
-    if len({len(r) for r in rows}) != 1:
-        raise _bad("omega", "rows have inconsistent lengths")
+    rows = _get(cfg, "omega")
     if _get(cfg, "shift_convention") == "ell":
         rows = [[-v for v in row] for row in rows]
     try:
@@ -258,8 +251,8 @@ def _jsonify(obj):
 
 
 def _base_or_default(cfg: dict, A: VectorSet):
-    if "base" in cfg:
-        labels = _as_labels(cfg["base"], "base", A.N)
+    labels = _get(cfg, "base", N=A.N)
+    if labels is not None:
         try:
             return select_base(A, labels)
         except (InvalidInputError, DomainError) as exc:
@@ -268,13 +261,6 @@ def _base_or_default(cfg: dict, A: VectorSet):
     if not bases:
         raise _bad("omega", "the set has no base (vectors do not span)")
     return bases[0]
-
-
-def _twist_from(cfg: dict, n: int) -> tuple[int, ...]:
-    k = _get(cfg, "k")
-    if k is not None and len(k) != n:
-        raise _bad("k", f"expected {n} entries, got {len(k)}")
-    return (0,) * n if k is None else k
 
 
 def _task_bases(cfg: dict, A: VectorSet, params: dict):
@@ -303,34 +289,26 @@ def _task_reduce(cfg: dict, A: VectorSet, params: dict):
 
 def _task_eval(cfg: dict, A: VectorSet, params: dict):
     system = build_reduced_system(_base_or_default(cfg, A))
-    k = _twist_from(cfg, A.n)
+    k = _get(cfg, "k", length=A.n) or (0,) * A.n
     mode = _get(cfg, "mode")
-    partition = _get(cfg, "partition")
-    if partition is not None:
-        if not isinstance(partition, list) or len(partition) != 2:
-            raise _bad("partition", "expected two arrays of base labels")
-        partition = tuple(_as_labels(p, f"partition[{i}]", A.N) for i, p in enumerate(partition))
+    partition = _get(cfg, "partition", N=A.N)
     try:
         spec = SeriesSpec(system, k, params["truncation"], mode=mode, partition=partition)
     except InvalidInputError as exc:
         raise _bad("mode", str(exc))
 
-    if "beta" not in cfg:
-        raise _bad("beta", "the eval task needs parameter vectors")
-    betas = _as_vectors(cfg["beta"], "beta", A.n)
-    arg_key = "a" if mode == "full" else "x"
-    arg_len = A.N if mode == "full" else system.r
-    if arg_key not in cfg:
-        raise _bad(arg_key, f"the eval task in mode {mode!r} needs {arg_key!r} vectors")
-    args = _as_vectors(cfg[arg_key], arg_key, arg_len)
+    betas = _get(cfg, "beta", length=A.n)
+    arg_key, arg_len = ("a", A.N) if mode == "full" else ("x", system.r)
+    args = _get(cfg, arg_key, length=arg_len)
     if len(args) != len(betas):
         raise _bad(arg_key, f"expected one entry per beta ({len(betas)}), got {len(args)}")
 
     evaluate = {"full": gg_series_eval, "mixed": mixed_gamma_series_eval}.get(mode, reduced_series_eval)
-    points = [
-        {"beta": beta, arg_key: arg, **_jsonify(evaluate(spec, beta, arg))}
-        for beta, arg in zip(betas, args)
-    ]
+    values = [evaluate(spec, beta, arg) for beta, arg in zip(betas, args)]
+    points = [{"beta": beta, arg_key: arg, **_jsonify(v)} for beta, arg, v in zip(betas, args, values)]
+    # the sums have settled when their largest tail is small against their largest value
+    tails = [v.tail_estimate for v in values]
+    settled = residual_report("series-tail", tails, [abs(v.value) for v in values], params["tolerance"])
     results = {
         "base": list(system.base.I),
         "twist": list(k),
@@ -338,12 +316,15 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
         "truncation": params["truncation"],
         "points": points,
     }
-    return results, []
+    return results, [settled]
 
 
 def _task_verify(cfg: dict, A: VectorSet, params: dict):
+    # the off-base equation reads the series one order shorter
+    if params["truncation"] < 1:
+        raise _bad("truncation", "must be >= 1 for the verify task")
     system = build_reduced_system(_base_or_default(cfg, A))
-    k = _twist_from(cfg, A.n)
+    k = _get(cfg, "k", length=A.n) or (0,) * A.n
     x_bound = _get(cfg, "x_bound")
     eps = _get(cfg, "perturbation")
     checked = {"samples": params["samples"], "tolerance": params["tolerance"], "x_bound": x_bound}
@@ -379,8 +360,8 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
 def _task_lattice(cfg: dict, A: VectorSet, params: dict):
     lat = orthogonal_lattice(A)
     results = {"orthogonal_lattice": lat, "saturation_index": saturation_index(A)}
-    if "base" in cfg:
-        labels = _as_labels(cfg["base"], "base", A.N)
+    labels = _get(cfg, "base", N=A.N)
+    if labels is not None:
         try:
             quotient = lattice_quotient(lat, labels)
         except InvalidInputError as exc:
@@ -396,29 +377,21 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
     options = {f.name: _get(sub, f"integral.{f.name}") for f in fields(ContourSpec) if f.name in sub}
     contour = ContourSpec(**options)
     x = _get(sub, "integral.x")
-    if "beta" not in sub:
-        raise _bad("integral.beta", "missing parameter vector")
+    raw_beta = _get(sub, "integral.beta")
 
     if kind == "hankel-loop":
-        raw_beta = sub["beta"]
         if isinstance(raw_beta, list) and len(raw_beta) == 1:
             raw_beta = raw_beta[0]  # a 1-vector wraps the scalar
         beta = _as_complex(raw_beta, "integral.beta")
-        label = _as_int(sub.get("base", 1), "integral.base", minimum=1)
+        label = _as_int(sub.get("base", 1), "integral.base", minimum=1, maximum=A.N)
         value = hankel_integral(A, label, beta, x, contour)
         inputs = {"base": label, "beta": beta}
     else:
-        beta = _as_complex_vector(sub["beta"], "integral.beta", A.n)
-        if "base" not in sub:
-            raise _bad("integral.base", f"the {kind} integral needs base labels")
-        labels = _as_labels(sub["base"], "integral.base", A.N)
+        beta = _as_complex_vector(raw_beta, "integral.beta", A.n)
+        labels = _as_labels(sub.get("base"), "integral.base", A.N)
         if kind == "shifted-plane":
-            branch = _get(sub, "integral.branch")
-            if branch is None:
-                branch = (0,) * A.n
-            if len(branch) != A.n:
-                raise _bad("integral.branch", f"expected {A.n} entries")
-            value = shifted_plane_integral(A, labels, list(branch), beta, x, contour)
+            branch = _get(sub, "integral.branch", length=A.n) or [0] * A.n
+            value = shifted_plane_integral(A, labels, branch, beta, x, contour)
             inputs = {"base": list(labels), "branch": branch, "beta": beta}
         else:
             value = euler_segment_integral(A, labels, beta, x, contour)
@@ -431,8 +404,8 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
 def _task_resonance(cfg: dict, A: VectorSet, params: dict):
     candidates = candidate_consistent_vectors(A)
     results = {"consistent_vectors": candidates, "consistent_count": len(candidates)}
-    if "vector" in cfg:
-        v = _as_complex_vector(cfg["vector"], "vector", A.n)
+    v = _get(cfg, "vector", length=A.n)
+    if v is not None:
         results["requested_vector"] = analyze_vector(A, v)
     return results, []
 
@@ -457,7 +430,7 @@ def _task_distribution(cfg: dict, A: VectorSet, params: dict):
     sub = _get(cfg, "distribution")
     ell_rows = _get(sub, "distribution.ell")
     n = len(ell_rows[0])
-    x = _as_complex_vector(_get(sub, "distribution.x"), "distribution.x", len(ell_rows))
+    x = _get(sub, "distribution.x", length=len(ell_rows))
     phi = _phi_from(_get(sub, "distribution.phi"), n)
     m_trunc = _get(sub, "distribution.m_truncation")
     r_trunc = _get(sub, "distribution.r_truncation")
@@ -489,14 +462,7 @@ def _task_distribution(cfg: dict, A: VectorSet, params: dict):
 
 def _task_family(cfg: dict, A: VectorSet, params: dict):
     sv_threshold = _get(cfg, "sv_threshold")
-    if "bases" in cfg:
-        if not isinstance(cfg["bases"], list) or not cfg["bases"]:
-            raise _bad("bases", "expected a non-empty array of label arrays")
-        bases = [
-            _as_labels(b, f"bases[{i}]", A.N) for i, b in enumerate(cfg["bases"])
-        ]
-    else:
-        bases = [b.I for b in enumerate_bases(A)]
+    bases = _get(cfg, "bases", N=A.N) or [b.I for b in enumerate_bases(A)]
     try:
         family = candidate_family(A, bases)
     except (InvalidInputError, DomainError) as exc:
@@ -531,39 +497,44 @@ _TASK_FUNCS = {
 _REQUIRED = object()
 _count = partial(_as_int, minimum=1)
 _positive = partial(_as_float, positive=True)
+_truncation = partial(_as_int, maximum=_MAX_FACTORIAL)  # the series tabulate m! up to here
+_int_vector = partial(_array, entry=_as_int)
 
 # Every config field: dotted path -> (reader, default).  A reader takes
-# (value, path) and returns the parsed value or raises naming the path.  A
-# None reader passes the value on to the task, which checks it against the
-# vector set (labels, vectors of length n, N or r).  _get reads through here,
-# and each object's allowed keys are the paths listed under it.
+# (value, path) and returns the parsed value or raises naming the path; the
+# readers of labels and vectors also take the vector-set sizes a handler
+# passes through _get (N for labels, length for vectors).  integral.beta and
+# integral.base have no reader: for a hankel-loop they are a scalar and one
+# label, for the other kinds a vector and a label array, so _task_integral
+# reads them by kind.  _get reads through here, and each object's allowed
+# keys are the paths listed under it.
 _FIELDS = {
     "task": (_one_of(*_TASK_FUNCS), _REQUIRED),
-    "omega": (None, None),
+    "omega": (partial(_as_rows, row=partial(_array, entry=_as_complex, non_empty=True)), _REQUIRED),
     "n": (_count, None),
     "N": (_count, None),
     "shift_convention": (_one_of("omega", "ell"), "omega"),
-    "base": (None, None),
-    "k": (_as_int_list, None),
+    "base": (_as_labels, None),
+    "k": (_int_vector, None),
     "seed": (partial(_as_int, minimum=0), 0),
     "samples": (_count, 12),
     "tolerance": (_positive, 1e-8),
-    "truncation": (partial(_as_int, minimum=0), 25),
+    "truncation": (partial(_truncation, minimum=0), 25),
     "x_bound": (_positive, 0.3),
     "mode": (_one_of("reduced", "full", "mixed"), "reduced"),
-    "partition": (None, None),
-    "beta": (None, None),
-    "a": (None, None),
-    "x": (None, None),
+    "partition": (partial(_as_label_sets, length=2), None),
+    "beta": (_as_vectors, _REQUIRED),
+    "a": (_as_vectors, _REQUIRED),
+    "x": (_as_vectors, _REQUIRED),
     "perturbation": (_as_complex, 0j),
-    "bases": (None, None),
+    "bases": (_as_label_sets, None),
     "sv_threshold": (_positive, 1e-8),
-    "vector": (None, None),
+    "vector": (_as_complex_vector, None),
     "integral": (_as_object, _REQUIRED),
     "integral.kind": (_one_of("hankel-loop", "shifted-plane", "euler-segment"), _REQUIRED),
     "integral.base": (None, None),
-    "integral.branch": (_as_int_list, None),
-    "integral.beta": (None, None),
+    "integral.branch": (_int_vector, None),
+    "integral.beta": (None, _REQUIRED),
     "integral.x": (_as_complex_vector, _REQUIRED),
     "integral.nodes": (partial(_as_int, minimum=16), None),
     "integral.cutoff": (_positive, None),
@@ -572,14 +543,14 @@ _FIELDS = {
     "integral.offset": (_positive, None),
     "integral.adaptive": (_as_bool, None),
     "distribution": (_as_object, _REQUIRED),
-    "distribution.ell": (_as_ell_rows, _REQUIRED),
-    "distribution.x": (None, None),
+    "distribution.ell": (partial(_as_rows, row=_as_shift_row), _REQUIRED),
+    "distribution.x": (_as_complex_vector, _REQUIRED),
     "distribution.phi": (_as_object, {"kind": "constant"}),
     "distribution.phi.kind": (_one_of("constant", "power", "exponential", "poly-exp"), _REQUIRED),
     "distribution.phi.degree": (partial(_as_int, minimum=0), 1),
     "distribution.phi.rate": (_as_complex, 1 + 0j),
-    "distribution.m_truncation": (_count, 25),
-    "distribution.r_truncation": (_count, 40),
+    "distribution.m_truncation": (partial(_truncation, minimum=1), 25),
+    "distribution.r_truncation": (partial(_truncation, minimum=1), 40),
     "distribution.fourier": (_as_object, None),
     "distribution.fourier.ell": (_as_float, 1.0),
     "distribution.fourier.x": (_as_complex, 0j),

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -409,7 +410,10 @@ def test_unknown_field_in_every_object(tmp_path, where):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--seed", "-1"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--truncation", "-1")],
+    [
+        ("--seed", "-1"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--truncation", "-1"),
+        ("--truncation", "151"), ("--truncation", "0"),  # past the factorial table; verify needs >= 1
+    ],
 )
 def test_overrides_go_through_the_field_table(tmp_path, flag, value):
     out = tmp_path / "report.json"
@@ -436,6 +440,84 @@ def test_twist_of_the_wrong_length_names_k(tmp_path, task):
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == "k: expected 3 entries, got 2"
+
+
+def _eval_config(**fields):
+    cfg = _load_bundled("gauss.json")
+    cfg.update(task="eval", beta=[[0.1, 0.2, 0.3]], x=[[0.1]])
+    cfg.update(fields)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, path, value",
+    [
+        (_config_reading("sv_threshold"), "truncation", 151),
+        (_eval_config(), "truncation", 151),
+        (_config_reading("distribution.x"), "distribution.m_truncation", 151),
+        (_config_reading("distribution.x"), "distribution.r_truncation", 200),
+    ],
+    ids=["family", "eval", "m_truncation", "r_truncation"],
+)
+def test_truncation_past_the_factorial_table_names_its_field(tmp_path, cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    _set(cfg, path, value)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # rejected before any sum overflows
+        assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == f"{path}: must be <= 150"
+
+
+def test_eval_fails_closed_on_an_unsettled_series(tmp_path):
+    cfg = {"task": "eval", "omega": [[1], [2]], "base": [1], "beta": [[0.3]], "x": [[5]], "truncation": 10}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    rep = _report(out)
+    assert [(c["equation"], c["passed"]) for c in rep["checks"]] == [("series-tail", False)]
+    assert rep["passed"] is False
+
+    settled = _eval_config(truncation=30)
+    assert main(["--config", _write(tmp_path, settled), "--quiet", "--out", str(out)]) == 0
+    check = _report(out)["checks"][0]
+    assert check["equation"] == "series-tail" and check["max_rel_residual"] < 1e-20
+
+
+_MIXED = {
+    "task": "eval", "omega": [[1, 0], [0, 1], [-1, -2]], "base": [1, 2], "mode": "mixed",
+    "partition": [[1], [2]], "truncation": 10, "beta": [[0.3, 0.7]], "x": [[0.2]],
+}
+_RESONANCE = {"task": "resonance", "omega": [[1, 0.3], [0.6, -0.8], [-0.4, -1.1]]}
+_INTEGRAL = _config_reading("integral.x")  # a hankel-loop on omega [[1], [-1]]
+_PLANE = {"kind": "shifted-plane", "beta": [0.5], "x": [0.25], "base": [1]}
+
+
+@pytest.mark.parametrize(
+    "cfg, error",
+    [
+        (_eval_config(beta=[[0.1, 0.2, "q"]]), "beta[0][2]: expected a number or an [re, im] pair"),
+        (_eval_config(beta=[[0.1, 0.2, 0.3]] * 2, x=[[0.1], [0.1, 0.2]]), "x[1]: expected 1 entries, got 2"),
+        (_MIXED | {"partition": [[1], [5]]}, "partition[1][0]: must be <= 3"),
+        (_config_reading("sv_threshold") | {"bases": [[1, 2, 3], [9, 2, 4]]}, "bases[1][0]: must be <= 4"),
+        (_RESONANCE | {"vector": [0.4]}, "vector: expected 2 entries, got 1"),
+        (
+            {"task": "distribution", "omega": [[1]], "distribution": {"ell": [1], "x": [0.3, 0.1]}},
+            "distribution.x: expected 1 entries, got 2",
+        ),
+        (_INTEGRAL | {"integral": _PLANE | {"branch": [0, 1]}}, "integral.branch: expected 1 entries, got 2"),
+        (_INTEGRAL | {"integral": _INTEGRAL["integral"] | {"base": 5}}, "integral.base: must be <= 2"),
+    ],
+    ids=["beta", "x", "partition", "bases", "vector", "distribution.x", "integral.branch", "hankel-base"],
+)
+def test_bad_entry_is_named_by_its_path(tmp_path, cfg, error):
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == error
+
+
+def test_every_field_but_the_kind_dependent_two_has_a_reader():
+    unread = [path for path, (reader, _) in _FIELDS.items() if reader is None]
+    assert unread == ["integral.base", "integral.beta"]
 
 
 def test_overflow_report_is_strict_json(tmp_path):
