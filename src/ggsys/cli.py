@@ -40,6 +40,7 @@ from .model import (
     VectorSet,
     build_reduced_system,
     enumerate_bases,
+    first_base,
     reducibility_check,
     select_base,
     vector_set,
@@ -129,8 +130,8 @@ def _as_complex_vector(value, field: str, length: int | None = None) -> list[com
     return _array(value, field, _as_complex, length)
 
 
-def _as_vectors(value, field: str, length: int | None = None) -> list[list[complex]]:
-    return _array(value, field, partial(_as_complex_vector, length=length))
+def _as_vectors(value, field: str, length: int | None = None, non_empty: bool = False) -> list[list[complex]]:
+    return _array(value, field, partial(_as_complex_vector, length=length), non_empty=non_empty)
 
 
 def _as_labels(value, field: str, N: int | None = None) -> tuple[int, ...]:
@@ -257,10 +258,10 @@ def _base_or_default(cfg: dict, A: VectorSet):
             return select_base(A, labels)
         except (InvalidInputError, DomainError) as exc:
             raise _bad("base", str(exc))
-    bases = enumerate_bases(A)
-    if not bases:
+    base = first_base(A)
+    if base is None:
         raise _bad("omega", "the set has no base (vectors do not span)")
-    return bases[0]
+    return base
 
 
 def _task_bases(cfg: dict, A: VectorSet, params: dict):
@@ -461,6 +462,9 @@ def _task_distribution(cfg: dict, A: VectorSet, params: dict):
 
 
 def _task_family(cfg: dict, A: VectorSet, params: dict):
+    # a truncation-0 sum is its first term, whose tail never settles
+    if params["truncation"] < 1:
+        raise _bad("truncation", "must be >= 1 for the family task")
     sv_threshold = _get(cfg, "sv_threshold")
     bases = _get(cfg, "bases", N=A.N) or [b.I for b in enumerate_bases(A)]
     try:
@@ -523,7 +527,7 @@ _FIELDS = {
     "x_bound": (_positive, 0.3),
     "mode": (_one_of("reduced", "full", "mixed"), "reduced"),
     "partition": (partial(_as_label_sets, length=2), None),
-    "beta": (_as_vectors, _REQUIRED),
+    "beta": (partial(_as_vectors, non_empty=True), _REQUIRED),
     "a": (_as_vectors, _REQUIRED),
     "x": (_as_vectors, _REQUIRED),
     "perturbation": (_as_complex, 0j),

@@ -8,8 +8,10 @@ numpy arrays are addressed 0-based internally, converted at the boundary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -159,13 +161,22 @@ def base_coords(B: BaseSelection, v) -> np.ndarray:
     return B.coords(v)
 
 
-def enumerate_bases(A: VectorSet) -> list[BaseSelection]:
-    """All bases, in lexicographic label order (exhaustive; desk scale)."""
-    out = []
+def _iter_bases(A: VectorSet):
+    """Bases one at a time, in lexicographic label order."""
     for I in itertools.combinations(range(1, A.N + 1), A.n):
         if _subset_det_ok(A.rows(I).T):
-            out.append(select_base(A, I))
-    return out
+            yield select_base(A, I)
+
+
+def enumerate_bases(A: VectorSet) -> list[BaseSelection]:
+    """All bases, in lexicographic label order (exhaustive; desk scale)."""
+    return list(_iter_bases(A))
+
+
+def first_base(A: VectorSet) -> BaseSelection | None:
+    """The first base in lexicographic label order, found without
+    enumerating the rest; None when no subset is independent."""
+    return next(_iter_bases(A), None)
 
 
 def kernel_space(A: VectorSet) -> np.ndarray:
@@ -183,6 +194,42 @@ def kernel_space(A: VectorSet) -> np.ndarray:
     return null_rows
 
 
+class _TableMemo:
+    """Tables computed from one reduced system, bounded by their total size.
+
+    Each entry is stored with its size (its number of coefficients); the
+    sizes held never sum past ``budget``.  The least recently used entries
+    are dropped first, and an entry larger than the budget is not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.size = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value, size: int) -> None:
+        if size > self.budget:
+            return
+        while self.size + size > self.budget:
+            _, (_, dropped) = self._entries.popitem(last=False)
+            self.size -= dropped
+        self._entries[key] = (value, size)
+        self.size += size
+
+
+# coefficients a system's table memo may hold: enough for the repeated
+# small tables of a residual check, and small enough that the peak RSS of
+# the eval-grid benchmark (tables of 5k-53k terms) does not move
+_TABLE_BUDGET = 1 << 15
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     """A base together with the difference-equation data it induces.
@@ -195,6 +242,10 @@ class ReducedSystem:
 
     base: BaseSelection
     l_coeffs: np.ndarray  # (r, N)
+    # tables the series layer computed for this instance; not part of its value
+    tables: _TableMemo = field(
+        default_factory=lambda: _TableMemo(_TABLE_BUDGET), init=False, repr=False, compare=False
+    )
 
     @property
     def r(self) -> int:
@@ -209,6 +260,19 @@ class ReducedSystem:
     def off_base_coords(self) -> np.ndarray:
         """(r, n) base coordinates of the off-base vectors omega^j."""
         return -self.l_on_base
+
+    @cached_property
+    def integer_off_base_coords(self) -> np.ndarray | None:
+        """``off_base_coords`` as an int64 array when every entry is exactly
+        an integer (real part equal to its rounding, imaginary part 0) below
+        2**31 in magnitude, else None."""
+        coords = self.off_base_coords
+        real = coords.real
+        if np.any(coords.imag != 0) or np.any(real != np.round(real)) or np.any(np.abs(real) >= 2**31):
+            return None
+        out = real.astype(np.int64)
+        out.setflags(write=False)
+        return out
 
     def x_from_a(self, a) -> np.ndarray:
         """Torus-invariant variables from an argument vector (principal powers)."""

@@ -3,9 +3,19 @@
 The central object is the table of coefficients of a series over multi
 indices m with |m| <= M.  Coefficients are computed directly (vectorized
 reciprocal gamma over the whole table) rather than by stepping neighbor to
-neighbor: the step between neighboring gamma arguments is a generic complex
-shift, so no factorial-style recurrence applies, and direct evaluation is
-both simpler and drift-free.
+neighbor, which is simpler and drift-free.
+
+For a generic set the gamma arguments beta_I - (m @ G) + 1 are generic
+complex numbers, one per term and base coordinate.  When the base
+coordinates G of the off-base vectors are integers, each column of
+arguments only takes the values beta_I[i] - d + 1 for integers d in a short
+range.  ``reduced_series`` then evaluates ``rgamma`` once per distinct value
+and gathers the products from that table; each table entry is one of the
+arguments the generic path would use, so the coefficients are bit-identical.
+
+A reduced system memoizes its tables (``ReducedSystem.tables``) up to a
+fixed number of coefficients, so the repeated parameters of a residual check
+are tabulated once.  Memoized arrays are read-only.
 """
 from __future__ import annotations
 
@@ -99,6 +109,20 @@ def _factorials(M: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], np.arange(1.0, M + 1))))
 
 
+def _divisors(system: ReducedSystem, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total degree and m! (the product of the factorials of the entries) of
+    every multi-index of the order-M table, memoized on the system."""
+    key = ("divisors", M)
+    cached = system.tables.get(key)
+    if cached is None:
+        m = _shell_indices(system.r, M)
+        cached = (m.sum(axis=1), np.prod(_factorials(M)[m], axis=1))
+        for array in cached:
+            array.setflags(write=False)
+        system.tables.put(key, cached, len(m))
+    return cached
+
+
 class TruncatedSeries:
     """A fully tabulated truncated series in the invariant variables.
 
@@ -107,16 +131,16 @@ class TruncatedSeries:
     """
 
     def __init__(self, spec: SeriesSpec, beta, raw_coeffs: np.ndarray):
-        system = spec.system
         self.spec = spec
-        self.beta = np.asarray(beta, dtype=np.complex128)
-        self.exponents = _shell_indices(system.r, spec.truncation)
+        self.beta = np.array(beta, dtype=np.complex128)
+        self.exponents = _shell_indices(spec.system.r, spec.truncation)
         if raw_coeffs.shape != (len(self.exponents),):
             raise InvalidInputError("coefficient table has the wrong length")
-        self.raw_coeffs = raw_coeffs
-        mfact = np.prod(_factorials(spec.truncation)[self.exponents], axis=1)
+        self.raw_coeffs = raw_coeffs.view()
+        self.degrees, mfact = _divisors(spec.system, spec.truncation)
         self.coeffs = raw_coeffs / mfact
-        self.degrees = self.exponents.sum(axis=1)
+        for array in (self.beta, self.raw_coeffs, self.coeffs):
+            array.setflags(write=False)
 
     def _powers(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
@@ -170,15 +194,48 @@ def _spec_tables(spec: SeriesSpec, beta):
     return m, shifted, phases
 
 
+def _shifted_rgamma(system: ReducedSystem, m: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """rgamma(shifted + 1), from one table of distinct arguments when the
+    off-base coordinates are integers.
+
+    Then entry (t, i) of ``shifted`` is beta_I[i] - d with d = (m @ G)[t, i]
+    an integer, so it depends on t only through d.  One ``rgamma`` call over
+    the ranges [min d, max d] of all coordinates, concatenated, replaces the
+    terms x n evaluations, and a gather spreads the values back.  Every
+    table argument is copied from ``shifted``, so the result is the generic
+    one bit for bit.
+    """
+    G = system.integer_off_base_coords
+    if G is None:
+        return rgamma(shifted + 1.0)
+    d = m @ G
+    lo = d.min(axis=0)
+    sizes = d.max(axis=0) - lo + 1
+    if sizes.sum() > d.size:  # sparse or wide ranges: the table would be the larger
+        return rgamma(shifted + 1.0)
+    at = d - lo + (np.cumsum(sizes) - sizes)
+    args = np.ones(sizes.sum(), dtype=np.complex128)  # values no term takes stay at 1
+    args[at] = shifted
+    return rgamma(args + 1.0)[at]
+
+
 def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
     """Tabulate the reduced series coefficients c_m for one parameter value.
 
     c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1), where u is the
-    exponential twist named by spec.k.
+    exponential twist named by spec.k.  A repeated (spec, beta) returns the
+    read-only table memoized on ``spec.system``.
     """
-    _, shifted, phases = _spec_tables(spec, beta)
-    raw = phases * np.prod(rgamma(shifted + 1.0), axis=1)
-    return TruncatedSeries(spec, beta, raw)
+    system = spec.system
+    beta = np.asarray(beta, dtype=np.complex128)
+    key = (spec.k, spec.truncation, spec.mode, spec.partition, beta.shape, beta.tobytes())
+    series = system.tables.get(key)
+    if series is None:
+        m, shifted, phases = _spec_tables(spec, beta)
+        raw = phases * np.prod(_shifted_rgamma(system, m, shifted), axis=1)
+        series = TruncatedSeries(spec, beta, raw)
+        system.tables.put(key, series, len(m))
+    return series
 
 
 def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:

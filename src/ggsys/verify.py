@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet, ReducedSystem, _svd_rank, build_reduced_system, enumerate_bases, select_base
+from .model import VectorSet, ReducedSystem, _svd_rank, build_reduced_system, first_base, select_base
 from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
 
 DEFAULT_TOLERANCE = 1e-8
@@ -134,9 +134,10 @@ def check_gg_system(
     difference quotients and shifted values as the first report.
     """
     rng = np.random.default_rng(seed)
-    system = build_reduced_system(
-        select_base(A, base) if base is not None else enumerate_bases(A)[0]
-    )
+    chosen = select_base(A, base) if base is not None else first_base(A)
+    if chosen is None:
+        raise InvalidInputError("the vector set has no base")
+    system = build_reduced_system(chosen)
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
     shift_res, weighted_res, forms_res, scales = [], [], [], []

@@ -326,6 +326,26 @@ def test_family_without_a_convergence_domain_names_bases(tmp_path):
     assert _report(out)["error"].startswith("bases: ")
 
 
+def test_family_at_truncation_zero_names_truncation(tmp_path):
+    cfg = {
+        "task": "family",
+        "omega": _load_bundled("gauss.json")["omega"],
+        "bases": [[1, 2, 3], [1, 2, 4]],
+        "samples": 4,
+        "truncation": 0,
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "truncation: must be >= 1 for the family task"
+
+
+def test_eval_without_parameters_exits_2(tmp_path):
+    cfg = {"task": "eval", "omega": _load_bundled("gauss.json")["omega"], "beta": [], "x": []}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "beta: expected a non-empty array"
+
+
 def test_run_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "ggsys", "--config", "two-points-lattice.json"],

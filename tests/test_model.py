@@ -9,6 +9,7 @@ from ggsys.model import (
     base_coords,
     build_reduced_system,
     enumerate_bases,
+    first_base,
     kernel_space,
     reducibility_check,
     select_base,
@@ -56,6 +57,23 @@ def test_enumerate_bases_running_example():
     A = vector_set(A_G_ROWS)
     bases = [b.I for b in enumerate_bases(A)]
     assert bases == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+
+@given(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)), min_size=3, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_first_base_is_the_first_enumerated(rows):
+    try:
+        A = vector_set(rows)
+    except InvalidInputError:
+        return
+    bases = enumerate_bases(A)
+    first = first_base(A)
+    assert (first.I if first else None) == (bases[0].I if bases else None)
+
+
+def test_first_base_skips_dependent_prefixes():
+    A = vector_set([(1, 0), (2, 0), (3, 0), (0, 1)])
+    assert first_base(A).I == (1, 4)
 
 
 def test_base_coords_running_example():

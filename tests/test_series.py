@@ -6,10 +6,14 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ggsys.series
 from ggsys.errors import DomainError, InvalidInputError, PoleError
-from ggsys.model import build_reduced_system, select_base, vector_set
+from ggsys.gammafn import rgamma
+from ggsys.model import _TABLE_BUDGET, build_reduced_system, select_base, vector_set
+from ggsys.resonance import grassmannian_set
 from ggsys.series import (
     SeriesSpec,
+    _spec_tables,
     convergence_condition,
     elementary_solution_full,
     gauss_series_eval,
@@ -275,3 +279,181 @@ def test_coefficient_recurrence_property(b1, b2, b3):
         lhs = s_here.coefficient((m + 1,))
         rhs = s_shift.coefficient((m,))
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+# -- integer gather and the per-system table memo ---------------------------
+
+
+def _generic_coeffs(spec, beta):
+    """The generic formula: twist phases times the product of reciprocal
+    gammas at every (term, base coordinate); the oracle of the gather."""
+    _, shifted, phases = _spec_tables(spec, beta)
+    return phases * np.prod(rgamma(shifted + 1.0), axis=1)
+
+
+def _rgamma_shapes(monkeypatch):
+    """Record the shape of every array the series layer hands to rgamma."""
+    seen = []
+
+    def recording(z):
+        seen.append(np.shape(z))
+        return rgamma(z)
+
+    monkeypatch.setattr(ggsys.series, "rgamma", recording)
+    return seen
+
+
+def _assert_gathered_bit_identical(system, k, M, beta):
+    spec = SeriesSpec(system, k, M)
+    got = reduced_series(spec, beta).raw_coeffs
+    want = _generic_coeffs(spec, beta)
+    # bytes, not values: signed zeros and NaN payloads must match too
+    assert got.tobytes() == want.tobytes()
+
+
+_BETAS = [
+    np.array([0.43 - 0.21j, -0.17 + 0.05j, 0.59]),
+    np.array([0.3, -0.2, 0.8]),
+    np.array([-1.7 + 0.4j, 2.25 - 1.1j, -0.35 + 0.0j]),
+]
+
+
+@pytest.mark.parametrize("base", [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("k", [(0, 0, 0), (1, -1, 0), (-1, 1, 1)])
+def test_gather_is_bit_identical_on_the_gauss_set(base, k):
+    system = build_reduced_system(select_base(A_G, base))
+    assert system.integer_off_base_coords is not None
+    for beta in _BETAS:
+        _assert_gathered_bit_identical(system, k, 30, beta)
+
+
+def test_gather_is_bit_identical_on_the_acceptance_sets():
+    _assert_gathered_bit_identical(R_PM, (0,), 40, np.array([0.31 - 0.4j]))
+    _assert_gathered_bit_identical(R_PM, (1,), 40, np.array([-2.5]))
+    G = grassmannian_set(2, 3)
+    system = build_reduced_system(select_base(G.vectors, (1, 2, 3, 4)))
+    assert system.integer_off_base_coords is not None
+    beta = np.array([0.37 + 0.1j, -0.61, 0.29 - 0.33j, 0.83])
+    _assert_gathered_bit_identical(system, (0, 0, 0, 0), 12, beta)
+    _assert_gathered_bit_identical(system, (1, 0, -1, 0), 12, beta)
+
+
+@st.composite
+def _integer_sets(draw):
+    """Unit base vectors plus r off-base rows with entries in [-2, 2]."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    entries = st.integers(-2, 2)
+    off = [tuple(draw(entries) for _ in range(n)) for _ in range(r)]
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)] + off
+    k = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+    M = draw(st.integers(0, 25))
+    # integer and quarter-integer coordinates put poles inside the table
+    parts = st.floats(-3.0, 3.0).map(lambda v: round(4 * v) / 4 if abs(v) > 1.5 else v)
+    beta = np.array([complex(draw(parts), draw(st.sampled_from([0.0, -0.0, 0.7]))) for _ in range(n)])
+    return rows, n, k, M, beta
+
+
+@given(_integer_sets())
+@settings(max_examples=150, deadline=None)
+def test_gather_matches_the_generic_formula(case):
+    rows, n, k, M, beta = case
+    system = build_reduced_system(select_base(vector_set(rows), tuple(range(1, n + 1))))
+    assert system.integer_off_base_coords is not None
+    _assert_gathered_bit_identical(system, k, M, beta)
+
+
+def test_gather_keeps_exact_zeros_at_poles(monkeypatch):
+    seen = _rgamma_shapes(monkeypatch)
+    system = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    # beta_I[0] - m + 1 is a pole from m = 3 on; within the snap window too
+    for first in (2.0, 2.0 + 1e-13):
+        beta = np.array([first, 0.35 - 0.2j, 0.6])
+        raw = reduced_series(SeriesSpec(system, (0, 0, 0), 30), beta).raw_coeffs
+        assert np.all(raw[3:] == 0) and np.all(raw[:3] != 0)
+        assert raw.tobytes() == _generic_coeffs(SeriesSpec(system, (0, 0, 0), 30), beta).tobytes()
+    # one flat table of the 31 values of each coordinate
+    assert seen[:2] == [(3 * 31,), (3 * 31,)]
+
+
+def test_gather_evaluates_each_distinct_argument_once(monkeypatch):
+    A = vector_set([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)])
+    system = build_reduced_system(select_base(A, (1, 2)))
+    seen = _rgamma_shapes(monkeypatch)
+    _assert_gathered_bit_identical(system, (0, 1), 20, np.array([0.3 - 0.2j, 0.45]))
+    # both columns of m @ G range over -20..0: 42 arguments, not 1771 x 2
+    assert seen == [(42,)]
+
+
+def test_non_integer_set_takes_the_generic_path(monkeypatch):
+    A = vector_set([(1, 0), (0, 1), (0.5, -1.0), (1.25, -0.75)])
+    system = build_reduced_system(select_base(A, (1, 2)))
+    assert system.integer_off_base_coords is None
+    seen = _rgamma_shapes(monkeypatch)
+    spec = SeriesSpec(system, (0, 0), 10)
+    beta = np.array([0.3 + 0.1j, -0.4])
+    raw = reduced_series(spec, beta).raw_coeffs
+    assert seen == [(math.comb(12, 2), 2)]
+    assert raw.tobytes() == _generic_coeffs(spec, beta).tobytes()
+
+
+def test_nearly_integer_coordinates_are_not_integer():
+    A = vector_set([(1, 0), (0, 1), (1 + 1e-15, -1), (1, 1e-12j)])
+    system = build_reduced_system(select_base(A, (1, 2)))
+    assert system.integer_off_base_coords is None
+
+
+def test_memo_returns_the_same_read_only_table():
+    system = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    beta = np.array([0.43, -0.17, 0.59])
+    first = reduced_series(SeriesSpec(system, (0, 0, 0), 20), beta)
+    again = reduced_series(SeriesSpec(system, (0, 0, 0), 20), beta.copy())
+    assert again is first
+    for array in (again.raw_coeffs, again.coeffs, again.beta, again.degrees, again.exponents):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # another twist, truncation or parameter is another table
+    assert reduced_series(SeriesSpec(system, (1, 0, 0), 20), beta) is not first
+    assert reduced_series(SeriesSpec(system, (0, 0, 0), 19), beta) is not first
+    assert reduced_series(SeriesSpec(system, (0, 0, 0), 20), beta + 1e-15) is not first
+
+
+def test_memo_key_is_the_parameter_value_at_call_time():
+    system = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    spec = SeriesSpec(system, (0, 0, 0), 20)
+    beta = np.array([0.43, -0.17, 0.59], dtype=np.complex128)
+    first = reduced_series(spec, beta)
+    beta[0] = 0.5
+    assert first.beta[0] == 0.43
+    assert reduced_series(spec, beta) is not first
+
+
+def test_memo_stays_within_its_budget():
+    system = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    spec = SeriesSpec(system, (0, 0, 0), 30)
+    first = reduced_series(spec, np.array([0.1, 0.2, 0.3]))
+    for i in range(2 * _TABLE_BUDGET // 31):
+        reduced_series(spec, np.array([0.1 + 1e-3 * i, 0.2, 0.3]))
+        assert system.tables.size <= _TABLE_BUDGET
+    assert system.tables.size > _TABLE_BUDGET - 31
+    # the oldest table was dropped: asking again tabulates it anew
+    assert reduced_series(spec, np.array([0.1, 0.2, 0.3])) is not first
+    # a table larger than the whole budget is computed but not kept
+    A = vector_set([(1,), (-1,), (-2,), (-1,)])
+    wide = build_reduced_system(select_base(A, (1,)))
+    spec = SeriesSpec(wide, (0,), 57)
+    big = reduced_series(spec, np.array([0.3]))
+    assert len(big.exponents) > _TABLE_BUDGET
+    assert reduced_series(spec, np.array([0.3])) is not big
+    assert wide.tables.size == 0
+
+
+def test_memo_belongs_to_one_system_instance():
+    one = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    two = build_reduced_system(select_base(A_G, (1, 2, 3)))
+    beta = np.array([0.43, -0.17, 0.59])
+    table = reduced_series(SeriesSpec(one, (0, 0, 0), 20), beta)
+    assert two.tables.size == 0
+    other = reduced_series(SeriesSpec(two, (0, 0, 0), 20), beta)
+    assert other is not table
+    assert other.raw_coeffs.tobytes() == table.raw_coeffs.tobytes()

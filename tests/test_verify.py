@@ -53,6 +53,15 @@ def test_gg_system_on_running_example():
     assert r1.passed and r2.passed and r3.passed
 
 
+def test_gg_system_default_base_is_the_first_base():
+    # the first base of this set is (1, 2, 4): labels 1-3 are dependent
+    A = vector_set([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])
+    f = _gg_evaluator(A, (1, 2, 4), truncation=12)
+    default = check_gg_system(f, A, samples=3, seed=2)
+    assert default == check_gg_system(f, A, samples=3, seed=2, base=(1, 2, 4))
+    assert all(rep.passed for rep in default)
+
+
 def test_gg_system_negative_control():
     f = _gg_evaluator(A_G, (1, 2, 3))
 
