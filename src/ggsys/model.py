@@ -17,21 +17,33 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# singular values <= _RANK_TOL * max(1, largest) do not count toward the
-# rank; |det| <= _RANK_TOL * (max column norm)^n declares linear dependence
+# the package's one rank rule: singular values <= _RANK_TOL * max(1, largest)
+# do not count toward the rank, so an n-subset is a base iff all n count
 _RANK_TOL = 1e-10
 # span-membership and equal-vector tolerance of reducibility_check
 _REDUCIBILITY_TOL = 1e-9
+# most n-subsets _iter_bases tests with one batched SVD
+_BASE_BLOCK = 256
+
+
+def _rank_count(s: np.ndarray) -> np.ndarray:
+    """Ranks from singular values sorted descending along the last axis."""
+    return np.sum(s > _RANK_TOL * np.maximum(1.0, s[..., :1]), axis=-1)
 
 
 def _svd_rank(matrix) -> tuple[int, np.ndarray]:
     """Numerical rank of ``matrix`` and its full right singular vectors.
 
-    The package's one rank rule; Vh[:rank] spans the row space and the
-    conjugates of Vh[rank:] span the null space.
+    Vh[:rank] spans the row space and the conjugates of Vh[rank:] span the
+    null space.
     """
     _, s, Vh = np.linalg.svd(matrix, full_matrices=True)
-    return int(np.sum(s > _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0))), Vh
+    return int(_rank_count(s)), Vh
+
+
+def _close(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """(len(P), len(Q)) table of ``||P_i - Q_j|| <= tol`` over rows."""
+    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=-1) <= tol
 
 
 def _positions(labels) -> np.ndarray:
@@ -135,10 +147,9 @@ class BaseSelection:
         return self.gamma_matrix @ np.asarray(v, dtype=np.complex128)
 
 
-def _subset_det_ok(cols: np.ndarray) -> bool:
-    n = cols.shape[0]
-    scale = float(np.max(np.linalg.norm(cols, axis=0))) if cols.size else 0.0
-    return abs(np.linalg.det(cols)) > _RANK_TOL * scale**n
+def _base(A: VectorSet, I: tuple[int, ...], gamma: np.ndarray) -> BaseSelection:
+    gamma.setflags(write=False)
+    return BaseSelection(A, I, tuple(j for j in range(1, A.N + 1) if j not in I), gamma)
 
 
 def select_base(A: VectorSet, labels) -> BaseSelection:
@@ -148,24 +159,27 @@ def select_base(A: VectorSet, labels) -> BaseSelection:
     if I[0] < 1 or I[-1] > A.N:
         raise InvalidInputError("base labels out of range")
     cols = A.rows(I).T
-    if not _subset_det_ok(cols):
+    if _rank_count(np.linalg.svd(cols, compute_uv=False)) < A.n:
         raise InvalidInputError(f"vectors {I} are linearly dependent")
-    gamma = np.linalg.inv(cols)
-    gamma.setflags(write=False)
-    J = tuple(j for j in range(1, A.N + 1) if j not in I)
-    return BaseSelection(A, I, J, gamma)
-
-
-def base_coords(B: BaseSelection, v) -> np.ndarray:
-    """Coordinates of an ambient vector with respect to the selected basis."""
-    return B.coords(v)
+    return _base(A, I, np.linalg.inv(cols))
 
 
 def _iter_bases(A: VectorSet):
-    """Bases one at a time, in lexicographic label order."""
-    for I in itertools.combinations(range(1, A.N + 1), A.n):
-        if _subset_det_ok(A.rows(I).T):
-            yield select_base(A, I)
+    """Bases one at a time, in lexicographic label order.
+
+    The n-subsets are tested in blocks of one batched SVD each; the blocks
+    double in size up to _BASE_BLOCK, so the first base costs one SVD when
+    the first subset is independent.
+    """
+    subsets = itertools.combinations(range(1, A.N + 1), A.n)
+    size = 1
+    while block := list(itertools.islice(subsets, size)):
+        cols = np.swapaxes(A.omega[np.asarray(block) - 1], 1, 2)
+        independent = _rank_count(np.linalg.svd(cols, compute_uv=False)) == A.n
+        gammas = np.linalg.inv(cols[independent])
+        for I, gamma in zip(itertools.compress(block, independent), gammas):
+            yield _base(A, I, gamma)
+        size = min(2 * size, _BASE_BLOCK)
 
 
 def enumerate_bases(A: VectorSet) -> list[BaseSelection]:
@@ -354,11 +368,7 @@ def reducibility_check(A: VectorSet) -> ReducibilityReport:
 
     scale = float(np.max(np.abs(A.omega))) or 1.0
     zero_vec = bool(np.any(np.linalg.norm(A.omega, axis=1) <= tol * scale))
-    repeated = any(
-        np.linalg.norm(A.omega[i] - A.omega[j]) <= tol * scale
-        for i in range(N)
-        for j in range(i + 1, N)
-    )
+    repeated = bool(np.any(np.triu(_close(A.omega, A.omega, tol * scale), k=1)))
     outside = False
     for i in range(N):
         others = np.delete(A.omega, i, axis=0)

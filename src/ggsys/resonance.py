@@ -9,13 +9,12 @@ span.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet, _svd_rank
+from .model import VectorSet, _close, _svd_rank
 from .verify import ResidualReport, residual_report
 
 _REL_TOL = 1e-9
@@ -23,16 +22,6 @@ _REL_TOL = 1e-9
 
 def _match_tolerance(A: VectorSet) -> float:
     return _REL_TOL * float(np.max(np.linalg.norm(A.omega, axis=1)))
-
-
-def _find_member(A: VectorSet, target: np.ndarray, tol: float, available=None):
-    """Label of a vector within tol of target, restricted to ``available``."""
-    for label in range(1, A.N + 1):
-        if available is not None and label not in available:
-            continue
-        if np.linalg.norm(A.omega[label - 1] - target) <= tol:
-            return label
-    return None
 
 
 @dataclass(frozen=True)
@@ -81,32 +70,34 @@ class ResonanceAnalysis:
 
 
 def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition:
-    available = set(range(1, A.N + 1))
+    available = np.ones(A.N, dtype=bool)
+
+    def take(hits) -> int | None:
+        # lowest available label among the hits, marked as taken
+        found = np.flatnonzero(hits & available)
+        if not found.size:
+            return None
+        available[found[0]] = False
+        return int(found[0]) + 1
+
+    steps = _close(A.omega - v, A.omega, tol)  # [a, b]: omega_a - v ~ omega_b
     chains = []
     for top in b_indices:
-        if top not in available:
+        if not available[top - 1]:
             raise DomainError("chain tops overlap; direction is not consistent")
+        available[top - 1] = False
         chain = [top]
-        available.discard(top)
-        current = A.omega[top - 1]
-        while True:
-            label = _find_member(A, current - v, tol, available)
-            if label is None:
-                break
+        while (label := take(steps[chain[-1] - 1])) is not None:
             chain.append(label)
-            available.discard(label)
-            current = A.omega[label - 1]
         chains.append(tuple(chain))
+    # the zero chain holds -v, -2v, ... in turn
+    multiples = _close(-np.arange(1, A.N + 1)[:, None] * v, A.omega, tol)
     zero = []
-    step = 1
-    while True:
-        label = _find_member(A, -step * v, tol, available)
-        if label is None:
+    for hits in multiples:
+        if (label := take(hits)) is None:
             break
         zero.append(label)
-        available.discard(label)
-        step += 1
-    if available:
+    if available.any():
         raise DomainError("chain decomposition does not cover the configuration")
     return ChainDecomposition(tuple(chains), tuple(zero))
 
@@ -118,14 +109,11 @@ def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
     if v.shape != (A.n,):
         raise InvalidInputError("direction has the wrong length")
     tol = _match_tolerance(A)
-    a_idx, b_idx = [], []
-    for label in range(1, A.N + 1):
-        shifted = A.omega[label - 1] + v
-        if np.linalg.norm(shifted) <= tol or _find_member(A, shifted, tol) is not None:
-            a_idx.append(label)
-        else:
-            b_idx.append(label)
-    rows = A.omega[[l - 1 for l in b_idx]] if b_idx else np.zeros((0, A.n))
+    shifted = A.omega + v
+    in_a = (np.linalg.norm(shifted, axis=1) <= tol) | _close(shifted, A.omega, tol).any(axis=1)
+    a_idx = tuple(int(i) + 1 for i in np.flatnonzero(in_a))
+    b_idx = tuple(int(i) + 1 for i in np.flatnonzero(~in_a))
+    rows = A.omega[~in_a]
     if rows.shape[0]:
         rank, vh = _svd_rank(rows)
         basis = vh[:rank]
@@ -141,9 +129,9 @@ def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
         offset = complex(np.dot(normal, v))
     decomposition = None
     if consistent and np.linalg.norm(v) > tol:
-        decomposition = _build_chains(A, v, tuple(b_idx), tol)
+        decomposition = _build_chains(A, v, b_idx, tol)
     return ResonanceAnalysis(
-        v, consistent, tuple(a_idx), tuple(b_idx), basis, codim, normal,
+        v, consistent, a_idx, b_idx, basis, codim, normal,
         offset, decomposition,
     )
 
@@ -156,19 +144,15 @@ def candidate_consistent_vectors(A: VectorSet) -> tuple[ResonanceAnalysis, ...]:
     tolerance and the inconsistent ones are dropped.
     """
     tol = _match_tolerance(A)
-    candidates = []
-    for a, b in itertools.permutations(range(A.N), 2):
-        candidates.append(A.omega[b] - A.omega[a])
-    for a in range(A.N):
-        candidates.append(-A.omega[a])
-    kept: list[np.ndarray] = []
-    for cand in candidates:
-        if np.linalg.norm(cand) <= tol:
-            continue
-        if any(np.linalg.norm(cand - seen) <= tol for seen in kept):
-            continue
-        kept.append(cand)
-    analyses = (analyze_vector(A, v) for v in kept)
+    a, b = np.nonzero(~np.eye(A.N, dtype=bool))  # ordered pairs a != b, a first
+    candidates = np.concatenate([A.omega[b] - A.omega[a], -A.omega])
+    kept = np.empty_like(candidates)
+    count = 0
+    for cand, norm in zip(candidates, np.linalg.norm(candidates, axis=1)):
+        if norm > tol and not _close(cand[None], kept[:count], tol).any():
+            kept[count] = cand
+            count += 1
+    analyses = (analyze_vector(A, v) for v in kept[:count])
     return tuple(an for an in analyses if an.consistent)
 
 

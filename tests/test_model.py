@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import itertools
+
 from ggsys.errors import InvalidInputError
 from ggsys.model import (
-    base_coords,
     build_reduced_system,
     enumerate_bases,
     first_base,
@@ -15,6 +16,7 @@ from ggsys.model import (
     select_base,
     vector_set,
 )
+from ggsys.resonance import grassmannian_set
 
 # the running example: three unit vectors plus e1 + e2 - e3
 A_G_ROWS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
@@ -79,8 +81,25 @@ def test_first_base_skips_dependent_prefixes():
 def test_base_coords_running_example():
     A = vector_set(A_G_ROWS)
     B = select_base(A, (1, 2, 3))
-    np.testing.assert_allclose(base_coords(B, A.row(4)), [1, 1, -1], atol=1e-12)
+    np.testing.assert_allclose(B.coords(A.row(4)), [1, 1, -1], atol=1e-12)
     assert B.J == (4,)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for n in range(2, 19) for p in range(1, n) if p * n <= 18]
+)
+def test_grassmannian_base_count_is_spanning_tree_count(p, n):
+    # bases of G(p, n) are the spanning trees of K_{p,n} (Scoins 1962)
+    assert len(enumerate_bases(grassmannian_set(p, n).vectors)) == p ** (n - 1) * n ** (p - 1)
+
+
+def test_tiny_scale_subset_is_not_a_base():
+    # both singular values of rows 1 and 2 lie below the absolute floor
+    # 1e-10 * max(1, largest) that every rank decision shares
+    A = vector_set([(1e-11, 0), (0, 1e-11), (1, 0), (0, 1)])
+    with pytest.raises(InvalidInputError, match="linearly dependent"):
+        select_base(A, (1, 2))
+    assert [B.I for B in enumerate_bases(A)] == [(3, 4)]
 
 
 def test_select_base_rejects_dependent():
@@ -186,3 +205,20 @@ def test_base_coords_reproduce_vectors(rows):
         for j in range(1, A.N + 1):
             v = A.row(j)
             np.testing.assert_allclose(cols @ B.coords(v), v, atol=1e-8)
+
+
+@given(small_int_matrices)
+@settings(max_examples=150)
+def test_select_base_accepts_exactly_the_enumerated_bases(rows):
+    try:
+        A = vector_set(rows.tolist())
+    except InvalidInputError:
+        return
+    labels = {B.I for B in enumerate_bases(A)}
+    for I in itertools.combinations(range(1, A.N + 1), A.n):
+        try:
+            select_base(A, I)
+        except InvalidInputError:
+            assert I not in labels
+        else:
+            assert I in labels

@@ -257,3 +257,34 @@ def test_fully_resonant_point_satisfies_both_relations_and_weights():
     for label in range(1, 7):
         acc += a[label - 1] * f(beta - A.row(label), a) * A.row(label)
     assert np.max(np.abs(acc - beta * f0)) <= 1e-8 * abs(f0)
+
+
+def _summary(an):
+    dec = an.decomposition
+    return (an.consistent, an.a_indices, an.b_indices, an.codim,
+            None if dec is None else (dec.chains, dec.zero_chain))
+
+
+def test_single_vector_set():
+    # N = 1: no member pairs, the only candidate is the negated member
+    A = vector_set([(2,)])
+    (an,) = candidate_consistent_vectors(A)
+    np.testing.assert_array_equal(an.v, [-2])
+    assert _summary(an) == (True, (1,), (), 1, ((), (1,)))
+    assert _summary(analyze_vector(A, (2,))) == (False, (), (1,), 0, None)
+    assert _summary(analyze_vector(A, (0,))) == (True, (1,), (), 1, None)
+
+
+def test_repeated_vector_set():
+    # omega_1 = omega_3: the lowest free label is taken first, and the
+    # direction -e1 leaves one copy unmatched
+    A = vector_set([(1, 0), (0, 1), (1, 0), (1, 1)])
+    assert _summary(analyze_vector(A, (0, -1))) == (
+        True, (2, 4), (1, 3), 1, (((1, 4), (3,)), (2,))
+    )
+    assert _summary(analyze_vector(A, (0, 1))) == (False, (1, 3), (2, 4), 0, None)
+    assert _summary(analyze_vector(A, (0, 0))) == (True, (1, 2, 3, 4), (), 2, None)
+    with pytest.raises(DomainError, match="does not cover the configuration"):
+        analyze_vector(A, (-1, 0))
+    with pytest.raises(DomainError, match="does not cover the configuration"):
+        candidate_consistent_vectors(A)
