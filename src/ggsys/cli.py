@@ -403,7 +403,10 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
 
 
 def _task_resonance(cfg: dict, A: VectorSet, params: dict):
-    candidates = candidate_consistent_vectors(A)
+    try:
+        candidates = candidate_consistent_vectors(A)
+    except DomainError as exc:
+        raise _bad("omega", str(exc))
     results = {"consistent_vectors": candidates, "consistent_count": len(candidates)}
     v = _get(cfg, "vector", length=A.n)
     if v is not None:

@@ -5,6 +5,12 @@ floating point enters the arithmetic.  The central objects are the lattice
 of integer vectors orthogonal to the relation space of the configuration,
 its coordinate projections onto a base, and the finite quotient groups that
 index the distinct series twists.
+
+One Euclid step, ``_eliminate``, does all the elimination.  Hermite form is
+that step plus reduction above the pivots; an integer kernel eliminates
+only the row part of ``[rows | I]``; elementary divisors alternate Hermite
+form on a matrix and its transpose; the orthogonal lattice is the kernel of
+the kernel.  No unimodular transform is ever accumulated.
 """
 from __future__ import annotations
 
@@ -20,6 +26,31 @@ def _as_int_rows(rows) -> list[list[int]]:
     return [[int(v) for v in row] for row in rows]
 
 
+def _transpose(rows, width: int) -> list[list[int]]:
+    return [[row[j] for row in rows] for j in range(width)]
+
+
+def _eliminate(A: list[list[int]], r: int, c: int) -> bool:
+    """Euclid step down column c of A, in place, on rows r onward.
+
+    Moves the row with the smallest nonzero |entry| in column c to row r and
+    floor-reduces the rows below by it, until row r holds the only nonzero
+    entry of column c from row r on.  Returns False when there is none.
+    """
+    while True:
+        live = [i for i in range(r, len(A)) if A[i][c]]
+        if not live:
+            return False
+        piv = min(live, key=lambda i: abs(A[i][c]))
+        A[r], A[piv] = A[piv], A[r]
+        if len(live) == 1:
+            return True
+        for i in range(r + 1, len(A)):
+            q = A[i][c] // A[r][c]
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+
+
 def hermite_normal_form(rows) -> list[list[int]]:
     """Row-style Hermite normal form; returns the nonzero rows.
 
@@ -27,30 +58,12 @@ def hermite_normal_form(rows) -> list[list[int]]:
     Unimodular row operations only, so the row lattice is unchanged.
     """
     A = _as_int_rows(rows)
-    m = len(A)
-    if m == 0:
-        return []
-    width = len(A[0])
     r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0 and (piv is None or abs(A[i][c]) < abs(A[piv][c])):
-                piv = i
-        if piv is None:
+    for c in range(len(A[0]) if A else 0):
+        if r == len(A):
+            break
+        if not _eliminate(A, r, c):
             continue
-        A[r], A[piv] = A[piv], A[r]
-        while True:
-            done = True
-            for i in range(r + 1, m):
-                if A[i][c]:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                    if A[i][c]:
-                        A[r], A[i] = A[i], A[r]
-                        done = False
-            if done:
-                break
         if A[r][c] < 0:
             A[r] = [-v for v in A[r]]
         for i in range(r):
@@ -58,98 +71,42 @@ def hermite_normal_form(rows) -> list[list[int]]:
             if q:
                 A[i] = [a - q * b for a, b in zip(A[i], A[r])]
         r += 1
-        if r == m:
-            break
     return A[:r]
 
 
-def smith_normal_form(rows) -> tuple[list[int], list[list[int]]]:
-    """Elementary divisors of an integer matrix plus column tracking.
+def elementary_divisors(rows) -> tuple[int, ...]:
+    """Nonzero Smith invariants d_1 | d_2 | ... of an integer matrix.
 
-    Returns (divisors, W) where W is the inverse of the accumulated column
-    transform: with U m V = diag(divisors) padded to shape, W = V^(-1).
-    Row i of diag(d) @ W is d_i times row i of W, so the first rank rows
-    of W span the saturation of the input's row lattice.
+    Hermite form on the rows and then on the columns, alternately, until the
+    matrix is diagonal (Kannan-Bachem); gcd/lcm exchanges then order the
+    diagonal into a divisor chain.  One divisor per unit of rank.
+    """
+    A = hermite_normal_form(rows)
+    while any(v for i, row in enumerate(A) for j, v in enumerate(row) if i != j):
+        A = hermite_normal_form(_transpose(A, len(A[0])))
+    d = [A[i][i] for i in range(len(A))]
+    for i, j in itertools.combinations(range(len(d)), 2):
+        g = math.gcd(d[i], d[j])
+        d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
+
+
+def integer_kernel(rows) -> list[list[int]]:
+    """Saturated basis of {u in Z^m : sum_i u_i row_i = 0}, in Hermite form.
+
+    Eliminates the row-part columns of the rows augmented with an identity
+    block; the identity parts of the rows whose row part vanished span the
+    kernel, and their Hermite form is the basis returned.
     """
     A = _as_int_rows(rows)
     m = len(A)
     width = len(A[0]) if m else 0
-    W = [[int(i == j) for j in range(width)] for i in range(width)]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        W[i], W[j] = W[j], W[i]
-
-    def add_col(src, dst, q):
-        # column dst += q * column src, mirrored on W = V^(-1)
-        for row in A:
-            row[dst] += q * row[src]
-        W[src] = [a - q * b for a, b in zip(W[src], W[dst])]
-
-    t = 0
-    while t < min(m, width):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, width):
-                if A[i][j] != 0 and (
-                    piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
-        if piv is None:
-            break
-        A[t], A[piv[0]] = A[piv[0]], A[t]
-        if piv[1] != t:
-            swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-            for j in range(t + 1, width):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fixup: the pivot must divide the remaining block
-        offender = None
-        for i in range(t + 1, m):
-            if any(v % A[t][t] for v in A[i][t + 1 :]):
-                offender = i
-                break
-        if offender is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[offender])]
-            continue
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-        t += 1
-
-    divisors = [A[i][i] for i in range(min(m, width)) if A[i][i] != 0]
-    return divisors, W
-
-
-def integer_kernel(rows) -> list[list[int]]:
-    """Saturated basis of {u in Z^m : sum_i u_i row_i = 0}.
-
-    Works by Hermite-reducing the rows augmented with an identity block;
-    combination vectors whose row part cancels form the kernel basis.
-    """
-    A = _as_int_rows(rows)
-    m = len(A)
-    if m == 0:
-        return []
-    width = len(A[0])
-    augmented = [A[i] + [int(k == i) for k in range(m)] for i in range(m)]
-    reduced = hermite_normal_form(augmented)
-    return [row[width:] for row in reduced if all(v == 0 for v in row[:width])]
+    A = [row + [int(k == i) for k in range(m)] for i, row in enumerate(A)]
+    r = 0
+    for c in range(width):
+        if r < m and _eliminate(A, r, c):
+            r += 1
+    return hermite_normal_form([row[width:] for row in A[r:]])
 
 
 @dataclass(frozen=True)
@@ -186,39 +143,34 @@ class QuotientStructure:
     representatives: tuple[tuple[int, ...], ...]
 
 
-def _lattice_from_rows(rows) -> IntegerLattice:
-    hnf = hermite_normal_form(rows)
-    return IntegerLattice(len(hnf), tuple(tuple(r) for r in hnf))
+def _lattice(hnf_rows) -> IntegerLattice:
+    return IntegerLattice(len(hnf_rows), tuple(tuple(r) for r in hnf_rows))
 
 
-def _coordinate_matrix(A: VectorSet) -> list[list[int]]:
+def _integer_rows(A: VectorSet) -> tuple:
     if A.integer_rows is None:
         raise DomainError("lattice operations need integer vector coordinates")
-    # row k lists the k-th coordinate of every vector
-    return [[A.integer_rows[j][k] for j in range(A.N)] for k in range(A.n)]
+    return A.integer_rows
 
 
 def orthogonal_lattice(A: VectorSet) -> IntegerLattice:
     """Integer vectors orthogonal to every relation among the vectors.
 
-    Equals the saturation of the row lattice of the coordinate matrix:
-    Smith reduction exposes the elementary divisors, and dividing them out
-    leaves the first rank rows of the tracked column-inverse transform.
+    Equals the saturation of the row lattice of the coordinate matrix,
+    computed as the integer kernel of the transpose of the relation lattice
+    (itself the integer kernel of the vectors); both kernels come out in
+    Hermite form.
     """
-    M = _coordinate_matrix(A)
-    divisors, W = smith_normal_form(M)
-    if len(divisors) != A.n:
+    relations = integer_kernel(_integer_rows(A))
+    rows = integer_kernel(_transpose(relations, A.N))
+    if len(rows) != A.n:
         raise InvalidInputError("vectors do not span over the rationals")
-    return _lattice_from_rows(W[: A.n])
+    return _lattice(rows)
 
 
 def saturation_index(A: VectorSet) -> int:
     """Index of the coordinate row lattice inside its saturation."""
-    divisors, _ = smith_normal_form(_coordinate_matrix(A))
-    out = 1
-    for d in divisors:
-        out *= d
-    return out
+    return math.prod(elementary_divisors(_integer_rows(A)))
 
 
 def project_lattice(lat: IntegerLattice, labels) -> IntegerLattice:
@@ -227,7 +179,7 @@ def project_lattice(lat: IntegerLattice, labels) -> IntegerLattice:
     if any(c < 0 or c >= lat.ambient_dim for c in cols):
         raise InvalidInputError("projection labels out of range")
     rows = [[row[c] for c in cols] for row in lat.basis_rows]
-    return _lattice_from_rows(rows)
+    return _lattice(hermite_normal_form(rows))
 
 
 def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
@@ -237,8 +189,8 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
     The projection is kept in Hermite form, upper triangular with positive
     diagonal h, so the box prod [0, h_i) holds exactly one point of every
     coset: fixing coordinates left to right with rows i = 1, 2, ... leaves
-    the already-fixed ones untouched.  The order is prod h_i; Smith
-    reduction supplies the elementary divisors.
+    the already-fixed ones untouched.  The order is prod h_i; the group's
+    invariant factors are the elementary divisors of the projection.
     """
     proj = project_lattice(lat, I)
     n = len(tuple(I))
@@ -246,10 +198,9 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
         raise InvalidInputError(
             "projection onto the chosen positions is not full-rank"
         )
-    divisors, _ = smith_normal_form([list(r) for r in proj.basis_rows])
     h_diag = [proj.basis_rows[i][i] for i in range(n)]
     reps = tuple(itertools.product(*(range(h) for h in h_diag)))
-    return QuotientStructure(tuple(divisors), math.prod(h_diag), reps)
+    return QuotientStructure(elementary_divisors(proj.basis_rows), math.prod(h_diag), reps)
 
 
 def candidate_family(A: VectorSet, bases) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

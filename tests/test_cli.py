@@ -253,6 +253,14 @@ def test_resonance_task_chain_set(tmp_path):
     assert requested["decomposition"] is not None
 
 
+def test_resonance_sweep_failure_names_omega(tmp_path):
+    # a repeated vector leaves a copy unmatched by the chains of -e1
+    cfg = {"task": "resonance", "omega": [[1, 0], [0, 1], [1, 0], [1, 1]]}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "omega: chain decomposition does not cover the configuration"
+
+
 def test_distribution_task_values(tmp_path):
     cfg = {
         "task": "distribution",

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -9,13 +11,13 @@ from hypothesis.extra.numpy import arrays
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.lattice import (
     candidate_family,
+    elementary_divisors,
     hermite_normal_form,
     integer_kernel,
     lattice_quotient,
     orthogonal_lattice,
     project_lattice,
     saturation_index,
-    smith_normal_form,
 )
 from ggsys.model import enumerate_bases, vector_set
 
@@ -64,10 +66,8 @@ def test_hnf_drops_dependent_rows():
 
 
 def test_snf_divisors_match_minor_gcds():
-    import math
-
     M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    divisors, _ = smith_normal_form(M)
+    divisors = elementary_divisors(M)
     # independent oracle: d1 = gcd of entries, d1*d2 = gcd of 2x2 minors,
     # d1*d2*d3 = |det|
     g1 = math.gcd(*[v for row in M for v in row])
@@ -252,3 +252,89 @@ def test_quotient_representatives_cover_all_cosets(rows):
         proj = project_lattice(lat, base.I)
         for r1, r2 in itertools.combinations(q.representatives, 2):
             assert not proj.contains([a - b for a, b in zip(r1, r2)])
+
+
+# sympy is a test-only oracle for the exact layer
+def _sympy_divisors(rows):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    S = smith_normal_form(Matrix(rows), domain=ZZ)
+    return tuple(sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i]))
+
+
+def _rank(rows):
+    from sympy import Matrix
+
+    return Matrix(rows).rank()
+
+
+def _assert_hermite(H):
+    pivots = [next(c for c, v in enumerate(row) if v) for row in H]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(H, pivots)):
+        assert row[c] > 0
+        assert all(0 <= H[k][c] < row[c] for k in range(i))
+
+
+def _assert_saturated_kernel(M, K):
+    m, width = len(M), len(M[0])
+    _assert_hermite(K)
+    for u in K:
+        assert all(sum(u[i] * M[i][j] for i in range(m)) == 0 for j in range(width))
+    assert len(K) == m - _rank(M)
+    if K:
+        assert set(_sympy_divisors(K)) == {1}
+
+
+int_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda s: st.lists(
+        st.lists(st.integers(-9, 9), min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]
+    )
+)
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_elementary_divisors_match_sympy(M):
+    divisors = elementary_divisors(M)
+    assert divisors == _sympy_divisors(M)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_is_saturated_hermite_basis(M):
+    _assert_saturated_kernel(M, integer_kernel(M))
+
+
+def _seeded(seed, rows, cols):
+    return np.random.default_rng(seed).integers(-9, 10, size=(rows, cols)).tolist()
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (12, 6), (20, 10)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_kernel_seeded_under_a_second(shape, seed):
+    M = _seeded(seed, *shape)
+    start = time.perf_counter()
+    K = integer_kernel(M)
+    assert time.perf_counter() - start < 1.0
+    _assert_saturated_kernel(M, K)
+
+
+@pytest.mark.parametrize("N, n", [(12, 6), (14, 7)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orthogonal_lattice_seeded_under_a_second(N, n, seed):
+    A = vector_set(_seeded(seed, N, n))
+    start = time.perf_counter()
+    lat = orthogonal_lattice(A)
+    index = saturation_index(A)
+    assert time.perf_counter() - start < 1.0
+    assert lat.rank == n
+    _assert_hermite([list(r) for r in lat.basis_rows])
+    coords = [list(col) for col in zip(*A.integer_rows)]
+    assert all(lat.contains(row) for row in coords)
+    for ker_row in integer_kernel(A.integer_rows):
+        for basis_row in lat.basis_rows:
+            assert sum(a * b for a, b in zip(basis_row, ker_row)) == 0
+    assert index == math.prod(_sympy_divisors(coords))
