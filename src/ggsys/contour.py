@@ -4,10 +4,12 @@ Every operation returns an IntegralValue carrying the difference between the
 last two refinement levels as its error estimate; acceptance checks compare
 against that estimate rather than an absolute figure.
 
-The quadrature engine is the trapezoid rule with node doubling, applied
-after the standard double-exponential change of variable on finite pieces
-(which compresses endpoint behavior, so the same engine handles both smooth
-arcs and integrable endpoint singularities).
+The loop and segment engine is the trapezoid rule with node doubling,
+applied after the standard double-exponential change of variable on finite
+pieces (which compresses endpoint behavior, so the same engine handles both
+smooth arcs and integrable endpoint singularities).  The plane integrand
+already decays double-exponentially, so the plane takes the product
+trapezoid rule on a truncated grid, evaluated in blocks of grid points.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .model import VectorSet, build_reduced_system, select_base
 _TINY = 1e-300
 _DECAY = 1e-18  # required endpoint suppression for open contours
 _BOUNDARY = 1e-16  # required boundary suppression for the plane quadrature
+_GRID_BLOCK = 2**14  # plane grid points per integrand call
 
 
 @dataclass(frozen=True)
@@ -252,17 +255,15 @@ def shifted_plane_integral(
         raise DomainError("integrand does not decay on the truncation boundary")
 
     def grid_sum(nodes: int) -> complex:
-        axes = [np.linspace(-W, W, nodes)] * n
-        h = (2 * W / (nodes - 1)) ** n
-        if n == 1:
-            vals = g(axes[0][None, :])
-            return complex(h * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
+        axis = np.linspace(-W, W, nodes)
+        ends = np.ones(nodes)
+        ends[[0, -1]] = 0.5
         total = 0.0 + 0j
-        for s1 in axes[0]:
-            cols = np.stack([np.full_like(axes[1], s1), axes[1]])
-            row = g(cols)
-            total += row.sum() - 0.5 * (row[0] + row[-1])
-        return complex(h * total)
+        for start in range(0, nodes**n, _GRID_BLOCK):
+            flat = np.arange(start, min(start + _GRID_BLOCK, nodes**n))
+            cols = np.stack(np.unravel_index(flat, (nodes,) * n))
+            total += np.sum(np.prod(ends[cols], axis=0) * g(axis[cols]))
+        return complex((2 * W / (nodes - 1)) ** n * total)
 
     nodes = spec.nodes
     if not spec.adaptive:

@@ -18,11 +18,14 @@ from .verify import ResidualReport, residual_report
 _DECAY = 1e-14
 _TINY = 1e-300
 _TWO_PI = 2.0 * np.pi
+_BLOCK_POINTS = 2**17  # support points per block: bounds the double sum's memory
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Entire test function; the pairings only ever probe lattice points."""
+    """Entire test function.  The pairings probe it once per distinct support
+    point of a block, in no promised order: with a complex scalar when the
+    shift vectors are one-dimensional, a float row otherwise."""
 
     __test__ = False  # keep pytest collection away from the Test- prefix
 
@@ -44,12 +47,24 @@ def _as_callable(phi):
     return phi.fn if isinstance(phi, TestFunction) else phi
 
 
-def _not_decaying(last: float, value: complex) -> bool:
+def _truncation(value, name: str) -> int:
+    if not float(value).is_integer() or value < 0:
+        raise InvalidInputError(f"{name} must be a nonnegative integer")
+    return int(value)
+
+
+def _not_decaying(last, value):
     """The last shell is not negligible against the sum it ends."""
-    return last >= _DECAY * max(abs(value), _TINY) and last > _TINY
+    return (last >= _DECAY * np.maximum(np.abs(value), _TINY)) & (last > _TINY)
 
 
-def _checked_sum(terms, what: str):
+def _one_sided(phi, truncation: int, sign: int, what: str) -> PairingResult:
+    """sum over m <= truncation of sign^m phi(sign m)/m!, scalar probes."""
+    truncation = _truncation(truncation, "truncation")
+    fn = _as_callable(phi)
+    terms = np.array(
+        [sign**m * fn(complex(sign * m)) for m in range(truncation + 1)], dtype=np.complex128
+    ) / _factorials(truncation)
     value = complex(sum(terms))
     last = abs(terms[-1])
     if _not_decaying(last, value):
@@ -57,54 +72,40 @@ def _checked_sum(terms, what: str):
             f"{what}: terms are not decaying at the truncation "
             f"(last magnitude {last:.3e})"
         )
-    return value, last
+    return PairingResult(value, truncation, 0, last)
 
 
 def gamma_plus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the alternating comb on the nonpositive integers:
     sum of (-1)^m phi(-m)/m!.  Scalar probe arguments."""
-    fn = _as_callable(phi)
-    fact = _factorials(truncation)
-    terms = [(-1) ** m * fn(complex(-m)) / fact[m] for m in range(truncation + 1)]
-    value, last = _checked_sum(terms, "gamma-plus pairing")
-    return PairingResult(value, truncation, 0, last)
+    return _one_sided(phi, truncation, -1, "gamma-plus pairing")
 
 
 def gamma_minus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the comb on the nonnegative integers: sum of phi(m)/m!."""
-    fn = _as_callable(phi)
-    fact = _factorials(truncation)
-    terms = [fn(complex(m)) / fact[m] for m in range(truncation + 1)]
-    value, last = _checked_sum(terms, "gamma-minus pairing")
-    return PairingResult(value, truncation, 0, last)
+    return _one_sided(phi, truncation, 1, "gamma-minus pairing")
 
 
-def _probe_value(fn, point: np.ndarray, n: int):
-    return fn(complex(point[0])) if n == 1 else fn(point)
-
-
-def _cm_terms(ell: np.ndarray, m, fn, R: int):
-    """Value and last-shell magnitude of the inner comb sum for one outer
-    multi-index m: sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!."""
-    m = np.asarray(m, dtype=np.float64)
-    base = m @ ell  # (n,)
+def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
+    """Inner comb sums for a block of outer multi-indices ``ms``: for each m,
+    the sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!, and the
+    magnitude of its last shell |r| = R."""
     n = ell.shape[1]
     shells = _shell_indices(n, R)
-    fact = _factorials(R)
-    value = 0.0 + 0j
-    last_shell = 0.0
-    for r in shells:
-        r = np.asarray(r)
-        term = _probe_value(fn, base + r, n) / np.prod(fact[r])
-        value += term
-        if int(r.sum()) == R:
-            last_shell += abs(term)
-    if _not_decaying(last_shell, value):
+    points = (ms.astype(np.float64) @ ell)[:, None, :] + shells
+    distinct, inverse = np.unique(points.reshape(-1, n), axis=0, return_inverse=True)
+    probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
+    terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
+    terms /= np.prod(_factorials(R)[shells], axis=1)
+    values = terms.sum(axis=1)
+    last = np.abs(terms[:, shells.sum(axis=1) == R]).sum(axis=1)
+    bad = np.flatnonzero(_not_decaying(last, values))
+    if bad.size:
         raise ConvergenceError(
             "inner comb sum is not decaying at the truncation "
-            f"(last shell {last_shell:.3e})"
+            f"(last shell {last[bad[0]]:.3e})"
         )
-    return value, last_shell
+    return values, last
 
 
 def _ell_matrix(ell) -> np.ndarray:
@@ -119,11 +120,13 @@ def cm_pair(ell, m, phi, R: int = 40) -> complex:
     with the test function.  ``ell`` has one shift vector per row; probes are
     scalars when the vectors are one-dimensional, arrays otherwise."""
     mat = _ell_matrix(ell)
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=np.float64)
     if m.shape != (mat.shape[0],):
         raise InvalidInputError("multi-index length must match the row count")
-    value, _ = _cm_terms(mat, m, _as_callable(phi), R)
-    return value
+    if np.any(m != np.round(m)) or np.any(m < 0):
+        raise InvalidInputError("multi-index entries must be nonnegative integers")
+    values, _ = _comb_sums(mat, m[None, :], _as_callable(phi), _truncation(R, "R"))
+    return complex(values[0])
 
 
 def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult:
@@ -139,27 +142,21 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if x.shape != (q,):
         raise InvalidInputError("x must list one value per shift vector")
+    M, R = _truncation(M, "M"), _truncation(R, "R")
     fn = _as_callable(phi)
-    fact = _factorials(M)
-    value = 0.0 + 0j
-    outer_last = 0.0
-    inner_acc = 0.0
-    magnitude_acc = 0.0
-    for m in _shell_indices(q, M):
-        m = np.asarray(m)
-        inner, inner_last = _cm_terms(mat, m, fn, R)
-        weight = np.prod(x**m) / np.prod(fact[m])
-        term = inner * weight
-        value += term
-        inner_acc += abs(weight) * inner_last
-        magnitude_acc += abs(term)
-        if int(m.sum()) == M:
-            outer_last += abs(term)
+    outer = _shell_indices(q, M)
+    weights = np.prod(x**outer, axis=1) / np.prod(_factorials(M)[outer], axis=1)
+    rows = max(1, _BLOCK_POINTS // len(_shell_indices(mat.shape[1], R)))
+    blocks = [_comb_sums(mat, outer[i:i + rows], fn, R) for i in range(0, len(outer), rows)]
+    inner, inner_last = (np.concatenate(parts) for parts in zip(*blocks))
+    terms = inner * weights
+    value = complex(terms.sum())
+    outer_last = float(np.abs(terms[outer.sum(axis=1) == M]).sum())
     if _not_decaying(outer_last, value):
         raise ConvergenceError(
             f"outer series is not decaying at the truncation ({outer_last:.3e})"
         )
-    tail = outer_last + inner_acc + 1e-15 * magnitude_acc
+    tail = outer_last + float(np.abs(weights) @ inner_last) + 1e-15 * float(np.abs(terms).sum())
     return PairingResult(value, R, M, tail)
 
 

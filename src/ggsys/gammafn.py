@@ -84,8 +84,8 @@ def rgamma(z):
     """Entire reciprocal gamma, 1/Gamma(z), vectorized over numpy arrays.
 
     Exactly 0 at z in {0, -1, -2, ...} (inputs within 1e-12 of such a point
-    are snapped).  Relative accuracy is ~1e-13 for |z| <= 50 away from the
-    snapping window.
+    are snapped).  Relative accuracy is ~1e-13 for |z| <= 50, right up to
+    the snapping window.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
@@ -101,8 +101,11 @@ def rgamma(z):
         out[right] = np.exp(-_log_gamma_right(zf[right]))
     if np.any(left):
         zl = zf[left]
-        # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z)
-        out[left] = np.sin(np.pi * zl) / np.pi * np.exp(_log_gamma_right(1.0 - zl))
+        # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z), with sin(pi z)
+        # taken from z - round(z) so that it keeps its digits near the poles
+        k = np.round(zl.real)
+        sinpi = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (zl - k))
+        out[left] = sinpi / np.pi * np.exp(_log_gamma_right(1.0 - zl))
 
     if scalar:
         return complex(out[0])

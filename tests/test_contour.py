@@ -170,6 +170,26 @@ def test_plane_two_dimensional_case():
     assert abs((up - dn) / (2 * h) - shifted) <= 1e-4 * max(abs(shifted), 1.0)
 
 
+def test_plane_separable_two_dimensional_oracle():
+    # omega = +-e_1, +-e_2 splits into two 1-D planes, each the Bessel form
+    # 2 x^(-beta/2) K_beta(2 sqrt x) times the branch phase e^(-i pi beta)
+    A = vector_set([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+    def k_plane(beta, x):
+        return np.exp(-1j * np.pi * beta) * 2 * x ** (-beta / 2) * sp.kv(beta, 2 * np.sqrt(x))
+
+    for beta, x in (([0.6, 1.2], [0.3, 0.8]), ([1.4, 0.4], [0.9, 0.2])):
+        want = k_plane(beta[0], x[0]) * k_plane(beta[1], x[1])
+        auto = shifted_plane_integral(A, (1, 2), (0, 0), beta, x, plane_spec(tolerance=1e-10))
+        assert abs(auto.value - want) <= 1e-12 * abs(want)
+        # 257^2 points: the fixed grid spans several evaluation blocks
+        fixed = shifted_plane_integral(
+            A, (1, 2), (0, 0), beta, x, plane_spec(nodes=257, adaptive=False)
+        )
+        assert fixed.nodes_used == 257**2
+        assert abs(fixed.value - want) <= 1e-10 * abs(want)
+
+
 def test_plane_preconditions():
     with pytest.raises(DomainError):  # complex vectors
         shifted_plane_integral(

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ggsys.distributions import (
+    _BLOCK_POINTS,
     PairingResult,
     TestFunction,
     cm_pair,
@@ -55,6 +57,16 @@ def _analytic_family():
             yield lambda s, k=k, c=c: s**k * np.exp(c * s)
 
 
+def test_comb_pairings_reject_growth():
+    grow = lambda s: np.exp(1.5 * s * np.log(s + 1.0))
+    with pytest.raises(ConvergenceError, match="inner comb sum"):
+        cm_pair([[1.0]], [0], grow)
+    with pytest.raises(ConvergenceError, match="inner comb sum"):
+        gg_distribution_pair([[1.0]], [0.3], grow)
+    with pytest.raises(ConvergenceError, match="outer series"):
+        gg_distribution_pair([[1.0]], [40.0], lambda s: 1.0)
+
+
 def test_functional_relations_at_pairing_level():
     # shifting the argument one step equals multiplying by the variable
     count = 0
@@ -85,6 +97,66 @@ def test_cm_linear_probe():
 def test_cm_input_validation():
     with pytest.raises(InvalidInputError):
         cm_pair([[1.0]], [1, 2], lambda s: 1.0)
+
+
+def test_pairings_reject_out_of_range_inputs():
+    one = lambda s: 1.0
+    with pytest.raises(InvalidInputError):
+        gamma_plus_pair(one, truncation=-1)
+    with pytest.raises(InvalidInputError):
+        gg_distribution_pair([[1.0]], [0.3], one, M=-1)
+    with pytest.raises(InvalidInputError):
+        cm_pair([[1.0]], [0], one, R=-1)
+    with pytest.raises(InvalidInputError):
+        cm_pair([[1.0]], [0.5], one)
+    with pytest.raises(InvalidInputError):
+        cm_pair([[1.0]], [-2], one)
+
+
+def test_gg_pair_probes_each_support_point_once():
+    # q = n = 2, M = 20, R = 30: 114,576 support terms on 1,926 distinct
+    # points.  For phi = e^(c.z) (1 + z_0/2 i) the double sum has the closed
+    # form F (1 + i/2 (sum_i x_i ell_i0 e^(c.ell_i) + e^(c_0))) with
+    # F = exp(sum_i x_i e^(c.ell_i) + sum_j e^(c_j)).
+    ell = np.array([[1.0, -1.0], [0.0, 1.0]])
+    x = np.array([0.3, -0.2 + 0.1j])
+    c = np.array([0.1, -0.2])
+    calls = {}
+
+    def phi(z):
+        key = tuple(z.tolist())
+        calls[key] = calls.get(key, 0) + 1
+        return np.exp(c @ z) * (1 + 0.5j * z[0])
+
+    got = gg_distribution_pair(ell, x, phi, M=20, R=30).value
+    assert sum(calls.values()) == 1926 and max(calls.values()) == 1
+    e = np.exp(ell @ c)
+    want = np.exp(x @ e + np.exp(c).sum()) * (1 + 0.5j * (x @ (ell[:, 0] * e) + np.exp(c[0])))
+    assert abs(got - want) <= 1e-14 * abs(want)
+    # the value the per-probe summation gave
+    assert abs(got - (8.148202293810591 + 7.271560364019235j)) <= 1e-14 * abs(want)
+
+
+def test_gg_pair_memory_is_bounded_by_the_block():
+    # 39,711 outer indices times 41 inner shells: the support holds more than
+    # ten blocks of points, yet peak memory stays at one block's worth
+    calls = [0]
+
+    def phi(s):
+        calls[0] += 1
+        return 1.0
+
+    support = math.comb(63, 3) * 41
+    assert support > 10 * _BLOCK_POINTS
+    tracemalloc.start()
+    try:
+        got = gg_distribution_pair([[1.0], [0.5], [0.25]], [0.3, -0.2, 0.1], phi, M=60, R=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got.value - np.exp(1.2)) <= 1e-13 * np.exp(1.2)
+    assert peak <= 100 * _BLOCK_POINTS  # 13 MB; the support's terms alone need 26 MB
+    assert calls[0] <= support // 100
 
 
 def test_gg_pair_double_exponential():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -32,6 +33,19 @@ def test_just_off_pole_is_finite_nonzero():
     v = rgamma(-3.0 + 1e-6)
     assert v != 0.0
     assert np.isfinite(v)
+
+
+def test_near_pole_digits_against_mpmath():
+    # resonance hyperplanes put parameters just off the poles: sin(pi z) must
+    # be reduced by the nearest integer before it is formed
+    worst = 0.0
+    for pole in range(-1, -51, -1):
+        for d in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
+            for z in (pole + d, pole - d, complex(pole, d), complex(pole - d, -d)):
+                with mpmath.workdps(40):
+                    want = complex(mpmath.rgamma(mpmath.mpc(z)))
+                worst = max(worst, abs(rgamma(z) - want) / abs(want))
+    assert worst <= 1e-13
 
 
 def test_against_scipy_on_grid():
