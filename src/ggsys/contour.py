@@ -4,15 +4,16 @@ Every operation returns an IntegralValue carrying the difference between the
 last two refinement levels as its error estimate; acceptance checks compare
 against that estimate rather than an absolute figure.
 
-The loop and segment engine is the trapezoid rule with node doubling,
-applied after the standard double-exponential change of variable on finite
-pieces (which compresses endpoint behavior, so the same engine handles both
-smooth arcs and integrable endpoint singularities).  The plane integrand
-already decays double-exponentially, so the plane takes the product
-trapezoid rule on a truncated grid, evaluated in blocks of grid points.
+One engine serves all three kinds: nested product trapezoid sums whose step
+halves per level, so each level evaluates only its new nodes, read until two
+levels agree.  Loop and segment pieces enter it after the standard
+double-exponential change of variable (which compresses endpoint behavior,
+so smooth arcs and integrable endpoint singularities alike converge); the
+plane integrand already decays double-exponentially and enters as it is.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +25,21 @@ from .model import VectorSet, build_reduced_system, select_base
 _TINY = 1e-300
 _DECAY = 1e-18  # required endpoint suppression for open contours
 _BOUNDARY = 1e-16  # required boundary suppression for the plane quadrature
-_GRID_BLOCK = 2**14  # plane grid points per integrand call
+_GRID_BLOCK = 2**14  # trapezoid grid points per integrand call
 
 
 @dataclass(frozen=True)
 class ContourSpec:
     """Quadrature parameters for one integral kind.
 
-    ``nodes`` is the starting node count per piece (or per dimension);
+    ``nodes`` is the plane's starting node count per dimension (loop and
+    segment pieces start from 9 nodes in the substituted variable);
     ``cutoff`` is the ray length or half-width of the truncated domain;
     ``offset`` is the distance of the loop rays from the negative axis.
     ``adaptive=False`` freezes nodes and cutoff for refinement-comparison
-    experiments; the error estimate then comes from an embedded half-rate
-    sum instead of a refinement loop.
+    experiments: the plane integrates on ``nodes`` points per axis (``nodes
+    + 1`` when even, the least grid holding a half-rate grid) and takes the
+    error estimate from that half-rate grid's sum, from the same evaluations.
     """
 
     kind: str
@@ -58,6 +61,9 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class IntegralValue:
+    """An integral, the difference between its last two refinement levels,
+    and the number of integrand evaluations behind it (each node once)."""
+
     value: complex
     error_estimate: float
     nodes_used: int
@@ -68,12 +74,53 @@ def _require_kind(spec: ContourSpec, kind: str):
         raise InvalidInputError(f"contour spec of kind {spec.kind!r}, need {kind!r}")
 
 
-def _tanh_sinh(f, a: float, b: float, tolerance: float, max_levels: int,
-               endpoint_form: bool = False):
-    """Integrate a vectorized callable over [a, b].
+def _trapezoid_levels(F, W: float, nodes: int, n: int):
+    """Yield (sum, points evaluated) for product trapezoid sums of ``F`` over
+    [-W, W]^n on grids of nodes, 2 nodes - 1, 4 nodes - 3, ... points per axis.
 
-    Double-exponential substitution, then trapezoid sums with halving step;
-    returns (value, last refinement difference, evaluations).
+    Halving the step keeps the old grid as the even-index points, so each
+    later level evaluates only the points with an odd index on some axis, as
+    n product sets: axis k takes its odd nodes, the axes before it their even
+    nodes and the axes after it all of theirs.  ``F`` takes an (n, ...) array
+    of points and sees whole first-axis rows, about _GRID_BLOCK points a call.
+    """
+    count, total, points = nodes, 0j, 0
+    while True:
+        grid = np.linspace(-W, W, count)
+        ends = np.ones(count)
+        ends[[0, -1]] = 0.5
+        full, even, odd = (grid, ends), (grid[::2], ends[::2]), (grid[1::2], ends[1::2])
+        sets = ([[even] * k + [odd] + [full] * (n - 1 - k) for k in range(n)]
+                if points else [[full] * n])
+        for axes, weights in (zip(*factors) for factors in sets):
+            step = max(1, _GRID_BLOCK // math.prod(map(len, axes[1:])))
+            for i in range(0, len(axes[0]), step):
+                rows = slice(i, i + step)
+                block = np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])))
+                total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * F(block))
+            points += math.prod(map(len, axes))
+        yield complex((2 * W / (count - 1)) ** n * total), points
+        count = 2 * count - 1
+
+
+def _settle(levels, tolerance: float, max_levels: int, what: str):
+    """Read ``levels`` until two successive sums agree within
+    tolerance * max(1, |value|); return (value, difference, points)."""
+    prev = np.nan  # the first level has nothing to agree with
+    for _, (value, points) in zip(range(max_levels), levels):
+        err = abs(value - prev)
+        if err <= tolerance * max(1.0, abs(value)):
+            return value, err, points
+        prev = value
+    raise ConvergenceError(
+        f"{what} did not stabilize below {tolerance} in {max_levels} levels"
+    )
+
+
+def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, endpoint_form: bool = False):
+    """Integrate a vectorized callable over [a, b]: trapezoid levels in tau
+    over [-4, 4] after s = center + half tanh(pi/2 sinh tau); returns (value,
+    last refinement difference, evaluations).
 
     With ``endpoint_form`` the callable receives the two endpoint distances
     (s - a, b - s) instead of s itself; near the ends tanh rounds to +-1, so
@@ -81,33 +128,21 @@ def _tanh_sinh(f, a: float, b: float, tolerance: float, max_levels: int,
     logistic form, not by subtraction.
     """
     center, half = (a + b) / 2.0, (b - a) / 2.0
-    t_max = 4.0
-    h = 1.0
-    prev = None
-    evals = 0
-    value = 0.0 + 0j
-    err = np.inf
-    for _ in range(max_levels):
-        taus = np.arange(-t_max, t_max + h / 2, h)
+
+    def F(tau_cols):
+        taus = tau_cols[0]
         inner = 0.5 * np.pi * np.sinh(taus)
-        weights = half * h * 0.5 * np.pi * np.cosh(taus) / np.cosh(inner) ** 2
+        weights = half * 0.5 * np.pi * np.cosh(taus) / np.cosh(inner) ** 2
         if endpoint_form:
             dist_a = half * 2.0 / (1.0 + np.exp(-2.0 * inner))
             dist_b = half * 2.0 / (1.0 + np.exp(2.0 * inner))
             vals = np.asarray(f(dist_a, dist_b), dtype=np.complex128)
         else:
             vals = np.asarray(f(center + half * np.tanh(inner)), dtype=np.complex128)
-        value = complex(np.sum(vals * weights))
-        evals += len(taus)
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= tolerance * max(1.0, abs(value)):
-                return value, err, evals
-        prev = value
-        h /= 2
-    raise ConvergenceError(
-        f"quadrature did not stabilize below {tolerance} in {max_levels} levels"
-    )
+        return vals * weights
+
+    levels = _trapezoid_levels(F, 4.0, 9, 1)
+    return _settle(levels, spec.tolerance, spec.max_refinements, f"{spec.kind} quadrature")
 
 
 def hankel_integral(
@@ -149,26 +184,21 @@ def hankel_integral(
     scale = float(abs(g(np.asarray([delta]))[0]))
     R = spec.cutoff
     for _ in range(13):
-        tail = max(
-            float(abs(g(np.asarray([-R - 1j * delta]))[0])),
-            float(abs(g(np.asarray([-R + 1j * delta]))[0])),
-        )
+        tail = float(np.abs(g(np.asarray([-R - 1j * delta, -R + 1j * delta]))).max())
         if tail <= _DECAY * max(scale, _TINY):
             break
         R *= 2
     else:
         raise DomainError("integrand does not decay along the rays")
 
-    tol, levels = spec.tolerance, spec.max_refinements
-    lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, tol, levels)
+    lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec)
     arc, e2, n2 = _tanh_sinh(
         lambda th: g(delta * np.exp(1j * th)) * 1j * delta * np.exp(1j * th),
         -np.pi / 2,
         np.pi / 2,
-        tol,
-        levels,
+        spec,
     )
-    upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, tol, levels)
+    upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec)
     return IntegralValue(lower + arc - upper, e1 + e2 + e3, n1 + n2 + n3)
 
 
@@ -234,55 +264,26 @@ def shifted_plane_integral(
 
     W = spec.cutoff
     coarse = np.linspace(-1.0, 1.0, 33)
-    rounds = 9 if spec.adaptive else 1
-    for _ in range(rounds):
+    for _ in range(9):
         grids = np.meshgrid(*([W * coarse] * n), indexing="ij")
         bulk = np.abs(g(np.stack(grids)))
         peak = float(bulk.max())
         if not np.isfinite(peak):
             raise DomainError("integrand overflows on the sampling grid")
-        boundary = 0.0
-        for axis in range(n):
-            for side in (0, -1):
-                face = np.take(bulk, side, axis=axis)
-                boundary = max(boundary, float(np.max(face)))
-        if boundary <= _BOUNDARY * max(peak, _TINY):
-            break
-        if not spec.adaptive:
-            break  # fixed-parameter mode: use the cutoff as given
+        faces = (np.take(bulk, side, axis=axis) for axis in range(n) for side in (0, -1))
+        boundary = max(float(face.max()) for face in faces)
+        if boundary <= _BOUNDARY * max(peak, _TINY) or not spec.adaptive:
+            break  # fixed-parameter mode uses the cutoff as given
         W *= 2
     else:
         raise DomainError("integrand does not decay on the truncation boundary")
 
-    def grid_sum(nodes: int) -> complex:
-        axis = np.linspace(-W, W, nodes)
-        ends = np.ones(nodes)
-        ends[[0, -1]] = 0.5
-        total = 0.0 + 0j
-        for start in range(0, nodes**n, _GRID_BLOCK):
-            flat = np.arange(start, min(start + _GRID_BLOCK, nodes**n))
-            cols = np.stack(np.unravel_index(flat, (nodes,) * n))
-            total += np.sum(np.prod(ends[cols], axis=0) * g(axis[cols]))
-        return complex((2 * W / (nodes - 1)) ** n * total)
-
-    nodes = spec.nodes
-    if not spec.adaptive:
-        value = grid_sum(nodes)
-        half = grid_sum(nodes // 2 + 1)
-        return IntegralValue(value, abs(value - half), nodes**n)
-
-    prev = None
-    used = 0
-    for _ in range(spec.max_refinements):
-        value = grid_sum(nodes)
-        used += nodes**n
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= spec.tolerance * max(1.0, abs(value)):
-                return IntegralValue(value, err, used)
-        prev = value
-        nodes = 2 * nodes - 1
-    raise ConvergenceError("plane quadrature did not stabilize under refinement")
+    what = "shifted-plane quadrature"
+    if not spec.adaptive:  # two levels: the half-rate grid, then the full one
+        levels = _trapezoid_levels(g, W, spec.nodes // 2 + 1, n)
+        return IntegralValue(*_settle(levels, np.inf, 2, what))
+    levels = _trapezoid_levels(g, W, spec.nodes, n)
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, what))
 
 
 def euler_segment_integral(
@@ -331,8 +332,6 @@ def euler_segment_integral(
             * one_minus_s ** (-beta_I[1] - 1.0)
         )
 
-    value, err, used = _tanh_sinh(
-        f, 0.0, 1.0, spec.tolerance, spec.max_refinements, endpoint_form=True
-    )
+    value, err, used = _tanh_sinh(f, 0.0, 1.0, spec, endpoint_form=True)
     front = complex(rgamma(b_sum + 1.0))
     return IntegralValue(front * value, abs(front) * err, used)

@@ -86,6 +86,17 @@ def gamma_minus_pair(phi, truncation: int = 40) -> PairingResult:
     return _one_sided(phi, truncation, 1, "gamma-minus pairing")
 
 
+def _distinct_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0, return_inverse=True) by a lexsort over the
+    columns (first column primary), without sorting a structured view."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    change = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(change) - 1
+    return ranked[change], inverse
+
+
 def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
     """Inner comb sums for a block of outer multi-indices ``ms``: for each m,
     the sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!, and the
@@ -93,7 +104,7 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
     n = ell.shape[1]
     shells = _shell_indices(n, R)
     points = (ms.astype(np.float64) @ ell)[:, None, :] + shells
-    distinct, inverse = np.unique(points.reshape(-1, n), axis=0, return_inverse=True)
+    distinct, inverse = _distinct_rows(points.reshape(-1, n))
     probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
     terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
     terms /= np.prod(_factorials(R)[shells], axis=1)

@@ -222,6 +222,22 @@ def test_integral_task_bessel_config(tmp_path):
     assert rep["results"]["contour"]["tolerance"] == 1e-10
 
 
+def test_integral_task_nonconvergence_exits_one(tmp_path):
+    cfg = {
+        "task": "integral",
+        "omega": [[1], [-1]],
+        "integral": {
+            "kind": "shifted-plane", "base": [1], "beta": [0.7], "x": [0.3],
+            "tolerance": 1e-30, "max_refinements": 2,
+        },
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    rep = _report(out)
+    assert rep["error"] == "shifted-plane quadrature did not stabilize below 1e-30 in 2 levels"
+    assert rep["passed"] is False
+
+
 def test_lattice_task_order_two(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--config", "two-points-lattice.json", "--quiet", "--out", str(out)]) == 0

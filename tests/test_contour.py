@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from ggsys import contour
 from ggsys.contour import (
+    _GRID_BLOCK,
     ContourSpec,
     IntegralValue,
     euler_segment_integral,
     hankel_integral,
     shifted_plane_integral,
 )
-from ggsys.errors import DomainError, InvalidInputError
+from ggsys.errors import ConvergenceError, DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.series import SeriesSpec, reduced_series_eval
 from ggsys.verify import check_reduced_system
@@ -204,6 +206,130 @@ def test_plane_preconditions():
         shifted_plane_integral(
             A3, (1, 2, 3), (0, 0, 0), [0.5, 0.5, 0.5], [-0.3], plane_spec()
         )
+
+
+A_SEP = vector_set([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+
+def _full_grid_sum(F, W, nodes, n):
+    # non-nested oracle: every point of the nodes^n grid, gathered by flat index
+    axis = np.linspace(-W, W, nodes)
+    ends = np.ones(nodes)
+    ends[[0, -1]] = 0.5
+    total = 0.0 + 0j
+    for start in range(0, nodes**n, _GRID_BLOCK):
+        flat = np.arange(start, min(start + _GRID_BLOCK, nodes**n))
+        cols = np.stack(np.unravel_index(flat, (nodes,) * n))
+        total += np.sum(np.prod(ends[cols], axis=0) * F(axis[cols]))
+    return complex((2 * W / (nodes - 1)) ** n * total)
+
+
+def _skewed(points):
+    # no symmetry between the axes or the two ends, and sizeable at the boundary
+    n = len(points)
+    flat = points.reshape(n, -1) - np.array([0.0, 0.5])[:n, None]
+    out = np.exp(-(np.array([0.4, 0.2])[:n, None] * flat**2).sum(axis=0) + 1j * (np.arange(1, n + 1) @ flat))
+    return out.reshape(points.shape[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("nodes", [9, 10])
+def test_nested_levels_equal_full_grid_sums(n, nodes):
+    count = nodes
+    for _, (value, points) in zip(range(5), contour._trapezoid_levels(_skewed, 3.0, nodes, n)):
+        want = _full_grid_sum(_skewed, 3.0, count, n)
+        assert abs(value - want) <= 1e-14 * abs(want)
+        assert points == count**n
+        count = 2 * count - 1
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 20000), (2, 300)])
+def test_nested_levels_call_in_blocks_of_rows(n, nodes):
+    sizes = []
+
+    def F(points):
+        sizes.append((points[0].size, points.shape[-1]))
+        return np.ones(points.shape[1:])
+
+    for _ in zip(range(3), contour._trapezoid_levels(F, 1.0, nodes, n)):
+        pass
+    assert max(size - row for size, row in sizes) <= _GRID_BLOCK
+    assert len(sizes) > 3
+
+
+@pytest.mark.parametrize(
+    "A, beta, x, spec, used",
+    [
+        (A1, [0.7], [0.3], plane_spec(tolerance=1e-10), None),
+        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10), None),
+        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(nodes=769, cutoff=32.0, adaptive=False), 769**2),
+    ],
+    ids=["1d-adaptive", "2d-adaptive", "2d-fixed-769"],
+)
+def test_plane_evaluates_each_grid_point_once(monkeypatch, A, beta, x, spec, used):
+    calls = []
+    build = contour._plane_integrand
+
+    def counting(*args):
+        g = build(*args)
+
+        def counted(sigma_cols):
+            calls.append(np.array(sigma_cols))
+            return g(sigma_cols)
+
+        return counted
+
+    monkeypatch.setattr(contour, "_plane_integrand", counting)
+    n = A.n
+    got = shifted_plane_integral(A, tuple(range(1, n + 1)), (0,) * n, beta, x, spec)
+    assert calls[0].shape == (n,) + (33,) * n  # the one boundary-sampling grid
+    points = np.concatenate([c.reshape(n, -1) for c in calls[1:]], axis=1)
+    keys = points[0] + 1j * points[-1] if n == 2 else points[0]
+    assert points.shape[1] == got.nodes_used == len(np.unique(keys))
+    if used is not None:  # 591,361 points, not 769^2 plus the 385^2 half-rate grid
+        assert got.nodes_used == used
+
+
+def test_tanh_sinh_evaluates_each_node_once():
+    seen = []
+
+    def f(dist_a, dist_b):
+        seen.append(np.stack([dist_a, dist_b]))
+        return dist_a**-0.5 * dist_b**-0.3
+
+    spec = ContourSpec("euler-segment", tolerance=1e-12, max_refinements=14)
+    value, err, used = contour._tanh_sinh(f, 0.0, 1.0, spec, endpoint_form=True)
+    points = np.concatenate(seen, axis=1)
+    assert points.shape[1] == used == len(np.unique(points[0] + 1j * points[1]))
+    assert abs(value - sp.beta(0.5, 0.7)) <= 1e-11 * sp.beta(0.5, 0.7)
+    assert err <= 1e-12 * abs(value)
+
+
+def test_fixed_plane_grid_holds_its_half_rate_grid():
+    # an even node count integrates on nodes + 1 points per axis
+    for nodes, count in ((64, 65), (257, 257), (769, 769)):
+        spec = plane_spec(nodes=nodes, cutoff=32.0, adaptive=False)
+        one = shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], spec)
+        two = shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], spec)
+        assert (one.nodes_used, two.nodes_used) == (count, count**2)
+
+
+def test_nonconvergence_names_kind_and_levels():
+    stiff = {"tolerance": 1e-30, "max_refinements": 2}
+    calls = [
+        lambda: hankel_integral(A1, 1, 0.3, [0.5], loop_spec(**stiff)),
+        lambda: shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], plane_spec(**stiff)),
+        lambda: euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [0.08], seg_spec(**stiff)),
+    ]
+    for kind, call in zip(("hankel-loop", "shifted-plane", "euler-segment"), calls):
+        with pytest.raises(ConvergenceError) as info:
+            call()
+        assert str(info.value) == f"{kind} quadrature did not stabilize below 1e-30 in 2 levels"
+    # the rule reads no level past max_levels
+    levels = [(1.0, 9), (2.0, 17), (2.0, 33)]
+    with pytest.raises(ConvergenceError, match="in 2 levels"):
+        contour._settle(iter(levels), 1e-9, 2, "sums")
+    assert contour._settle(iter(levels), 1e-9, 3, "sums") == (2.0, 0.0, 33)
 
 
 AE = vector_set([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])

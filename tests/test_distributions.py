@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ggsys.distributions import (
     _BLOCK_POINTS,
+    _distinct_rows,
     PairingResult,
     TestFunction,
     cm_pair,
@@ -239,3 +243,19 @@ def test_fourier_two_resolutions_agree():
 def test_fourier_node_floor():
     with pytest.raises(InvalidInputError):
         fourier_consistency_check(1.0, 0.0, smooth_bump(), nodes=16)
+
+
+# rows drawn from a few values, signed zeros among them, so repeats are common
+_row_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-300])
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: arrays(np.float64, st.tuples(st.integers(1, 60), st.just(n)), elements=_row_values)
+))
+@settings(max_examples=200)
+def test_distinct_rows_matches_unique(rows):
+    distinct, inverse = _distinct_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, want)  # +0.0 and -0.0 compare equal here
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(distinct[inverse], rows)
