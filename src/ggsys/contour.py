@@ -13,6 +13,7 @@ plane integrand already decays double-exponentially and enters as it is.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ _TINY = 1e-300
 _DECAY = 1e-18  # required endpoint suppression for open contours
 _BOUNDARY = 1e-16  # required boundary suppression for the plane quadrature
 _GRID_BLOCK = 2**14  # trapezoid grid points per integrand call
+_MAX_EVALUATIONS = 2**24  # integrand evaluations one integral may spend
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,10 @@ def _trapezoid_levels(F, W: float, nodes: int, n: int):
     n product sets: axis k takes its odd nodes, the axes before it their even
     nodes and the axes after it all of theirs.  ``F`` takes an (n, ...) array
     of points and sees whole first-axis rows, about _GRID_BLOCK points a call.
+    The levels end before one that would pass _MAX_EVALUATIONS points.
     """
     count, total, points = nodes, 0j, 0
-    while True:
+    while count**n <= _MAX_EVALUATIONS:
         grid = np.linspace(-W, W, count)
         ends = np.ones(count)
         ends[[0, -1]] = 0.5
@@ -107,14 +110,14 @@ def _settle(levels, tolerance: float, max_levels: int, what: str):
     """Read ``levels`` until two successive sums agree within
     tolerance * max(1, |value|); return (value, difference, points)."""
     prev = np.nan  # the first level has nothing to agree with
-    for _, (value, points) in zip(range(max_levels), levels):
+    read = 0
+    for read, (value, points) in enumerate(itertools.islice(levels, max_levels), 1):
         err = abs(value - prev)
         if err <= tolerance * max(1.0, abs(value)):
             return value, err, points
         prev = value
-    raise ConvergenceError(
-        f"{what} did not stabilize below {tolerance} in {max_levels} levels"
-    )
+    limit = f"{max_levels} levels" if read == max_levels else f"{_MAX_EVALUATIONS} evaluations"
+    raise ConvergenceError(f"{what} did not stabilize below {tolerance} in {limit}")
 
 
 def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, endpoint_form: bool = False):

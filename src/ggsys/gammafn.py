@@ -8,7 +8,6 @@ series tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,22 +53,6 @@ def _pole_mask(z):
     )
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Gamma evaluated at one point, with an explicit pole flag.
-
-    When ``is_pole`` is set, ``value`` is meaningless (gamma has no finite
-    value there) and the reciprocal is exactly zero.
-    """
-
-    value: complex
-    is_pole: bool
-
-    @property
-    def reciprocal(self) -> complex:
-        return 0j if self.is_pole else 1.0 / self.value
-
-
 def _log_gamma_right(z):
     """Principal log-gamma on Re z >= 0.5 (arrays in, arrays out)."""
     zz = z - 1.0
@@ -110,27 +93,3 @@ def rgamma(z):
     if scalar:
         return complex(out[0])
     return out
-
-
-def gamma_value(z) -> GammaValue:
-    """Gamma at a single point with the pole flag made explicit."""
-    r = rgamma(complex(z))
-    if r == 0:
-        return GammaValue(complex("nan+nanj"), True)
-    return GammaValue(1.0 / r, False)
-
-
-def gamma_fn(z):
-    """Plain Gamma(z), vectorized; infinities at the poles.
-
-    Callers that cannot tolerate infinities should test ``rgamma(z) == 0``
-    first (see the pole handling in the mixed-form series).
-    """
-    r = rgamma(z)
-    if isinstance(r, np.ndarray):
-        out = np.empty_like(r)
-        zero = r == 0
-        out[zero] = np.inf
-        out[~zero] = 1.0 / r[~zero]
-        return out
-    return complex("inf") if r == 0 else 1.0 / r

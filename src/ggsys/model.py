@@ -8,8 +8,7 @@ numpy arrays are addressed 0-based internally, converted at the boundary.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -208,42 +207,6 @@ def kernel_space(A: VectorSet) -> np.ndarray:
     return null_rows
 
 
-class _TableMemo:
-    """Tables computed from one reduced system, bounded by their total size.
-
-    Each entry is stored with its size (its number of coefficients); the
-    sizes held never sum past ``budget``.  The least recently used entries
-    are dropped first, and an entry larger than the budget is not kept.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.size = 0
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, value, size: int) -> None:
-        if size > self.budget:
-            return
-        while self.size + size > self.budget:
-            _, (_, dropped) = self._entries.popitem(last=False)
-            self.size -= dropped
-        self._entries[key] = (value, size)
-        self.size += size
-
-
-# coefficients a system's table memo may hold: enough for the repeated
-# small tables of a residual check, and small enough that the peak RSS of
-# the eval-grid benchmark (tables of 5k-53k terms) does not move
-_TABLE_BUDGET = 1 << 15
-
-
 @dataclass(frozen=True)
 class ReducedSystem:
     """A base together with the difference-equation data it induces.
@@ -256,10 +219,6 @@ class ReducedSystem:
 
     base: BaseSelection
     l_coeffs: np.ndarray  # (r, N)
-    # tables the series layer computed for this instance; not part of its value
-    tables: _TableMemo = field(
-        default_factory=lambda: _TableMemo(_TABLE_BUDGET), init=False, repr=False, compare=False
-    )
 
     @property
     def r(self) -> int:

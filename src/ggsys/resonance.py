@@ -48,6 +48,7 @@ class ResonanceAnalysis:
     codim: int
     normal: np.ndarray | None  # unit annihilator of the span, codim 1 only
     offset: complex | None  # plain pairing <normal, v>
+    # None unless v is consistent and nonzero and its chains cover the set
     decomposition: ChainDecomposition | None
 
     def __post_init__(self):
@@ -69,7 +70,9 @@ class ResonanceAnalysis:
         return abs(gap) <= tol * max(1.0, abs(self.offset))
 
 
-def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition:
+def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition | None:
+    """The v-chains, or None when they leave a member unmatched (a repeated
+    vector can leave a copy over)."""
     available = np.ones(A.N, dtype=bool)
 
     def take(hits) -> int | None:
@@ -98,13 +101,14 @@ def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition:
             break
         zero.append(label)
     if available.any():
-        raise DomainError("chain decomposition does not cover the configuration")
+        return None
     return ChainDecomposition(tuple(chains), tuple(zero))
 
 
 def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
     """Full shift analysis of one direction: membership split, span of the
-    leftovers, annihilator, and (for consistent nonzero v) the chains."""
+    leftovers, annihilator, and (for consistent nonzero v) the chains, None
+    when they do not cover the configuration."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (A.n,):
         raise InvalidInputError("direction has the wrong length")
@@ -163,6 +167,8 @@ def decompose_structure(A: VectorSet, v) -> ChainDecomposition:
         raise DomainError("direction must be nonzero")
     if not analysis.consistent:
         raise DomainError("direction is not consistent with the configuration")
+    if analysis.decomposition is None:
+        raise DomainError("chain decomposition does not cover the configuration")
     return analysis.decomposition
 
 

@@ -13,9 +13,11 @@ range.  ``reduced_series`` then evaluates ``rgamma`` once per distinct value
 and gathers the products from that table; each table entry is one of the
 arguments the generic path would use, so the coefficients are bit-identical.
 
-A reduced system memoizes its tables (``ReducedSystem.tables``) up to a
-fixed number of coefficients, so the repeated parameters of a residual check
-are tabulated once.  Memoized arrays are read-only.
+The layer keeps the last table it built (``_last``), so a parameter asked
+for again right after itself, as the points of one beta and the difference
+quotients of a residual check are, is tabulated once.  Table arrays are
+read-only.  Mixed mode goes through the same tabulation, and every
+evaluation gathers its powers from one table of x_j**k for k <= M.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, PoleError
-from .gammafn import _pole_mask, gamma_fn, rgamma
+from .gammafn import _pole_mask, rgamma
 from .model import ReducedSystem
 
 _TWO_PI_I = 2j * np.pi
@@ -109,18 +111,11 @@ def _factorials(M: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], np.arange(1.0, M + 1))))
 
 
-def _divisors(system: ReducedSystem, M: int) -> tuple[np.ndarray, np.ndarray]:
+def _divisors(r: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Total degree and m! (the product of the factorials of the entries) of
-    every multi-index of the order-M table, memoized on the system."""
-    key = ("divisors", M)
-    cached = system.tables.get(key)
-    if cached is None:
-        m = _shell_indices(system.r, M)
-        cached = (m.sum(axis=1), np.prod(_factorials(M)[m], axis=1))
-        for array in cached:
-            array.setflags(write=False)
-        system.tables.put(key, cached, len(m))
-    return cached
+    every multi-index of the order-M table."""
+    m = _shell_indices(r, M)
+    return m.sum(axis=1), np.prod(_factorials(M)[m], axis=1)
 
 
 class TruncatedSeries:
@@ -137,20 +132,21 @@ class TruncatedSeries:
         if raw_coeffs.shape != (len(self.exponents),):
             raise InvalidInputError("coefficient table has the wrong length")
         self.raw_coeffs = raw_coeffs.view()
-        self.degrees, mfact = _divisors(spec.system, spec.truncation)
+        self.degrees, mfact = _divisors(spec.system.r, spec.truncation)
         self.coeffs = raw_coeffs / mfact
-        for array in (self.beta, self.raw_coeffs, self.coeffs):
+        for array in (self.beta, self.raw_coeffs, self.coeffs, self.degrees):
             array.setflags(write=False)
 
-    def _powers(self, x: np.ndarray) -> np.ndarray:
+    def _powers(self, x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        """prod_j x_j**exponents[:, j], gathered from the table of x_j**k,
+        k <= M; its column 0 holds numpy's complex 0**0 = 1."""
         with np.errstate(invalid="ignore"):
-            p = np.prod(x[None, :] ** self.exponents, axis=1)
-        # 0**0 is 1 for series purposes; numpy already agrees for real 0
-        return np.where(self.degrees == 0, 1.0 + 0j, p)
+            table = x[:, None] ** np.arange(self.spec.truncation + 1)
+        return np.prod(table[np.arange(len(x)), exponents], axis=1)
 
     def terms(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        return self.coeffs * self._powers(x)
+        return self.coeffs * self._powers(x, self.exponents)
 
     def value(self, x) -> SeriesValue:
         t = self.terms(x)
@@ -163,11 +159,7 @@ class TruncatedSeries:
         x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
         col = self.spec.system.base.J.index(j_label)
         m = self.exponents
-        shifted = m.copy()
-        shifted[:, col] = np.maximum(shifted[:, col] - 1, 0)
-        with np.errstate(invalid="ignore"):
-            p = np.prod(x[None, :] ** shifted, axis=1)
-        p = np.where(shifted.sum(axis=1) == 0, 1.0 + 0j, p)
+        p = self._powers(x, np.maximum(m - (np.arange(m.shape[1]) == col), 0))
         return complex(np.sum(self.coeffs * m[:, col] * p))
 
     def coefficient(self, m) -> complex:
@@ -219,23 +211,60 @@ def _shifted_rgamma(system: ReducedSystem, m: np.ndarray, shifted: np.ndarray) -
     return rgamma(args + 1.0)[at]
 
 
+def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
+    """Raw coefficients of the mixed form (see ``mixed_gamma_series_eval``);
+    a numerator gamma at a pole inside the table raises PoleError."""
+    base = spec.system.base
+    group_one, group_two = spec.partition
+    pos_one = [base.I.index(i) for i in group_one]
+    pos_two = [base.I.index(i) for i in group_two]
+    gamma_args = -shifted[:, pos_one]
+    pole_mask = _pole_mask(gamma_args)
+    if pole_mask.any():
+        rows, cols = np.nonzero(pole_mask)
+        offenders = [
+            (group_one[c], tuple(int(v) for v in m[r])) for r, c in zip(rows, cols)
+        ]
+        raise PoleError(
+            "gamma factor hits a pole inside the truncation range",
+            offenders=offenders,
+        )
+
+    sign_u = np.exp(1j * np.pi * shifted[:, pos_one].sum(axis=1))
+    numer = np.prod(1.0 / rgamma(gamma_args), axis=1) if pos_one else 1.0
+    denom = np.prod(rgamma(shifted[:, pos_two] + 1.0), axis=1) if pos_two else 1.0
+    return phases * sign_u * numer * denom
+
+
+# the last table reduced_series built, as (system, key, table), or None
+_last = None
+
+
 def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
-    """Tabulate the reduced series coefficients c_m for one parameter value.
+    """Tabulate the series coefficients c_m for one parameter value.
 
     c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1), where u is the
-    exponential twist named by spec.k.  A repeated (spec, beta) returns the
-    read-only table memoized on ``spec.system``.
+    exponential twist named by spec.k; in mixed mode the gamma factors are
+    split as ``mixed_gamma_series_eval`` says.  Asking again for the
+    (system, spec, beta) of the previous call returns the same read-only
+    table; any other request replaces it.
     """
+    global _last
     system = spec.system
     beta = np.asarray(beta, dtype=np.complex128)
     key = (spec.k, spec.truncation, spec.mode, spec.partition, beta.shape, beta.tobytes())
-    series = system.tables.get(key)
-    if series is None:
-        m, shifted, phases = _spec_tables(spec, beta)
+    last = _last
+    if last is not None and last[0] is system and last[1] == key:
+        return last[2]
+    _last = None  # let the old table go before the new one is built
+    m, shifted, phases = _spec_tables(spec, beta)
+    if spec.mode == "mixed":
+        raw = _mixed_coeffs(spec, m, shifted, phases)
+    else:
         raw = phases * np.prod(_shifted_rgamma(system, m, shifted), axis=1)
-        series = TruncatedSeries(spec, beta, raw)
-        system.tables.put(key, series, len(m))
-    return series
+    table = TruncatedSeries(spec, beta, raw)
+    _last = (system, key, table)
+    return table
 
 
 def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
@@ -278,30 +307,7 @@ def mixed_gamma_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
     """
     if spec.mode != "mixed":
         raise InvalidInputError("mixed_gamma_series_eval needs mode='mixed'")
-    system = spec.system
-    base = system.base
-    group_one, group_two = spec.partition
-    pos_one = [base.I.index(i) for i in group_one]
-    pos_two = [base.I.index(i) for i in group_two]
-    m, shifted, phases = _spec_tables(spec, beta)
-
-    gamma_args = -shifted[:, pos_one]
-    pole_mask = _pole_mask(gamma_args)
-    if pole_mask.any():
-        rows, cols = np.nonzero(pole_mask)
-        offenders = [
-            (group_one[c], tuple(int(v) for v in m[r])) for r, c in zip(rows, cols)
-        ]
-        raise PoleError(
-            "gamma factor hits a pole inside the truncation range",
-            offenders=offenders,
-        )
-
-    sign_u = np.exp(1j * np.pi * shifted[:, pos_one].sum(axis=1))
-    numer = np.prod(gamma_fn(gamma_args), axis=1) if pos_one else 1.0
-    denom = np.prod(rgamma(shifted[:, pos_two] + 1.0), axis=1) if pos_two else 1.0
-    raw = phases * sign_u * numer * denom
-    return TruncatedSeries(spec, beta, raw).value(x)
+    return reduced_series(spec, beta).value(x)
 
 
 @dataclass(frozen=True)
@@ -319,27 +325,26 @@ class ConvergenceReport:
     radius_verdict: tuple[str, ...]
 
 
-def _ratio_verdict(system: ReducedSystem, col: int, probes: int = 36) -> str:
-    # probe growth of |c_m|/m! along the single-variable direction with a
-    # generic, pole-free parameter offset
-    n = system.base.parent.n
-    beta_I = 0.37 + 0.11 * np.arange(n)
-    mags = []
+def _ratio_verdicts(system: ReducedSystem, probes: int = 36) -> tuple[str, ...]:
+    # probe growth of |c_m|/m! along each single-variable direction with a
+    # generic, pole-free parameter offset; one rgamma call over (r, m, n)
+    beta_I = 0.37 + 0.11 * np.arange(system.base.parent.n)
+    m = np.arange(probes + 1)
+    factorials = np.array([float(math.factorial(i)) for i in m])
     # overflow to inf is meaningful here: it reads as ratio growth
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(probes + 1):
-            b = beta_I - m * system.off_base_coords[col] + 1.0
-            c = np.prod(rgamma(b))
-            mags.append(abs(c) / math.factorial(m))
-        ratios = [
-            mags[i + 1] / mags[i] if mags[i] > 0 else np.inf for i in range(probes)
-        ]
-    mid, tail = ratios[probes // 2], ratios[-1]
-    if tail <= 0.5 * mid or tail < 1e-12:
-        return "infinite"
-    if tail >= 2.0 * mid:
-        return "zero"
-    return "positive"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = beta_I - m[None, :, None] * system.off_base_coords[:, None, :] + 1.0
+        mags = np.abs(np.prod(rgamma(b), axis=-1)) / factorials
+        ratios = np.where(mags[:, :-1] > 0, mags[:, 1:] / mags[:, :-1], np.inf)
+    verdicts = []
+    for mid, tail in ratios[:, [probes // 2, -1]]:
+        if tail <= 0.5 * mid or tail < 1e-12:
+            verdicts.append("infinite")
+        elif tail >= 2.0 * mid:
+            verdicts.append("zero")
+        else:
+            verdicts.append("positive")
+    return tuple(verdicts)
 
 
 def convergence_condition(system: ReducedSystem) -> ConvergenceReport:
@@ -352,12 +357,11 @@ def convergence_condition(system: ReducedSystem) -> ConvergenceReport:
     l_sums = system.l_on_base.sum(axis=1).real
     g_sums = system.off_base_coords.sum(axis=1).real
     holds = tuple(bool(v >= -1.0) for v in l_sums)
-    verdicts = tuple(_ratio_verdict(system, c) for c in range(system.r))
     return ConvergenceReport(
         holds,
         tuple(float(v) for v in l_sums),
         tuple(float(v) for v in g_sums),
-        verdicts,
+        _ratio_verdicts(system),
     )
 
 
@@ -406,8 +410,8 @@ def gauss_coefficients(a, b, c, M: int) -> np.ndarray:
                 offenders=offenders,
             )
     return (
-        gamma_fn(a + m.astype(np.complex128))
-        * gamma_fn(b + m.astype(np.complex128))
+        1.0 / rgamma(a + m.astype(np.complex128))
+        * (1.0 / rgamma(b + m.astype(np.complex128)))
         * rgamma(c + m.astype(np.complex128))
         / _factorials(M)
     )

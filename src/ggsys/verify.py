@@ -146,8 +146,10 @@ def check_gg_system(
         scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
         forms = np.zeros(A.n, dtype=np.complex128)
-        for j in range(1, A.N + 1):
-            fd = _central_difference(f, beta, a, j - 1)
+        # every quotient at beta before any shifted value, so that a series
+        # evaluator tabulates beta once per sample
+        fds = [_central_difference(f, beta, a, j) for j in range(A.N)]
+        for j, fd in enumerate(fds, 1):
             shifted = _call(f, beta - A.row(j), a)
             shift_res.append(abs(fd - shifted))
             weighted += a[j - 1] * shifted * A.row(j)

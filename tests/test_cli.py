@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -238,6 +239,24 @@ def test_integral_task_nonconvergence_exits_one(tmp_path):
     assert rep["passed"] is False
 
 
+def test_unreachable_plane_tolerance_fails_within_the_evaluation_cap(tmp_path):
+    # 12 levels from 64 nodes would reach 129,025^2 points; the cap of 2^24
+    # evaluations stops the refinement after 4,033^2
+    cfg = {
+        "task": "integral",
+        "omega": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+        "integral": {
+            "kind": "shifted-plane", "base": [1, 2], "branch": [0, 0], "beta": [1.4, 0.4],
+            "x": [0.9, 0.2], "tolerance": 1e-17,
+        },
+    }
+    out = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert _report(out)["error"] == "shifted-plane quadrature did not stabilize below 1e-17 in 16777216 evaluations"
+
+
 def test_lattice_task_order_two(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--config", "two-points-lattice.json", "--quiet", "--out", str(out)]) == 0
@@ -270,11 +289,17 @@ def test_resonance_task_chain_set(tmp_path):
 
 
 def test_resonance_sweep_failure_names_omega(tmp_path):
-    # a repeated vector leaves a copy unmatched by the chains of -e1
-    cfg = {"task": "resonance", "omega": [[1, 0], [0, 1], [1, 0], [1, 1]]}
+    # a repeated vector leaves a copy unmatched by the chains of -e1; that
+    # candidate is reported with no decomposition and the sweep is no failure
+    cfg = {"task": "resonance", "omega": [[1, 0], [0, 1], [1, 0], [1, 1]], "vector": [-1, 0]}
     out = tmp_path / "report.json"
-    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
-    assert _report(out)["error"] == "omega: chain decomposition does not cover the configuration"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    results = _report(out)["results"]
+    assert results["consistent_count"] == 2
+    first, second = results["consistent_vectors"]
+    assert (first["decomposition"]["chains"], first["decomposition"]["zero_chain"]) == ([[1, 4], [3]], [2])
+    assert second["v"] == [[-1.0, 0.0], [0.0, 0.0]] and second["decomposition"] is None
+    assert results["requested_vector"] == second
 
 
 def test_distribution_task_values(tmp_path):

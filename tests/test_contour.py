@@ -332,6 +332,16 @@ def test_nonconvergence_names_kind_and_levels():
     assert contour._settle(iter(levels), 1e-9, 3, "sums") == (2.0, 0.0, 33)
 
 
+def test_levels_stop_before_the_evaluation_cap(monkeypatch):
+    monkeypatch.setattr(contour, "_MAX_EVALUATIONS", 10**4)
+    counts = [points for _, points in contour._trapezoid_levels(lambda p: p[0] * 0 + 1, 1.0, 16, 2)]
+    assert counts == [16**2, 31**2, 61**2]  # 121^2 would pass the cap
+    spec = plane_spec(nodes=16, tolerance=1e-30)
+    with pytest.raises(ConvergenceError) as info:
+        shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], spec)
+    assert str(info.value) == "shifted-plane quadrature did not stabilize below 1e-30 in 10000 evaluations"
+
+
 AE = vector_set([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
 
 

@@ -7,7 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsys.gammafn import gamma_fn, gamma_value, rgamma
+from ggsys.gammafn import rgamma
 
 
 def test_half_integer():
@@ -56,24 +56,6 @@ def test_against_scipy_on_grid():
     ours = rgamma(z)
     ref = scipy.special.rgamma(z)
     assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_gamma_value_reports_pole():
-    gv = gamma_value(-2.0)
-    assert gv.is_pole
-    assert gv.reciprocal == 0.0
-    gv = gamma_value(0.5)
-    assert not gv.is_pole
-    assert gv.value == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_fn_matches_reciprocal():
-    z = np.array([0.25 + 1j, 3.5, -1.25, 2.0 - 0.5j])
-    assert np.allclose(gamma_fn(z) * rgamma(z), 1.0, atol=1e-12)
-
-
-def test_gamma_fn_pole_is_inf():
-    assert np.isinf(np.abs(gamma_fn(-4.0)))
 
 
 @st.composite

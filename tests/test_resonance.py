@@ -284,7 +284,13 @@ def test_repeated_vector_set():
     )
     assert _summary(analyze_vector(A, (0, 1))) == (False, (1, 3), (2, 4), 0, None)
     assert _summary(analyze_vector(A, (0, 0))) == (True, (1, 2, 3, 4), (), 2, None)
+    # -e1 is consistent, but its chains (2, 4) and the zero chain (1,)
+    # leave the copy omega_3 over: reported without a decomposition
+    uncovered = (True, (1, 3, 4), (2,), 1, None)
+    assert _summary(analyze_vector(A, (-1, 0))) == uncovered
     with pytest.raises(DomainError, match="does not cover the configuration"):
-        analyze_vector(A, (-1, 0))
-    with pytest.raises(DomainError, match="does not cover the configuration"):
-        candidate_consistent_vectors(A)
+        decompose_structure(A, (-1, 0))
+    # the sweep goes on past it
+    sweep = candidate_consistent_vectors(A)
+    assert [tuple(an.v.real) for an in sweep] == [(0, -1), (-1, 0)]
+    assert [_summary(an) for an in sweep] == [_summary(analyze_vector(A, (0, -1))), uncovered]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import ggsys.series
 from ggsys.errors import DomainError, InvalidInputError, PoleError
 from ggsys.gammafn import rgamma
-from ggsys.model import _TABLE_BUDGET, build_reduced_system, select_base, vector_set
+from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.resonance import grassmannian_set
 from ggsys.series import (
     SeriesSpec,
+    TruncatedSeries,
     _spec_tables,
     convergence_condition,
     elementary_solution_full,
@@ -281,7 +282,7 @@ def test_coefficient_recurrence_property(b1, b2, b3):
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1e-30)
 
 
-# -- integer gather and the per-system table memo ---------------------------
+# -- integer gather and the last-table slot ----------------------------------
 
 
 def _generic_coeffs(spec, beta):
@@ -428,24 +429,24 @@ def test_memo_key_is_the_parameter_value_at_call_time():
     assert reduced_series(spec, beta) is not first
 
 
-def test_memo_stays_within_its_budget():
+def test_slot_keeps_only_the_last_table():
     system = build_reduced_system(select_base(A_G, (1, 2, 3)))
     spec = SeriesSpec(system, (0, 0, 0), 30)
-    first = reduced_series(spec, np.array([0.1, 0.2, 0.3]))
-    for i in range(2 * _TABLE_BUDGET // 31):
-        reduced_series(spec, np.array([0.1 + 1e-3 * i, 0.2, 0.3]))
-        assert system.tables.size <= _TABLE_BUDGET
-    assert system.tables.size > _TABLE_BUDGET - 31
-    # the oldest table was dropped: asking again tabulates it anew
-    assert reduced_series(spec, np.array([0.1, 0.2, 0.3])) is not first
-    # a table larger than the whole budget is computed but not kept
+    beta = np.array([0.1, 0.2, 0.3])
+    first = reduced_series(spec, beta)
+    assert ggsys.series._last[2] is first
+    assert reduced_series(spec, beta) is first
+    # any other request replaces it, however small the new table
+    small = reduced_series(SeriesSpec(system, (0, 0, 0), 1), beta)
+    assert ggsys.series._last[2] is small
+    assert reduced_series(spec, beta) is not first
+    # a table of any size is kept
     A = vector_set([(1,), (-1,), (-2,), (-1,)])
     wide = build_reduced_system(select_base(A, (1,)))
     spec = SeriesSpec(wide, (0,), 57)
     big = reduced_series(spec, np.array([0.3]))
-    assert len(big.exponents) > _TABLE_BUDGET
-    assert reduced_series(spec, np.array([0.3])) is not big
-    assert wide.tables.size == 0
+    assert len(big.exponents) > 2**15
+    assert reduced_series(spec, np.array([0.3])) is big
 
 
 def test_memo_belongs_to_one_system_instance():
@@ -453,7 +454,76 @@ def test_memo_belongs_to_one_system_instance():
     two = build_reduced_system(select_base(A_G, (1, 2, 3)))
     beta = np.array([0.43, -0.17, 0.59])
     table = reduced_series(SeriesSpec(one, (0, 0, 0), 20), beta)
-    assert two.tables.size == 0
     other = reduced_series(SeriesSpec(two, (0, 0, 0), 20), beta)
     assert other is not table
     assert other.raw_coeffs.tobytes() == table.raw_coeffs.tobytes()
+    assert reduced_series(SeriesSpec(one, (0, 0, 0), 20), beta) is not table
+
+
+def _count_tables(monkeypatch):
+    """Record every TruncatedSeries the series layer builds."""
+    built = []
+    init = TruncatedSeries.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting)
+    return built
+
+
+def test_mixed_mode_shares_the_slot(monkeypatch):
+    # a fresh tabulation at a pole raises and leaves the slot empty
+    spec = _spec(R_G, M=5, mode="mixed", partition=((1,), (2, 3)))
+    with pytest.raises(PoleError):
+        mixed_gamma_series_eval(spec, np.array([2.0, -0.3, 0.8]), np.array([0.5]))
+    assert ggsys.series._last is None
+    built = _count_tables(monkeypatch)
+    spec = _spec(R_G, M=30, mode="mixed", partition=((1, 2), (3,)))
+    beta = np.array([-0.35, -1.21, 0.7])
+    first = mixed_gamma_series_eval(spec, beta, np.array([0.3]))
+    second = mixed_gamma_series_eval(spec, beta, np.array([0.1]))
+    assert len(built) == 1
+    assert built[0].value(np.array([0.3])) == first
+    assert built[0].value(np.array([0.1])) == second
+    # a reduced spec of the same system and beta is another table
+    reduced_series_eval(_spec(R_G), beta, np.array([0.3]))
+    assert len(built) == 2
+
+
+def _pow_powers(x, exponents):
+    """Per-term complex pow with the 0**0 guard: the path the power table
+    replaced, kept as its oracle."""
+    with np.errstate(invalid="ignore"):
+        p = np.prod(x[None, :] ** exponents, axis=1)
+    return np.where(exponents.sum(axis=1) == 0, 1.0 + 0j, p)
+
+
+@pytest.mark.parametrize("x", [
+    [0.0, 0.3 - 0.2j, -0.7],
+    [0.0, 0.0, 0.0],
+    [-0.0, 1e-3j, 2.5 + 1.0j],
+    [0.9, -1.1 + 0.4j, 0.0],
+])
+def test_power_table_matches_the_pow_path(x):
+    A = vector_set([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)])
+    system = build_reduced_system(select_base(A, (1, 2)))
+    table = reduced_series(SeriesSpec(system, (1, 0), 14), np.array([0.3 - 0.1j, 0.45]))
+    x = np.asarray(x, dtype=np.complex128)
+    m = table.exponents
+    assert table.terms(x).tobytes() == (table.coeffs * _pow_powers(x, m)).tobytes()
+    for col, j in enumerate(system.base.J):
+        shifted = m.copy()
+        shifted[:, col] = np.maximum(m[:, col] - 1, 0)
+        want = np.sum(table.coeffs * m[:, col] * _pow_powers(x, shifted))
+        assert np.complex128(table.derivative(x, j)).tobytes() == want.tobytes()
+
+
+def test_convergence_probes_with_one_rgamma_call(monkeypatch):
+    A = vector_set([(1, 0), (0, 1), (1, 1), (1, -1), (-2, -1)])
+    system = build_reduced_system(select_base(A, (1, 2)))
+    seen = _rgamma_shapes(monkeypatch)
+    report = convergence_condition(system)
+    assert seen == [(3, 37, 2)]
+    assert report.radius_verdict == ("zero", "positive", "infinite")

@@ -129,6 +129,22 @@ def test_gg_system_fails_closed_on_a_late_nan():
     assert r2.passed
 
 
+def test_gg_system_tabulates_each_parameter_once_per_sample(monkeypatch):
+    # the value and all 2N difference quotients share beta's table; each of
+    # the N shifted parameters takes one more
+    built = []
+    init = TruncatedSeries.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting)
+    f = _gg_evaluator(A_G, (1, 2, 3))
+    check_gg_system(f, A_G, samples=3, seed=3, base=(1, 2, 3))
+    assert len(built) == 3 * (1 + A_G.N)
+
+
 def test_reports_are_deterministic():
     f = _gg_evaluator(A_G, (1, 2, 3))
     first = check_gg_system(f, A_G, samples=8, seed=11, base=(1, 2, 3))
