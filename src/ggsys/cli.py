@@ -211,7 +211,7 @@ def _vector_set_from(cfg: dict) -> VectorSet:
 # Where a report differs from a library dataclass: the fields it leaves out
 # (a family's report is listed under "checks"), the fields it renames and the
 # properties it adds.
-_OMITTED = {ContourSpec: ("kind",), FamilyRankResult: ("report",), ResonanceAnalysis: ("span_basis",)}
+_OMITTED = {FamilyRankResult: ("report",), ResonanceAnalysis: ("span_basis",)}
 _RENAMED = {ResidualReport: {"equation_id": "equation"}}
 _ADDED = {ChainDecomposition: ("counts",)}
 
@@ -293,8 +293,8 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
     k = _get(cfg, "k", length=A.n) or (0,) * A.n
     mode = _get(cfg, "mode")
     partition = _get(cfg, "partition", N=A.N)
-    try:
-        spec = SeriesSpec(system, k, params["truncation"], mode=mode, partition=partition)
+    try:  # a full-mode sum is the reduced one times a prefactor (gg_series_eval)
+        spec = SeriesSpec(system, k, params["truncation"], {"full": "reduced"}.get(mode, mode), partition)
     except InvalidInputError as exc:
         raise _bad("mode", str(exc))
 
@@ -330,10 +330,10 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
     eps = _get(cfg, "perturbation")
     checked = {"samples": params["samples"], "tolerance": params["tolerance"], "x_bound": x_bound}
 
-    full_spec = SeriesSpec(system, k, params["truncation"], mode="full")
+    spec = SeriesSpec(system, k, params["truncation"])
 
     def evaluator(beta, a):
-        value = gg_series_eval(full_spec, beta, a).value
+        value = gg_series_eval(spec, beta, a).value
         if eps != 0:
             value = value + eps * complex(a[0])
         return value
@@ -341,8 +341,7 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
     system_reps = check_gg_system(evaluator, A, seed=params["seed"], base=system.base.I, **checked)
 
     def factory(beta, truncation_arg):
-        spec = SeriesSpec(system, k, truncation_arg, mode="reduced")
-        return reduced_series(spec, beta)
+        return reduced_series(SeriesSpec(system, k, truncation_arg), beta)
 
     red1_rep, red2_rep = check_reduced_system(
         factory, system, seed=params["seed"] + 2, mode="exact", truncation=params["truncation"],
@@ -385,18 +384,22 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
             raw_beta = raw_beta[0]  # a 1-vector wraps the scalar
         beta = _as_complex(raw_beta, "integral.beta")
         label = _as_int(sub.get("base", 1), "integral.base", minimum=1, maximum=A.N)
-        value = hankel_integral(A, label, beta, x, contour)
+        integrate = partial(hankel_integral, A, label, beta, x, contour)
         inputs = {"base": label, "beta": beta}
     else:
         beta = _as_complex_vector(raw_beta, "integral.beta", A.n)
         labels = _as_labels(sub.get("base"), "integral.base", A.N)
         if kind == "shifted-plane":
             branch = _get(sub, "integral.branch", length=A.n) or [0] * A.n
-            value = shifted_plane_integral(A, labels, branch, beta, x, contour)
+            integrate = partial(shifted_plane_integral, A, labels, branch, beta, x, contour)
             inputs = {"base": list(labels), "branch": branch, "beta": beta}
         else:
-            value = euler_segment_integral(A, labels, beta, x, contour)
+            integrate = partial(euler_segment_integral, A, labels, beta, x, contour)
             inputs = {"base": list(labels), "beta": beta}
+    try:
+        value = integrate()
+    except (InvalidInputError, DomainError) as exc:  # a ConvergenceError stays exit 1
+        raise _bad("integral", str(exc))
 
     results = {"kind": kind, "inputs": inputs, "x": x, "contour": contour, **_jsonify(value)}
     return results, []

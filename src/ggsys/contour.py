@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .gammafn import rgamma
-from .model import VectorSet, build_reduced_system, select_base
+from .model import VectorSet, _invariant_point, build_reduced_system, select_base
 
 _TINY = 1e-300
 _DECAY = 1e-18  # required endpoint suppression for open contours
@@ -32,19 +32,20 @@ _MAX_EVALUATIONS = 2**24  # integrand evaluations one integral may spend
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Quadrature parameters for one integral kind.
+    """Quadrature parameters; one spec serves all three integrals.
 
-    ``nodes`` is the plane's starting node count per dimension (loop and
-    segment pieces start from 9 nodes in the substituted variable);
-    ``cutoff`` is the ray length or half-width of the truncated domain;
-    ``offset`` is the distance of the loop rays from the negative axis.
-    ``adaptive=False`` freezes nodes and cutoff for refinement-comparison
-    experiments: the plane integrates on ``nodes`` points per axis (``nodes
-    + 1`` when even, the least grid holding a half-rate grid) and takes the
-    error estimate from that half-rate grid's sum, from the same evaluations.
+    The loop reads ``cutoff`` (starting ray length), ``offset`` (distance of
+    the rays from the negative axis), ``tolerance`` and ``max_refinements``;
+    the plane reads ``nodes`` (starting nodes per dimension), ``cutoff``
+    (starting half-width of its domain), ``adaptive``, ``tolerance`` and
+    ``max_refinements``; the segment reads only ``tolerance`` and
+    ``max_refinements``.  Loop and segment pieces start from 9 nodes in the
+    substituted variable.  ``adaptive=False`` freezes nodes and cutoff: the
+    plane integrates on ``nodes`` points per axis (``nodes + 1`` when even,
+    the least grid holding a half-rate grid) and takes the error estimate
+    from that half-rate grid's sum, from the same evaluations.
     """
 
-    kind: str
     nodes: int = 64
     cutoff: float = 40.0
     tolerance: float = 1e-9
@@ -53,8 +54,6 @@ class ContourSpec:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("hankel-loop", "shifted-plane", "euler-segment"):
-            raise InvalidInputError(f"unknown contour kind {self.kind!r}")
         if self.nodes < 16:
             raise InvalidInputError("need at least 16 quadrature nodes")
         if self.cutoff <= 0 or self.offset <= 0:
@@ -69,11 +68,6 @@ class IntegralValue:
     value: complex
     error_estimate: float
     nodes_used: int
-
-
-def _require_kind(spec: ContourSpec, kind: str):
-    if spec.kind != kind:
-        raise InvalidInputError(f"contour spec of kind {spec.kind!r}, need {kind!r}")
 
 
 def _trapezoid_levels(F, W: float, nodes: int, n: int):
@@ -120,10 +114,10 @@ def _settle(levels, tolerance: float, max_levels: int, what: str):
     raise ConvergenceError(f"{what} did not stabilize below {tolerance} in {limit}")
 
 
-def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, endpoint_form: bool = False):
+def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, what: str, endpoint_form: bool = False):
     """Integrate a vectorized callable over [a, b]: trapezoid levels in tau
     over [-4, 4] after s = center + half tanh(pi/2 sinh tau); returns (value,
-    last refinement difference, evaluations).
+    last refinement difference, evaluations) or raises naming ``what``.
 
     With ``endpoint_form`` the callable receives the two endpoint distances
     (s - a, b - s) instead of s itself; near the ends tanh rounds to +-1, so
@@ -145,7 +139,7 @@ def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, endpoint_form: bool = F
         return vals * weights
 
     levels = _trapezoid_levels(F, 4.0, 9, 1)
-    return _settle(levels, spec.tolerance, spec.max_refinements, f"{spec.kind} quadrature")
+    return _settle(levels, spec.tolerance, spec.max_refinements, what)
 
 
 def hankel_integral(
@@ -160,7 +154,6 @@ def hankel_integral(
     coordinate of omega^j, principal branch (the contour stays off the
     negative real axis, between the rays).
     """
-    _require_kind(spec, "hankel-loop")
     if A.n != 1:
         raise InvalidInputError("loop integral needs a one-dimensional configuration")
     base = select_base(A, (i,))
@@ -171,9 +164,7 @@ def hankel_integral(
             "need every coordinate of omega_j relative to omega_i to have "
             "real part <= 1"
         )
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if x.shape != (system.r,):
-        raise InvalidInputError("x must list one value per off-base label")
+    x = _invariant_point(system, x)
     beta = complex(beta)
 
     def g(t):
@@ -194,14 +185,15 @@ def hankel_integral(
     else:
         raise DomainError("integrand does not decay along the rays")
 
-    lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec)
+    what = "hankel-loop quadrature"
+    lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec, what)
     arc, e2, n2 = _tanh_sinh(
         lambda th: g(delta * np.exp(1j * th)) * 1j * delta * np.exp(1j * th),
         -np.pi / 2,
         np.pi / 2,
-        spec,
+        spec, what,
     )
-    upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec)
+    upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec, what)
     return IntegralValue(lower + arc - upper, e1 + e2 + e3, n1 + n2 + n3)
 
 
@@ -219,9 +211,7 @@ def _plane_integrand(system, k, beta, x):
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (n,) or np.any(k != np.round(k)):
         raise InvalidInputError("k must be an integer vector of length n")
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if x.shape != (system.r,):
-        raise InvalidInputError("x must list one value per off-base label")
+    x = _invariant_point(system, x)
     gamma = system.off_base_coords.real  # (r, n), real by the check above
     shift = np.pi * (2 * k + 1)
     w = x * np.exp(1j * (gamma @ shift))
@@ -257,7 +247,6 @@ def shifted_plane_integral(
     and every invariant variable turned into the decaying half-plane by its
     phase factor.
     """
-    _require_kind(spec, "shifted-plane")
     base = select_base(A, I)
     system = build_reduced_system(base)
     n = A.n
@@ -301,7 +290,6 @@ def euler_segment_integral(
     so the endpoint singularities integrate; the inner power must stay off
     the branch cut, which is checked at the quadrature nodes.
     """
-    _require_kind(spec, "euler-segment")
     if A.n != 2:
         raise InvalidInputError("segment integral needs a two-dimensional configuration")
     base = select_base(A, I)
@@ -315,9 +303,7 @@ def euler_segment_integral(
     beta_I = base.coords(np.asarray(beta, dtype=np.complex128))
     if np.any(beta_I.real >= 0):
         raise DomainError("need Re beta_i < 0 at both base positions")
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if x.shape != (system.r,):
-        raise InvalidInputError("x must list one value per off-base label")
+    x = _invariant_point(system, x)
     b_sum = complex(beta_I.sum())
 
     def f(s, one_minus_s):
@@ -335,6 +321,6 @@ def euler_segment_integral(
             * one_minus_s ** (-beta_I[1] - 1.0)
         )
 
-    value, err, used = _tanh_sinh(f, 0.0, 1.0, spec, endpoint_form=True)
+    value, err, used = _tanh_sinh(f, 0.0, 1.0, spec, "euler-segment quadrature", endpoint_form=True)
     front = complex(rgamma(b_sum + 1.0))
     return IntegralValue(front * value, abs(front) * err, used)

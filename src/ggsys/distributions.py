@@ -209,12 +209,11 @@ def fourier_consistency_check(
     weights = np.full(nodes, h)
     weights[0] = weights[-1] = h / 2.0
     psi_vals = np.asarray([psi(float(t)) for t in xi], dtype=np.complex128)
-    kernel = np.exp(np.exp(1j * xi) + x * np.exp(1j * (ell + perturbation) * xi))
-    lhs = _TWO_PI * np.sum(weights * kernel * psi_vals[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        kernel = np.exp(np.exp(1j * xi) + x * np.exp(1j * (ell + perturbation) * xi))
+        lhs = _TWO_PI * np.sum(weights * kernel * psi_vals[::-1])
     if not np.isfinite(lhs):
-        raise RuntimeError(
-            f"oscillatory quadrature overflowed (support={support}, x={x})"
-        )
+        raise ConvergenceError(f"oscillatory quadrature overflowed (support={support}, x={x})")
 
     def transform(z: complex) -> complex:
         return _TWO_PI * complex(np.sum(weights * psi_vals * np.exp(-1j * z * xi)))

@@ -132,23 +132,27 @@ class BaseSelection:
     """An n-subset of labels whose vectors form a basis, plus the
     coordinate map it induces.
 
-    ``gamma_matrix`` is the inverse of the matrix with the selected vectors
-    as columns, so ``gamma_matrix @ v`` gives the coordinates of ``v`` with
-    respect to that basis.
+    ``J`` lists the other labels in increasing order.  ``gamma_matrix`` is
+    the read-only inverse of the matrix with the selected vectors as columns,
+    so ``gamma_matrix @ v`` gives the coordinates of ``v`` with respect to
+    that basis.  Both are computed on first use.
     """
 
     parent: VectorSet
     I: tuple[int, ...]
-    J: tuple[int, ...]
-    gamma_matrix: np.ndarray
+
+    @cached_property
+    def J(self) -> tuple[int, ...]:
+        return tuple(j for j in range(1, self.parent.N + 1) if j not in self.I)
+
+    @cached_property
+    def gamma_matrix(self) -> np.ndarray:
+        gamma = np.linalg.inv(self.parent.rows(self.I).T)
+        gamma.setflags(write=False)
+        return gamma
 
     def coords(self, v) -> np.ndarray:
         return self.gamma_matrix @ np.asarray(v, dtype=np.complex128)
-
-
-def _base(A: VectorSet, I: tuple[int, ...], gamma: np.ndarray) -> BaseSelection:
-    gamma.setflags(write=False)
-    return BaseSelection(A, I, tuple(j for j in range(1, A.N + 1) if j not in I), gamma)
 
 
 def select_base(A: VectorSet, labels) -> BaseSelection:
@@ -157,10 +161,9 @@ def select_base(A: VectorSet, labels) -> BaseSelection:
         raise InvalidInputError(f"base must have {A.n} distinct labels")
     if I[0] < 1 or I[-1] > A.N:
         raise InvalidInputError("base labels out of range")
-    cols = A.rows(I).T
-    if _rank_count(np.linalg.svd(cols, compute_uv=False)) < A.n:
+    if _rank_count(np.linalg.svd(A.rows(I).T, compute_uv=False)) < A.n:
         raise InvalidInputError(f"vectors {I} are linearly dependent")
-    return _base(A, I, np.linalg.inv(cols))
+    return BaseSelection(A, I)
 
 
 def _iter_bases(A: VectorSet):
@@ -175,9 +178,8 @@ def _iter_bases(A: VectorSet):
     while block := list(itertools.islice(subsets, size)):
         cols = np.swapaxes(A.omega[np.asarray(block) - 1], 1, 2)
         independent = _rank_count(np.linalg.svd(cols, compute_uv=False)) == A.n
-        gammas = np.linalg.inv(cols[independent])
-        for I, gamma in zip(itertools.compress(block, independent), gammas):
-            yield _base(A, I, gamma)
+        for I in itertools.compress(block, independent):
+            yield BaseSelection(A, I)
         size = min(2 * size, _BASE_BLOCK)
 
 
@@ -256,6 +258,14 @@ class ReducedSystem:
             return np.zeros(0, dtype=np.complex128)
         log_base = np.log(a[ipos])
         return a[jpos] * np.exp(self.l_on_base @ log_base)
+
+
+def _invariant_point(system: ReducedSystem, x) -> np.ndarray:
+    """``x`` as a complex vector with one value per off-base label."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if x.shape != (system.r,):
+        raise InvalidInputError("x must list one value per off-base label")
+    return x
 
 
 def build_reduced_system(B: BaseSelection) -> ReducedSystem:

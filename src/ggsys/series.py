@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, PoleError
 from .gammafn import _pole_mask, rgamma
-from .model import ReducedSystem
+from .model import ReducedSystem, _invariant_point
 
 _TWO_PI_I = 2j * np.pi
 _MAX_TERMS = 2_000_000
@@ -40,8 +40,8 @@ _MAX_FACTORIAL = 150
 class SeriesSpec:
     """What to sum: a reduced system, a twist, a truncation order, a mode.
 
-    ``mode`` is one of "reduced" (series in the invariant variables x),
-    "full" (series in the original variables a), or "mixed" (part of the
+    ``mode`` is "reduced" (series in the invariant variables x, or through
+    ``gg_series_eval`` in the original variables a) or "mixed" (part of the
     gamma factors moved to the numerator).  ``partition`` names the two
     groups of base labels for the mixed form and must be None otherwise.
     """
@@ -53,7 +53,7 @@ class SeriesSpec:
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("reduced", "full", "mixed"):
+        if self.mode not in ("reduced", "mixed"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.truncation < 0:
             raise InvalidInputError("truncation must be nonnegative")
@@ -88,7 +88,7 @@ def _shell_indices(r: int, M: int) -> np.ndarray:
     count = math.comb(M + r, r)
     if count > _MAX_TERMS:
         raise InvalidInputError(
-            f"truncation needs {count} terms, above the {_MAX_TERMS} cap"
+            f"truncation: needs {count} terms, above the {_MAX_TERMS} cap"
         )
     shells = [np.zeros((1, r), dtype=np.int64)]
     for _ in range(M):
@@ -145,7 +145,7 @@ class TruncatedSeries:
         return np.prod(table[np.arange(len(x)), exponents], axis=1)
 
     def terms(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+        x = _invariant_point(self.spec.system, x)
         return self.coeffs * self._powers(x, self.exponents)
 
     def value(self, x) -> SeriesValue:
@@ -156,7 +156,7 @@ class TruncatedSeries:
 
     def derivative(self, x, j_label: int) -> complex:
         """d/dx_j of the truncated sum, j a 1-based off-base label."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+        x = _invariant_point(self.spec.system, x)
         col = self.spec.system.base.J.index(j_label)
         m = self.exponents
         p = self._powers(x, np.maximum(m - (np.arange(m.shape[1]) == col), 0))
@@ -275,9 +275,9 @@ def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
 
 def gg_series_eval(spec: SeriesSpec, beta, a) -> SeriesValue:
     """Series in the original variables: prod a_i^{beta_i} times the reduced
-    series at the invariant point x(a).  Principal branch throughout."""
-    if spec.mode != "full":
-        raise InvalidInputError("gg_series_eval needs mode='full'")
+    series of ``spec`` at x(a).  Principal branch throughout."""
+    if spec.mode != "reduced":
+        raise InvalidInputError("gg_series_eval needs mode='reduced'")
     system = spec.system
     base = system.base
     a = np.asarray(a, dtype=np.complex128)
@@ -289,8 +289,7 @@ def gg_series_eval(spec: SeriesSpec, beta, a) -> SeriesValue:
     beta = np.asarray(beta, dtype=np.complex128)
     beta_I = base.coords(beta)
     prefactor = np.exp(np.sum(beta_I * np.log(a_I)))
-    inner = SeriesSpec(system, spec.k, spec.truncation, mode="reduced")
-    val = reduced_series_eval(inner, beta, system.x_from_a(a))
+    val = reduced_series(spec, beta).value(system.x_from_a(a))
     scale = abs(prefactor)
     return SeriesValue(
         complex(prefactor * val.value), scale * val.tail_estimate, val.terms_used

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import ConvergenceError, DomainError, InvalidInputError
 from .model import VectorSet, ReducedSystem, _svd_rank, build_reduced_system, first_base, select_base
 from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
 
@@ -99,6 +99,8 @@ def sample_arguments(
 def _call(f, beta, a_or_x):
     try:
         return complex(f(beta, a_or_x))
+    except (InvalidInputError, DomainError, ConvergenceError):
+        raise  # the package's own errors keep their type
     except Exception as exc:
         raise RuntimeError(
             f"evaluator failed at parameters {np.asarray(beta)} and "
@@ -441,7 +443,7 @@ def solution_family_rank(
         return args
 
     specs = {
-        (I, k): SeriesSpec(systems[I], k, truncation, mode="full") for I, k in family
+        (I, k): SeriesSpec(systems[I], k, truncation) for I, k in family
     }
     delta = 0.3
     matrix = None

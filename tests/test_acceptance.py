@@ -145,7 +145,7 @@ def test_04_linking_and_twist_identities():
         a = rng.uniform(0.5, 1.5, 4)
         a[3] *= 0.15
         beta = rng.uniform(-0.9, 0.9, 3)
-        spec_full = SeriesSpec(R_G, (0, 0, 0), 30, mode="full")
+        spec_full = SeriesSpec(R_G, (0, 0, 0), 30)
         full = gg_series_eval(spec_full, beta, a).value
         red = reduced_series_eval(SeriesSpec(R_G, (0, 0, 0), 30), beta, R_G.x_from_a(a)).value
         prefactor = np.prod(a[:3] ** R_G.base.coords(beta))
@@ -168,7 +168,7 @@ def test_04_linking_and_twist_identities():
 
 
 def test_05_hankel_loop_integral():
-    spec = ContourSpec("hankel-loop", tolerance=1e-10)
+    spec = ContourSpec(tolerance=1e-10)
     series_spec = SeriesSpec(R_PM, (0,), 60)
     worst_series = 0.0
     for beta in (0.0, 0.5, 1 + 0.3j):
@@ -187,13 +187,13 @@ def test_05_hankel_loop_integral():
 
 
 def test_06_shifted_plane_integral():
-    coarse = ContourSpec("shifted-plane", nodes=257, cutoff=24.0, adaptive=False)
-    fine = ContourSpec("shifted-plane", nodes=513, cutoff=48.0, adaptive=False)
+    coarse = ContourSpec(nodes=257, cutoff=24.0, adaptive=False)
+    fine = ContourSpec(nodes=513, cutoff=48.0, adaptive=False)
     a = shifted_plane_integral(A_PM, (1,), (0,), [0.7], [0.3], coarse)
     b = shifted_plane_integral(A_PM, (1,), (0,), [0.7], [0.3], fine)
     refine_rel = abs(a.value - b.value) / abs(b.value)
 
-    spec = ContourSpec("shifted-plane", tolerance=1e-12)
+    spec = ContourSpec(tolerance=1e-12)
 
     def F(beta, x):
         return shifted_plane_integral(A_PM, (1,), (0,), [beta], [x], spec).value
@@ -209,13 +209,13 @@ def test_06_shifted_plane_integral():
 
 def test_07_euler_segment_integral():
     A = vector_set([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
-    spec = ContourSpec("euler-segment", tolerance=1e-12, max_refinements=14)
+    spec = ContourSpec(tolerance=1e-12, max_refinements=14)
     got = euler_segment_integral(A, (1, 2), [-0.5, -0.7], [0.0], spec).value
     want = sp.beta(0.5, 0.7) * sp.rgamma(-0.2)
     beta_rel = abs(got - want) / abs(want)
 
     system = build_reduced_system(select_base(A, (1, 2)))
-    tight = ContourSpec("euler-segment", tolerance=1e-13, max_refinements=14)
+    tight = ContourSpec(tolerance=1e-13, max_refinements=14)
 
     def F(beta, x):
         return euler_segment_integral(A, (1, 2), beta, x, tight).value
@@ -305,7 +305,7 @@ def test_09_solution_family_rank():
 
 def _grassmann_evaluator(G, truncation=30):
     system = build_reduced_system(select_base(G.vectors, (1, 2, 3, 4)))
-    spec = SeriesSpec(system, (0, 0, 0, 0), truncation, mode="full")
+    spec = SeriesSpec(system, (0, 0, 0, 0), truncation)
 
     def f(beta, a):
         return gg_series_eval(spec, beta, a).value

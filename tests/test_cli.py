@@ -179,7 +179,7 @@ def test_eval_full_mode(tmp_path):
     point = _report(out)["results"]["points"][0]
 
     A = vector_set([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]])
-    spec = SeriesSpec(build_reduced_system(select_base(A, (1, 2, 3))), (0, 0, 0), 26, mode="full")
+    spec = SeriesSpec(build_reduced_system(select_base(A, (1, 2, 3))), (0, 0, 0), 26)
     expected = gg_series_eval(spec, [-0.4, 0.3, 0.2], [1.1, 0.9, 1.2, 0.1])
     assert complex(*point["value"]) == pytest.approx(expected.value, abs=1e-14)
 
@@ -603,3 +603,54 @@ def test_overflow_report_is_strict_json(tmp_path):
     unsettled = [c for c in rep["checks"] if c["max_rel_residual"] is None]
     assert unsettled
     assert all(c["passed"] is False for c in unsettled)
+
+
+# a two-dimensional set whose order-25 table would need 13,884,156 terms
+_OVER_CAP = {
+    "omega": [[1, 0], [0, 1], [-1, -1], [-2, -1], [-1, -2], [-3, -1], [-1, -3], [-2, -3], [-3, -2], [-4, -1]],
+    "truncation": 25,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"task": "verify", "base": [1, 2]},
+        {"task": "eval", "base": [1, 2], "beta": [[0.3, 0.4]], "x": [[0.1] * 8]},
+        {"task": "family", "bases": [[1, 2]]},
+    ],
+    ids=["verify", "eval", "family"],
+)
+def test_term_cap_names_truncation(tmp_path, capsys, cfg):
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, _OVER_CAP | cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "truncation: needs 13884156 terms, above the 2000000 cap"
+    assert capsys.readouterr().err == ""
+
+
+def test_fourier_overflow_fails_by_name(tmp_path, capsys):
+    # the oscillatory integrand exp(x e^(i xi)) overflows at x = 800; under the
+    # suite's RuntimeWarning-as-error filter a numpy warning would raise here
+    cfg = {
+        "task": "distribution",
+        "omega": [[1], [-1]],
+        "distribution": {"ell": [[1.0]], "x": [0.5], "fourier": {"support": 3.0, "x": 800}},
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert _report(out)["error"] == "oscillatory quadrature overflowed (support=3.0, x=(800+0j))"
+    assert capsys.readouterr().err == ""
+
+
+def test_integral_domain_error_names_the_integral(tmp_path):
+    cfg = {
+        "task": "integral",
+        "omega": [[1, 0], [0, 1], [1, 1]],
+        "integral": {"kind": "shifted-plane", "base": [1, 2], "beta": [-0.5, 0.5], "x": [0.3]},
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"].startswith("integral: need Re beta_i > 0 at every base position")
+    cfg["integral"] |= {"beta": [0.5, 0.5], "x": [0.3, 0.1]}
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "integral: x must list one value per off-base label"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -22,23 +24,16 @@ A1 = vector_set([(1,), (-1,)])
 
 
 def loop_spec(**kw):
-    return ContourSpec("hankel-loop", **kw)
+    return ContourSpec(**kw)
 
 
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
-        ContourSpec("circle")
+        ContourSpec(nodes=8)
     with pytest.raises(InvalidInputError):
-        ContourSpec("hankel-loop", nodes=8)
+        ContourSpec(cutoff=-1.0)
     with pytest.raises(InvalidInputError):
-        ContourSpec("hankel-loop", cutoff=-1.0)
-    with pytest.raises(InvalidInputError):
-        ContourSpec("euler-segment", offset=0.0)
-
-
-def test_spec_kind_mismatch():
-    with pytest.raises(InvalidInputError):
-        hankel_integral(A1, 1, 0.0, [0.0], ContourSpec("euler-segment"))
+        ContourSpec(offset=0.0)
 
 
 def test_hankel_reciprocal_gamma_at_zero_argument():
@@ -113,7 +108,7 @@ def test_hankel_x_length_checked():
 
 
 def plane_spec(**kw):
-    return ContourSpec("shifted-plane", **kw)
+    return ContourSpec(**kw)
 
 
 def test_plane_refinement_consistency():
@@ -297,8 +292,8 @@ def test_tanh_sinh_evaluates_each_node_once():
         seen.append(np.stack([dist_a, dist_b]))
         return dist_a**-0.5 * dist_b**-0.3
 
-    spec = ContourSpec("euler-segment", tolerance=1e-12, max_refinements=14)
-    value, err, used = contour._tanh_sinh(f, 0.0, 1.0, spec, endpoint_form=True)
+    spec = ContourSpec(tolerance=1e-12, max_refinements=14)
+    value, err, used = contour._tanh_sinh(f, 0.0, 1.0, spec, "segment", endpoint_form=True)
     points = np.concatenate(seen, axis=1)
     assert points.shape[1] == used == len(np.unique(points[0] + 1j * points[1]))
     assert abs(value - sp.beta(0.5, 0.7)) <= 1e-11 * sp.beta(0.5, 0.7)
@@ -348,7 +343,7 @@ AE = vector_set([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
 def seg_spec(**kw):
     kw.setdefault("tolerance", 1e-12)
     kw.setdefault("max_refinements", 14)
-    return ContourSpec("euler-segment", **kw)
+    return ContourSpec(**kw)
 
 
 def test_euler_beta_function_oracle():
@@ -394,3 +389,27 @@ def test_euler_preconditions():
 def test_euler_branch_cut_detected():
     with pytest.raises(DomainError):
         euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [-3.0], seg_spec())
+
+
+def test_one_spec_serves_all_three_integrals():
+    spec = ContourSpec(tolerance=1e-10, max_refinements=14)
+    loop = hankel_integral(A1, 1, 0.3, [0.0], spec)
+    assert abs(loop.value - TWO_PI_I * sp.rgamma(1.3)) <= 1e-8
+    plane = shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], spec)
+    bessel = 2 * 0.3**-0.35 * sp.kv(0.7, 2 * np.sqrt(0.3)) * np.exp(-1j * np.pi * 0.7)
+    assert abs(plane.value - bessel) <= 1e-8 * abs(bessel)
+    segment = euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [0.0], spec)
+    euler = sp.beta(0.5, 0.7) * sp.rgamma(-0.2)
+    assert abs(segment.value - euler) <= 1e-8 * abs(euler)
+    # each integral reads only its own fields: the others leave it bit-identical
+    unread = [
+        (loop, dict(nodes=257, adaptive=False), lambda s: hankel_integral(A1, 1, 0.3, [0.0], s)),
+        (plane, dict(offset=3.0), lambda s: shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], s)),
+        (
+            segment,
+            dict(nodes=257, cutoff=1.0, offset=3.0, adaptive=False),
+            lambda s: euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [0.0], s),
+        ),
+    ]
+    for value, changes, integrate in unread:
+        assert integrate(dataclasses.replace(spec, **changes)) == value

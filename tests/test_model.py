@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dataclasses
 import itertools
 
+from ggsys import model
 from ggsys.errors import InvalidInputError
 from ggsys.model import (
+    BaseSelection,
     build_reduced_system,
     enumerate_bases,
     first_base,
@@ -222,3 +225,41 @@ def test_select_base_accepts_exactly_the_enumerated_bases(rows):
             assert I not in labels
         else:
             assert I in labels
+
+
+def _batched_inverses(A):
+    """Inverse of every base's column matrix as the enumeration once built
+    them: one np.linalg.inv per block of independent subsets, the blocks
+    doubling up to _BASE_BLOCK."""
+    subsets = itertools.combinations(range(1, A.N + 1), A.n)
+    size, out = 1, {}
+    while block := list(itertools.islice(subsets, size)):
+        cols = np.swapaxes(A.omega[np.asarray(block) - 1], 1, 2)
+        independent = model._rank_count(np.linalg.svd(cols, compute_uv=False)) == A.n
+        out.update(zip(itertools.compress(block, independent), np.linalg.inv(cols[independent])))
+        size = min(2 * size, model._BASE_BLOCK)
+    return out
+
+
+_RNG_ROWS = np.random.default_rng(11).normal(size=(6, 3, 2)) @ np.array([1, 1j])
+
+
+@pytest.mark.parametrize(
+    "A",
+    [grassmannian_set(2, 5).vectors, grassmannian_set(3, 5).vectors, vector_set(_RNG_ROWS)],
+    ids=["G(2,5)", "G(3,5)", "complex"],
+)
+def test_gamma_matrix_is_derived_on_first_use(A):
+    assert [f.name for f in dataclasses.fields(BaseSelection)] == ["parent", "I"]
+    bases = enumerate_bases(A)
+    assert not any({"J", "gamma_matrix"} & set(vars(b)) for b in bases)
+    oracle = _batched_inverses(A)
+    assert [b.I for b in bases] == list(oracle)
+    for b in bases:
+        assert np.array_equal(b.gamma_matrix, oracle[b.I])  # bit for bit
+        assert b.J == tuple(j for j in range(1, A.N + 1) if j not in b.I)
+    assert "gamma_matrix" in vars(bases[0])
+    with pytest.raises(ValueError):
+        bases[0].gamma_matrix[0, 0] = 1.0
+    last = bases[-1].I
+    assert np.array_equal(select_base(A, last).gamma_matrix, oracle[last])

@@ -174,7 +174,7 @@ def test_normal_agrees_with_independent_nullspace():
 
 def _grassmann_evaluator(G, truncation=30):
     system = build_reduced_system(select_base(G.vectors, (1, 2, 3, 4)))
-    spec = SeriesSpec(system, (0, 0, 0, 0), truncation, mode="full")
+    spec = SeriesSpec(system, (0, 0, 0, 0), truncation)
 
     def f(beta, a):
         return gg_series_eval(spec, beta, a).value

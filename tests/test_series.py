@@ -65,7 +65,7 @@ def test_term_count_matches_simplex_size():
 def test_gg_series_is_prefactor_times_reduced():
     beta = np.array([0.4, -0.3, 0.8])
     a = np.array([1.3, 0.9, 1.7, 0.22])
-    full = gg_series_eval(_spec(R_G, mode="full"), beta, a)
+    full = gg_series_eval(_spec(R_G), beta, a)
     x = R_G.x_from_a(a)
     red = reduced_series_eval(_spec(R_G), beta, x)
     prefactor = np.prod(a[:3] ** R_G.base.coords(beta))
@@ -74,7 +74,7 @@ def test_gg_series_is_prefactor_times_reduced():
 
 def test_gg_series_at_ones_equals_reduced_at_ones():
     beta = np.array([0.4, -0.3, 0.8])
-    full = gg_series_eval(_spec(R_G, mode="full"), beta, np.ones(4))
+    full = gg_series_eval(_spec(R_G), beta, np.ones(4))
     red = reduced_series_eval(_spec(R_G), beta, np.ones(1))
     assert full.value == pytest.approx(red.value, rel=1e-13)
 
@@ -82,7 +82,7 @@ def test_gg_series_at_ones_equals_reduced_at_ones():
 def test_gg_series_rejects_zero_base_argument():
     with pytest.raises(DomainError):
         gg_series_eval(
-            _spec(R_G, mode="full"), np.zeros(3), np.array([0.0, 1, 1, 0.1])
+            _spec(R_G), np.zeros(3), np.array([0.0, 1, 1, 0.1])
         )
 
 
@@ -149,6 +149,8 @@ def test_spec_validation():
         SeriesSpec(R_G, (0, 0, 0), 10, "reduced", ((1,), (2, 3)))
     with pytest.raises(InvalidInputError):
         SeriesSpec(R_G, (0, 0, 0), 10, "mixed", ((1,), (2,)))  # not a split
+    with pytest.raises(InvalidInputError):
+        SeriesSpec(R_G, (0, 0, 0), 10, "full")  # gg_series_eval takes a reduced spec
 
 
 def test_twist_identity():
@@ -527,3 +529,35 @@ def test_convergence_probes_with_one_rgamma_call(monkeypatch):
     report = convergence_condition(system)
     assert seen == [(3, 37, 2)]
     assert report.radius_verdict == ("zero", "positive", "infinite")
+
+
+def test_one_reduced_spec_serves_both_variables(monkeypatch):
+    spec = _spec(R_G)
+    beta = np.array([0.4, -0.3, 0.8])
+    a = np.array([1.3, 0.9, 1.7, 0.22], dtype=complex)
+    built = []
+    post_init = SeriesSpec.__post_init__
+    monkeypatch.setattr(SeriesSpec, "__post_init__", lambda self: built.append(self) or post_init(self))
+    full = gg_series_eval(spec, beta, a)
+    table = ggsys.series._last[2]
+    red = reduced_series_eval(spec, beta, R_G.x_from_a(a))
+    assert built == []  # no spec is built per call
+    assert ggsys.series._last[2] is table  # the second call reads the first one's table
+    prefactor = np.exp(np.sum(R_G.base.coords(beta) * np.log(a[:3])))
+    assert full.value == prefactor * red.value
+
+
+def test_gg_series_rejects_a_mixed_spec():
+    A = vector_set([(1, 0), (0, 1), (-1, -2)])
+    spec = _spec(build_reduced_system(select_base(A, (1, 2))), mode="mixed", partition=((1,), (2,)))
+    with pytest.raises(InvalidInputError, match="needs mode='reduced'"):
+        gg_series_eval(spec, [0.3, 0.7], [1.0, 1.0, 0.2])
+
+
+@pytest.mark.parametrize("x", [[0.2], [0.2, 0.1, 0.3]], ids=["short", "long"])
+def test_invariant_point_length_is_checked(x):
+    A = vector_set([(1, 0), (0, 1), (1, 1), (1, -1)])
+    table = reduced_series(_spec(build_reduced_system(select_base(A, (1, 2))), M=6), [0.3, 0.4])
+    for call in (lambda: table.value(x), lambda: table.derivative(x, 3)):
+        with pytest.raises(InvalidInputError, match="x must list one value per off-base label"):
+            call()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ggsys.errors import InvalidInputError
+from ggsys.errors import ConvergenceError, DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.series import (
     SeriesSpec,
@@ -28,7 +28,7 @@ R_G = build_reduced_system(select_base(A_G, (1, 2, 3)))
 
 def _gg_evaluator(A, I, k=None, truncation=25):
     system = build_reduced_system(select_base(A, I))
-    spec = SeriesSpec(system, k or (0,) * A.n, truncation, mode="full")
+    spec = SeriesSpec(system, k or (0,) * A.n, truncation)
 
     def f(beta, a):
         return gg_series_eval(spec, beta, a).value
@@ -345,3 +345,19 @@ def test_family_rank_single_and_duplicate():
         seed=17,
     )
     assert doubled.rank == 1
+
+
+@pytest.mark.parametrize("error", [InvalidInputError, DomainError, ConvergenceError, ZeroDivisionError])
+def test_evaluator_errors(error):
+    def f(beta, a):
+        raise error("inside the evaluator")
+
+    # the package's own errors keep their type; any other names the sample
+    expected = RuntimeError if error is ZeroDivisionError else error
+    with pytest.raises(expected) as info:
+        check_gg_system(f, A_G, samples=1, base=(1, 2, 3))
+    if expected is RuntimeError:
+        assert str(info.value).startswith("evaluator failed at parameters")
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+    else:
+        assert str(info.value) == "inside the evaluator"
