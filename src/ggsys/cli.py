@@ -37,8 +37,8 @@ from .distributions import (
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .lattice import candidate_family, lattice_quotient, orthogonal_lattice, project_lattice, saturation_index
 from .model import (
+    ReducedSystem,
     VectorSet,
-    build_reduced_system,
     enumerate_bases,
     first_base,
     reducibility_check,
@@ -196,7 +196,7 @@ def _get(obj: dict, path: str, **sizes):
 def _vector_set_from(cfg: dict) -> VectorSet:
     rows = _get(cfg, "omega")
     if _get(cfg, "shift_convention") == "ell":
-        rows = [[-v for v in row] for row in rows]
+        rows = [[0 - v for v in row] for row in rows]  # -v would make zeros -0.0
     try:
         A = vector_set(rows)
     except (InvalidInputError, DomainError) as exc:
@@ -277,7 +277,7 @@ def _task_bases(cfg: dict, A: VectorSet, params: dict):
 def _task_reduce(cfg: dict, A: VectorSet, params: dict):
     if "base" not in cfg:
         raise _bad("base", "the reduce task needs an explicit base")
-    system = build_reduced_system(_base_or_default(cfg, A))
+    system = ReducedSystem(_base_or_default(cfg, A))
     results = {
         "base": list(system.base.I),
         "off_base": list(system.base.J),
@@ -289,7 +289,7 @@ def _task_reduce(cfg: dict, A: VectorSet, params: dict):
 
 
 def _task_eval(cfg: dict, A: VectorSet, params: dict):
-    system = build_reduced_system(_base_or_default(cfg, A))
+    system = ReducedSystem(_base_or_default(cfg, A))
     k = _get(cfg, "k", length=A.n) or (0,) * A.n
     mode = _get(cfg, "mode")
     partition = _get(cfg, "partition", N=A.N)
@@ -324,7 +324,7 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
     # the off-base equation reads the series one order shorter
     if params["truncation"] < 1:
         raise _bad("truncation", "must be >= 1 for the verify task")
-    system = build_reduced_system(_base_or_default(cfg, A))
+    system = ReducedSystem(_base_or_default(cfg, A))
     k = _get(cfg, "k", length=A.n) or (0,) * A.n
     x_bound = _get(cfg, "x_bound")
     eps = _get(cfg, "perturbation")
@@ -358,7 +358,10 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
 
 
 def _task_lattice(cfg: dict, A: VectorSet, params: dict):
-    lat = orthogonal_lattice(A)
+    try:
+        lat = orthogonal_lattice(A)
+    except DomainError as exc:
+        raise _bad("omega", str(exc))
     results = {"orthogonal_lattice": lat, "saturation_index": saturation_index(A)}
     labels = _get(cfg, "base", N=A.N)
     if labels is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .gammafn import rgamma
-from .model import VectorSet, _invariant_point, build_reduced_system, select_base
+from .model import ReducedSystem, VectorSet, _invariant_point, select_base
 
 _TINY = 1e-300
 _DECAY = 1e-18  # required endpoint suppression for open contours
@@ -157,7 +157,7 @@ def hankel_integral(
     if A.n != 1:
         raise InvalidInputError("loop integral needs a one-dimensional configuration")
     base = select_base(A, (i,))
-    system = build_reduced_system(base)
+    system = ReducedSystem(base)
     exponents = system.off_base_coords[:, 0]  # g_j = coordinate of omega^j
     if np.any(exponents.real > 1.0 + 1e-12):
         raise DomainError(
@@ -248,7 +248,7 @@ def shifted_plane_integral(
     phase factor.
     """
     base = select_base(A, I)
-    system = build_reduced_system(base)
+    system = ReducedSystem(base)
     n = A.n
     if n > 2:
         raise DomainError("plane quadrature implemented for n <= 2 only")
@@ -293,7 +293,7 @@ def euler_segment_integral(
     if A.n != 2:
         raise InvalidInputError("segment integral needs a two-dimensional configuration")
     base = select_base(A, I)
-    system = build_reduced_system(base)
+    system = ReducedSystem(base)
     gamma = system.off_base_coords  # (r, 2)
     sums = gamma.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-10):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .series import _factorials, _shell_indices
+from .series import _factorials, _shells
 from .verify import ResidualReport, residual_report
 
 _DECAY = 1e-14
@@ -102,14 +102,14 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
     the sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!, and the
     magnitude of its last shell |r| = R."""
     n = ell.shape[1]
-    shells = _shell_indices(n, R)
+    shells, degrees, mfact = _shells(n, R)
     points = (ms.astype(np.float64) @ ell)[:, None, :] + shells
     distinct, inverse = _distinct_rows(points.reshape(-1, n))
     probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
     terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
-    terms /= np.prod(_factorials(R)[shells], axis=1)
+    terms /= mfact
     values = terms.sum(axis=1)
-    last = np.abs(terms[:, shells.sum(axis=1) == R]).sum(axis=1)
+    last = np.abs(terms[:, degrees == R]).sum(axis=1)
     bad = np.flatnonzero(_not_decaying(last, values))
     if bad.size:
         raise ConvergenceError(
@@ -155,14 +155,14 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
         raise InvalidInputError("x must list one value per shift vector")
     M, R = _truncation(M, "M"), _truncation(R, "R")
     fn = _as_callable(phi)
-    outer = _shell_indices(q, M)
-    weights = np.prod(x**outer, axis=1) / np.prod(_factorials(M)[outer], axis=1)
-    rows = max(1, _BLOCK_POINTS // len(_shell_indices(mat.shape[1], R)))
+    outer, degrees, mfact = _shells(q, M)
+    weights = np.prod(x**outer, axis=1) / mfact
+    rows = max(1, _BLOCK_POINTS // len(_shells(mat.shape[1], R)[0]))
     blocks = [_comb_sums(mat, outer[i:i + rows], fn, R) for i in range(0, len(outer), rows)]
     inner, inner_last = (np.concatenate(parts) for parts in zip(*blocks))
     terms = inner * weights
     value = complex(terms.sum())
-    outer_last = float(np.abs(terms[outer.sum(axis=1) == M]).sum())
+    outer_last = float(np.abs(terms[degrees == M]).sum())
     if _not_decaying(outer_last, value):
         raise ConvergenceError(
             f"outer series is not decaying at the truncation ({outer_last:.3e})"

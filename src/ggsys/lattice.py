@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidInputError
 from .model import VectorSet, select_base
 
+# the largest quotient order lattice_quotient lists; larger ones are refused
+_MAX_REPRESENTATIVES = 2**18
+
 
 def _as_int_rows(rows) -> list[list[int]]:
     return [[int(v) for v in row] for row in rows]
@@ -199,8 +202,11 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
             "projection onto the chosen positions is not full-rank"
         )
     h_diag = [proj.basis_rows[i][i] for i in range(n)]
+    order = math.prod(h_diag)
+    if order > _MAX_REPRESENTATIVES:
+        raise InvalidInputError(f"quotient order {order} is above the {_MAX_REPRESENTATIVES} cap")
     reps = tuple(itertools.product(*(range(h) for h in h_diag)))
-    return QuotientStructure(elementary_divisors(proj.basis_rows), math.prod(h_diag), reps)
+    return QuotientStructure(elementary_divisors(proj.basis_rows), order, reps)
 
 
 def candidate_family(A: VectorSet, bases) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

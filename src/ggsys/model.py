@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import InvalidInputError
 # the package's one rank rule: singular values <= _RANK_TOL * max(1, largest)
 # do not count toward the rank, so an n-subset is a base iff all n count
 _RANK_TOL = 1e-10
-# span-membership and equal-vector tolerance of reducibility_check
+# membership and equal-vector tolerance of reducibility_check
 _REDUCIBILITY_TOL = 1e-9
 # most n-subsets _iter_bases tests with one batched SVD
 _BASE_BLOCK = 256
@@ -49,33 +48,34 @@ def _positions(labels) -> np.ndarray:
     return np.asarray([int(i) - 1 for i in labels], dtype=np.intp)
 
 
-def _try_exact_int(entry):
-    """Exact integer content of ``entry``, or None when it has none."""
-    if isinstance(entry, bool):
+def _integers(values: np.ndarray) -> np.ndarray | None:
+    """``values`` as a read-only int64 array when every entry is exactly an
+    integer (real part equal to its rounding, imaginary part 0) below 2**31
+    in magnitude, else None."""
+    real = values.real
+    if np.any(values.imag != 0) or np.any(real != np.round(real)) or np.any(np.abs(real) >= 2**31):
         return None
-    if isinstance(entry, (int, np.integer)):
-        return int(entry)
-    if isinstance(entry, Fraction):
-        return int(entry) if entry.denominator == 1 else None
-    value = complex(entry)
-    if value.imag != 0.0:
-        return None
-    if float(value.real).is_integer():
-        return int(value.real)
-    return None
+    out = real.astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class VectorSet:
     """A finite spanning family of complex n-vectors.
 
-    ``omega`` is an (N, n) complex array whose rows are the vectors.  When
-    every coordinate is an integer an exact copy is kept in ``integer_rows``
-    so the lattice machinery can work without floating error.
+    ``omega`` is an (N, n) complex array whose rows are the vectors.
     """
 
     omega: np.ndarray
-    integer_rows: tuple | None
+
+    @cached_property
+    def integer_rows(self) -> tuple | None:
+        """The rows as tuples of Python ints when ``_integers`` reads every
+        coordinate as an integer, else None; the lattice machinery works on
+        these without floating error."""
+        ints = _integers(self.omega)
+        return None if ints is None else tuple(map(tuple, ints.tolist()))
 
     @property
     def n(self) -> int:
@@ -99,32 +99,19 @@ def vector_set(rows) -> VectorSet:
     Raises InvalidInputError when the vectors fail to span their ambient
     space at the package rank tolerance.
     """
-    raw = list(rows)
+    raw = [list(row) for row in rows]
     if not raw:
         raise InvalidInputError("empty vector set")
-    exact: list[tuple[int, ...]] | None = []
-    data = []
-    width = None
-    for row in raw:
-        entries = list(row)
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise InvalidInputError("rows of unequal length")
-        ints = [_try_exact_int(e) for e in entries]
-        if exact is not None and all(v is not None for v in ints):
-            exact.append(tuple(ints))  # type: ignore[arg-type]
-        else:
-            exact = None
-        data.append([complex(e) for e in entries])
-    omega = np.asarray(data, dtype=np.complex128)
+    if len({len(row) for row in raw}) != 1:
+        raise InvalidInputError("rows of unequal length")
+    omega = np.asarray([[complex(e) for e in row] for row in raw], dtype=np.complex128)
     N, n = omega.shape
     if n < 1 or N < n:
         raise InvalidInputError(f"need N >= n >= 1, got N={N}, n={n}")
     if _svd_rank(omega)[0] < n:
         raise InvalidInputError("vectors do not span the ambient space")
     omega.setflags(write=False)
-    return VectorSet(omega, tuple(exact) if exact is not None else None)
+    return VectorSet(omega)
 
 
 @dataclass(frozen=True)
@@ -213,49 +200,56 @@ def kernel_space(A: VectorSet) -> np.ndarray:
 class ReducedSystem:
     """A base together with the difference-equation data it induces.
 
-    ``l_coeffs`` holds one N-vector per off-base label j (ordered like
-    ``base.J``): entry 1 at position j, minus the base coordinates of
-    omega^j at the base positions, zero elsewhere.  The torus-invariant
-    variables are x_j = a_j * prod_i a_i^(l^j_i) over the base labels i.
+    The shift vector l^j of an off-base label j (ordered like ``base.J``) has
+    entry 1 at position j, minus the base coordinates of omega^j at the base
+    positions, and zero elsewhere.  The torus-invariant variables are
+    x_j = a_j * prod_i a_i^(l^j_i) over the base labels i.  The arrays below
+    are read-only and computed once, on first use.
     """
 
     base: BaseSelection
-    l_coeffs: np.ndarray  # (r, N)
 
     @property
     def r(self) -> int:
         return len(self.base.J)
 
-    @property
-    def l_on_base(self) -> np.ndarray:
-        """(r, n) block of l^j at the base positions (= -coords of omega^j)."""
-        return self.l_coeffs[:, _positions(self.base.I)]
-
-    @property
+    @cached_property
     def off_base_coords(self) -> np.ndarray:
         """(r, n) base coordinates of the off-base vectors omega^j."""
-        return -self.l_on_base
+        base = self.base
+        # Fortran order: matrix products with a C-ordered copy round
+        # differently in the last digit (x_from_a, the series tables)
+        coords = np.array(
+            [base.coords(base.parent.row(j)) for j in base.J], dtype=np.complex128, order="F"
+        ).reshape(self.r, base.parent.n)
+        coords.setflags(write=False)
+        return coords
+
+    @cached_property
+    def l_on_base(self) -> np.ndarray:
+        """(r, n) block of l^j at the base positions (= -coords of omega^j)."""
+        l_on_base = -self.off_base_coords
+        l_on_base.setflags(write=False)
+        return l_on_base
+
+    @property
+    def l_coeffs(self) -> np.ndarray:
+        """(r, N) shift vectors l^j, one row per off-base label."""
+        L = np.zeros((self.r, self.base.parent.N), dtype=np.complex128)
+        L[np.arange(self.r), _positions(self.base.J)] = 1.0
+        L[:, _positions(self.base.I)] = self.l_on_base
+        return L
 
     @cached_property
     def integer_off_base_coords(self) -> np.ndarray | None:
-        """``off_base_coords`` as an int64 array when every entry is exactly
-        an integer (real part equal to its rounding, imaginary part 0) below
-        2**31 in magnitude, else None."""
-        coords = self.off_base_coords
-        real = coords.real
-        if np.any(coords.imag != 0) or np.any(real != np.round(real)) or np.any(np.abs(real) >= 2**31):
-            return None
-        out = real.astype(np.int64)
-        out.setflags(write=False)
-        return out
+        """``off_base_coords`` through ``_integers``."""
+        return _integers(self.off_base_coords)
 
     def x_from_a(self, a) -> np.ndarray:
         """Torus-invariant variables from an argument vector (principal powers)."""
         a = np.asarray(a, dtype=np.complex128)
         ipos = _positions(self.base.I)
         jpos = _positions(self.base.J)
-        if self.r == 0:
-            return np.zeros(0, dtype=np.complex128)
         log_base = np.log(a[ipos])
         return a[jpos] * np.exp(self.l_on_base @ log_base)
 
@@ -269,15 +263,8 @@ def _invariant_point(system: ReducedSystem, x) -> np.ndarray:
 
 
 def build_reduced_system(B: BaseSelection) -> ReducedSystem:
-    A = B.parent
-    r = A.N - A.n
-    L = np.zeros((r, A.N), dtype=np.complex128)
-    ipos = _positions(B.I)
-    for row, j in enumerate(B.J):
-        L[row, j - 1] = 1.0
-        L[row, ipos] = -B.coords(A.row(j))
-    L.setflags(write=False)
-    return ReducedSystem(B, L)
+    """The reduced system of base ``B``; the same as ``ReducedSystem(B)``."""
+    return ReducedSystem(B)
 
 
 @dataclass(frozen=True)
@@ -308,44 +295,28 @@ class ReducibilityReport:
     set_side: SetSideDiagnostics
 
 
-def _in_row_span(rows: np.ndarray, w: np.ndarray, tol: float) -> bool:
-    if rows.shape[0] == 0:
-        return bool(np.linalg.norm(w) <= tol)
-    # rows are orthonormal under the Hermitian inner product
-    proj = rows.T @ (rows.conj() @ w)
-    return bool(np.linalg.norm(w - proj) <= tol * max(1.0, float(np.linalg.norm(w))))
-
-
 def reducibility_check(A: VectorSet) -> ReducibilityReport:
     tol = _REDUCIBILITY_TOL
     Lrows = kernel_space(A)
-    N = A.N
-    eye = np.eye(N, dtype=np.complex128)
+    # row i of R is e_i minus its projection onto the relation space (the
+    # rows of Lrows are orthonormal under the Hermitian inner product)
+    R = (np.eye(A.N) - Lrows.T @ Lrows.conj()).T
 
-    cond1 = any(_in_row_span(Lrows, eye[i], tol) for i in range(N))
+    cond1 = bool(np.any(np.linalg.norm(R, axis=1) <= tol))
     # a coordinate functional vanishes on the relation space iff that
     # coordinate is zero across any basis of it
     cond2 = bool(Lrows.shape[0] > 0) and bool(
         np.any(np.max(np.abs(Lrows), axis=0) <= tol)
     )
-    cond3 = any(
-        _in_row_span(Lrows, eye[i] - eye[j], tol)
-        for i in range(N)
-        for j in range(N)
-        if i < j
-    )
+    # e_i - e_j has norm sqrt(2)
+    cond3 = bool(np.any(np.triu(_close(R, R, tol * np.sqrt(2.0)), k=1)))
 
     scale = float(np.max(np.abs(A.omega))) or 1.0
     zero_vec = bool(np.any(np.linalg.norm(A.omega, axis=1) <= tol * scale))
     repeated = bool(np.any(np.triu(_close(A.omega, A.omega, tol * scale), k=1)))
-    outside = False
-    for i in range(N):
-        others = np.delete(A.omega, i, axis=0)
-        rank, Vh = _svd_rank(others)
-        span_rows = Vh[:rank]
-        if not _in_row_span(span_rows, A.omega[i], tol):
-            outside = True
-            break
+    # omega^i lies outside the others' span iff dropping it lowers the rank
+    others = np.stack([np.delete(A.omega, i, axis=0) for i in range(A.N)])
+    outside = bool(np.any(_rank_count(np.linalg.svd(others, compute_uv=False)) < A.n))
 
     return ReducibilityReport(
         contains_coordinate_subspace=cond1,

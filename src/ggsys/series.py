@@ -79,19 +79,17 @@ class SeriesValue:
 
 
 @lru_cache(maxsize=64)
-def _shell_indices(r: int, M: int) -> np.ndarray:
-    """All multi-indices m in Z_+^r with |m| <= M, ordered by total degree."""
-    if r == 0:
-        out = np.zeros((1, 0), dtype=np.int64)
-        out.setflags(write=False)
-        return out
+def _shells(r: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All multi-indices m in Z_+^r with |m| <= M, ordered by total degree,
+    with their total degrees and m! (the product of the factorials of the
+    entries), all read-only."""
     count = math.comb(M + r, r)
     if count > _MAX_TERMS:
         raise InvalidInputError(
             f"truncation: needs {count} terms, above the {_MAX_TERMS} cap"
         )
     shells = [np.zeros((1, r), dtype=np.int64)]
-    for _ in range(M):
+    for _ in range(M if r else 0):  # r = 0: only the empty multi-index
         prev = shells[-1]
         bumped = prev[:, None, :] + np.eye(r, dtype=np.int64)[None, :, :]
         flat = bumped.reshape(-1, r)
@@ -100,8 +98,10 @@ def _shell_indices(r: int, M: int) -> np.ndarray:
         bump_pos = np.tile(np.arange(r), len(prev))
         last_nonzero = (r - 1) - np.argmax(flat[:, ::-1] > 0, axis=1)
         shells.append(flat[bump_pos == last_nonzero])
-    out = np.concatenate(shells, axis=0)
-    out.setflags(write=False)
+    m = np.concatenate(shells, axis=0)
+    out = (m, m.sum(axis=1), np.prod(_factorials(M)[m], axis=1))
+    for array in out:
+        array.setflags(write=False)
     return out
 
 
@@ -109,13 +109,6 @@ def _factorials(M: int) -> np.ndarray:
     if M > _MAX_FACTORIAL:
         raise InvalidInputError("truncation beyond double-precision factorials")
     return np.cumprod(np.concatenate(([1.0], np.arange(1.0, M + 1))))
-
-
-def _divisors(r: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Total degree and m! (the product of the factorials of the entries) of
-    every multi-index of the order-M table."""
-    m = _shell_indices(r, M)
-    return m.sum(axis=1), np.prod(_factorials(M)[m], axis=1)
 
 
 class TruncatedSeries:
@@ -128,13 +121,12 @@ class TruncatedSeries:
     def __init__(self, spec: SeriesSpec, beta, raw_coeffs: np.ndarray):
         self.spec = spec
         self.beta = np.array(beta, dtype=np.complex128)
-        self.exponents = _shell_indices(spec.system.r, spec.truncation)
+        self.exponents, self.degrees, mfact = _shells(spec.system.r, spec.truncation)
         if raw_coeffs.shape != (len(self.exponents),):
             raise InvalidInputError("coefficient table has the wrong length")
         self.raw_coeffs = raw_coeffs.view()
-        self.degrees, mfact = _divisors(spec.system.r, spec.truncation)
         self.coeffs = raw_coeffs / mfact
-        for array in (self.beta, self.raw_coeffs, self.coeffs, self.degrees):
+        for array in (self.beta, self.raw_coeffs, self.coeffs):
             array.setflags(write=False)
 
     def _powers(self, x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -157,17 +149,19 @@ class TruncatedSeries:
     def derivative(self, x, j_label: int) -> complex:
         """d/dx_j of the truncated sum, j a 1-based off-base label."""
         x = _invariant_point(self.spec.system, x)
+        if j_label not in self.spec.system.base.J:
+            raise InvalidInputError(f"label {j_label!r} is not an off-base label")
         col = self.spec.system.base.J.index(j_label)
         m = self.exponents
         p = self._powers(x, np.maximum(m - (np.arange(m.shape[1]) == col), 0))
         return complex(np.sum(self.coeffs * m[:, col] * p))
 
     def coefficient(self, m) -> complex:
-        m = np.asarray(m, dtype=np.int64)
-        hit = np.all(self.exponents == m[None, :], axis=1)
-        idx = np.nonzero(hit)[0]
+        key = np.asarray(m)
+        r, M = self.spec.system.r, self.spec.truncation
+        idx = np.flatnonzero(np.all(self.exponents == key, axis=1)) if key.shape == (r,) else ()
         if len(idx) == 0:
-            raise InvalidInputError(f"multi-index {tuple(m)} beyond truncation")
+            raise InvalidInputError(f"multi-index {key.tolist()} is not in the table (r = {r}, |m| <= {M})")
         return complex(self.raw_coeffs[idx[0]])
 
 
@@ -178,7 +172,7 @@ def _spec_tables(spec: SeriesSpec, beta):
     if beta.shape != (system.base.parent.n,):
         raise InvalidInputError("parameter vector has the wrong length")
     beta_I = system.base.coords(beta)
-    m = _shell_indices(system.r, spec.truncation)
+    m = _shells(system.r, spec.truncation)[0]
     # base coordinates of beta - sum_j m_j omega^j, one row per term
     shifted = beta_I[None, :] - m @ system.off_base_coords
     k = np.asarray(spec.k, dtype=np.float64)

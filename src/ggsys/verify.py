@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
-from .model import VectorSet, ReducedSystem, _svd_rank, build_reduced_system, first_base, select_base
+from .model import VectorSet, ReducedSystem, _svd_rank, first_base, select_base
 from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
 
 DEFAULT_TOLERANCE = 1e-8
@@ -139,7 +139,7 @@ def check_gg_system(
     chosen = select_base(A, base) if base is not None else first_base(A)
     if chosen is None:
         raise InvalidInputError("the vector set has no base")
-    system = build_reduced_system(chosen)
+    system = ReducedSystem(chosen)
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
     shift_res, weighted_res, forms_res, scales = [], [], [], []
@@ -426,7 +426,7 @@ def solution_family_rank(
     if not family:
         raise InvalidInputError("empty candidate family")
     rng = np.random.default_rng(seed)
-    systems = {I: build_reduced_system(select_base(A, I)) for I, _ in family}
+    systems = {I: ReducedSystem(select_base(A, I)) for I, _ in family}
     first = systems[family[0][0]]
     beta = sample_parameters(first, 1, rng)[0]
 

@@ -654,3 +654,45 @@ def test_integral_domain_error_names_the_integral(tmp_path):
     cfg["integral"] |= {"beta": [0.5, 0.5], "x": [0.3, 0.1]}
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == "integral: x must list one value per off-base label"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"task": "reduce", "base": [1, 2]},
+        {"task": "bases"},
+        {"task": "verify", "base": [1, 2], "samples": 3},
+    ],
+    ids=["reduce", "bases", "verify"],
+)
+def test_ell_convention_reports_the_omega_report(tmp_path, cfg):
+    omega = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    ell = [[-1, 0], [0, -1], [-1, -1], [-1, 1]]
+    texts, codes = {}, set()
+    for convention, rows in (("omega", omega), ("ell", ell)):
+        out = tmp_path / f"{convention}.json"
+        config = {**cfg, "omega": rows, "shift_convention": convention}
+        codes.add(main(["--config", _write(tmp_path, config), "--quiet", "--out", str(out)]))
+        texts[convention] = out.read_text(encoding="utf-8").splitlines()
+    assert len(codes) == 1  # the verify sums diverge here (exit 1) under both conventions
+    differ = [(a, b) for a, b in zip(texts["omega"], texts["ell"]) if a != b]
+    assert len(texts["omega"]) == len(texts["ell"])
+    assert differ == [('    "shift_convention": "omega"', '    "shift_convention": "ell"')]
+
+
+@pytest.mark.parametrize(
+    "omega, error",
+    [
+        ([[2000000000], [1]], "base: quotient order 2000000000 is above the 262144 cap"),
+        ([[0.5], [1]], "omega: lattice operations need integer vector coordinates"),
+        ([[3000000000], [1]], "omega: lattice operations need integer vector coordinates"),
+    ],
+    ids=["order-2e9", "fraction", "past-int32"],
+)
+def test_lattice_refusals_name_their_field(tmp_path, omega, error):
+    out = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    cfg = {"task": "lattice", "omega": omega, "base": [1]}
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert _report(out)["error"] == error

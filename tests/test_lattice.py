@@ -338,3 +338,13 @@ def test_orthogonal_lattice_seeded_under_a_second(N, n, seed):
         for basis_row in lat.basis_rows:
             assert sum(a * b for a, b in zip(basis_row, ker_row)) == 0
     assert index == math.prod(_sympy_divisors(coords))
+
+
+def test_quotient_is_refused_past_the_cap_before_listing():
+    lat = orthogonal_lattice(vector_set([(2**18 + 1,), (1,)]))
+    with pytest.raises(InvalidInputError, match="quotient order 262145 is above the 262144 cap"):
+        lattice_quotient(lat, (1,))
+    at_cap = lattice_quotient(orthogonal_lattice(vector_set([(2**18,), (1,)])), (1,))
+    assert at_cap.order == len(at_cap.representatives) == 2**18
+    with pytest.raises(InvalidInputError, match="quotient order 360000 is above"):
+        candidate_family(vector_set([(600, 0), (0, 600), (1, 0), (0, 1)]), [(1, 2)])

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 from ggsys import model
 from ggsys.errors import InvalidInputError
@@ -263,3 +264,138 @@ def test_gamma_matrix_is_derived_on_first_use(A):
         bases[0].gamma_matrix[0, 0] = 1.0
     last = bases[-1].I
     assert np.array_equal(select_base(A, last).gamma_matrix, oracle[last])
+
+
+@pytest.mark.parametrize(
+    "entry, exact",
+    [
+        (3, 3),
+        (Fraction(6, 2), 3),
+        (-3.0, -3),
+        (complex(3, 0), 3),
+        (True, 1),
+        (2**31 - 1, 2**31 - 1),
+        (2**31, None),
+        (-(2**31), None),
+        (Fraction(1, 2), None),
+        (0.5, None),
+        (3 + 1j, None),
+    ],
+)
+def test_integer_rows_follow_the_one_integer_rule(entry, exact):
+    A = vector_set([(1, 0), (0, 1), (entry, 1)])
+    assert [f.name for f in dataclasses.fields(model.VectorSet)] == ["omega"]
+    assert A.integer_rows == (None if exact is None else ((1, 0), (0, 1), (exact, 1)))
+    if exact is not None:
+        assert all(type(v) is int for row in A.integer_rows for v in row)
+    assert A.integer_rows is A.integer_rows
+
+
+def _old_l_coeffs(B):
+    """The shift vectors as ReducedSystem once stored them: one row per
+    off-base label, built label by label."""
+    A = B.parent
+    L = np.zeros((A.N - A.n, A.N), dtype=np.complex128)
+    ipos = np.asarray(B.I) - 1
+    for row, j in enumerate(B.J):
+        L[row, j - 1] = 1.0
+        L[row, ipos] = -B.coords(A.row(j))
+    return L
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes("A") == b.tobytes("A")
+
+
+@pytest.mark.parametrize(
+    "A", [grassmannian_set(2, 5).vectors, vector_set(_RNG_ROWS)], ids=["G(2,5)", "complex"]
+)
+def test_reduced_system_arrays_match_the_stored_shift_vectors(A):
+    for B in enumerate_bases(A):
+        R = model.ReducedSystem(B)
+        L = _old_l_coeffs(B)
+        ipos = np.asarray(B.I) - 1
+        assert _same_bits(R.off_base_coords, -L[:, ipos])  # layout and bits
+        assert _same_bits(R.l_on_base, L[:, ipos])
+        assert np.array_equal(R.l_coeffs, L)
+        a = np.linspace(0.5, 2.0, A.N) + 0.1j
+        x = a[np.asarray(B.J) - 1] * np.exp(L[:, ipos] @ np.log(a[ipos]))
+        assert R.x_from_a(a).tobytes() == x.tobytes()
+
+
+def test_reduced_system_holds_its_base_and_derives_the_rest_once():
+    assert [f.name for f in dataclasses.fields(model.ReducedSystem)] == ["base"]
+    R = model.ReducedSystem(select_base(vector_set(A_G_ROWS), (1, 2, 3)))
+    assert build_reduced_system(R.base) == R
+    for name in ("off_base_coords", "l_on_base", "integer_off_base_coords"):
+        array = getattr(R, name)
+        assert getattr(R, name) is array
+        with pytest.raises(ValueError):
+            array[0, 0] = 5
+    np.testing.assert_array_equal(R.integer_off_base_coords, [[1, 1, -1]])
+
+
+def _old_reducibility(A):
+    """reducibility_check as it tested span membership one vector at a time:
+    e_i and e_i - e_j projected onto the relation space, and each vector
+    projected onto the row span of the others."""
+    tol = model._REDUCIBILITY_TOL
+
+    def in_row_span(rows, w):
+        if rows.shape[0] == 0:
+            return bool(np.linalg.norm(w) <= tol)
+        proj = rows.T @ (rows.conj() @ w)
+        return bool(np.linalg.norm(w - proj) <= tol * max(1.0, float(np.linalg.norm(w))))
+
+    Lrows = kernel_space(A)
+    eye = np.eye(A.N, dtype=np.complex128)
+    cond1 = any(in_row_span(Lrows, eye[i]) for i in range(A.N))
+    cond2 = bool(Lrows.shape[0] > 0) and bool(np.any(np.max(np.abs(Lrows), axis=0) <= tol))
+    cond3 = any(in_row_span(Lrows, eye[i] - eye[j]) for i, j in itertools.combinations(range(A.N), 2))
+    scale = float(np.max(np.abs(A.omega))) or 1.0
+    zero_vec = bool(np.any(np.linalg.norm(A.omega, axis=1) <= tol * scale))
+    repeated = bool(np.any(np.triu(model._close(A.omega, A.omega, tol * scale), k=1)))
+    outside = False
+    for i in range(A.N):
+        rank, Vh = model._svd_rank(np.delete(A.omega, i, axis=0))
+        if not in_row_span(Vh[:rank], A.omega[i]):
+            outside = True
+            break
+    return model.ReducibilityReport(
+        cond1, cond2, cond3, not (cond1 or cond2 or cond3),
+        model.SetSideDiagnostics(zero_vec, repeated, outside),
+    )
+
+
+@st.composite
+def _reducibility_sets(draw):
+    """Integer sets with repeated and zero vectors, or scaled Gaussian ones."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n, n + 3))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=N))
+        rows = [draw(st.sampled_from(pool + [[0] * n])) for _ in range(N)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        rows = (scale * rng.normal(size=(N, n, 2)) @ np.array([1, 1j])).tolist()
+    try:
+        return vector_set(rows)
+    except InvalidInputError:
+        return vector_set(np.eye(n).tolist() + rows)
+
+
+@given(_reducibility_sets())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reducibility_by_one_projector_matches_the_span_tests(A):
+    assert reducibility_check(A) == _old_reducibility(A)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [A_G_ROWS, [(1, 0), (0, 1), (0, 0)], [(1, 0), (0, 1), (0, 1)], [(1, 0), (0, 1), (0, 2)], [(2,)], [(1,), (1,)]],
+)
+def test_reducibility_by_one_projector_on_the_named_sets(rows):
+    A = vector_set(rows)
+    assert reducibility_check(A) == _old_reducibility(A)
+    assert not hasattr(model, "_in_row_span")

@@ -561,3 +561,47 @@ def test_invariant_point_length_is_checked(x):
     for call in (lambda: table.value(x), lambda: table.derivative(x, 3)):
         with pytest.raises(InvalidInputError, match="x must list one value per off-base label"):
             call()
+
+
+@pytest.mark.parametrize("r, M", [(0, 4), (1, 40), (2, 5), (3, 12)])
+def test_shell_record_holds_degrees_and_factorials(r, M):
+    m, degrees, mfact = ggsys.series._shells(r, M)
+    assert ggsys.series._shells(r, M)[1] is degrees
+    assert len(m) == math.comb(M + r, r)
+    assert np.array_equal(degrees, m.sum(axis=1))
+    factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, M + 1))))
+    assert mfact.tobytes() == np.prod(factorials[m], axis=1).tobytes()
+    for array in (m, degrees, mfact):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    assert not hasattr(ggsys.series, "_divisors")
+
+
+def test_shell_record_keeps_the_term_cap_first():
+    with pytest.raises(InvalidInputError, match="truncation: needs 13884156 terms"):
+        ggsys.series._shells(8, 25)
+    with pytest.raises(InvalidInputError, match="beyond double-precision factorials"):
+        ggsys.series._shells(1, 151)
+
+
+_ORDER_5 = reduced_series(
+    _spec(build_reduced_system(select_base(vector_set([(1, 0), (0, 1), (1, 1), (1, -1)]), (1, 2))), M=5),
+    [0.3, 0.4],
+)
+
+
+@pytest.mark.parametrize(
+    "m, shown",
+    [([1], "[1]"), ([0.5, 0], "[0.5, 0.0]"), ([1, 0, 0], "[1, 0, 0]"), ([6, 0], "[6, 0]"), ([-1, 0], "[-1, 0]")],
+)
+def test_coefficient_names_a_multi_index_outside_the_table(m, shown):
+    with pytest.raises(InvalidInputError) as excinfo:
+        _ORDER_5.coefficient(m)
+    assert str(excinfo.value) == f"multi-index {shown} is not in the table (r = 2, |m| <= 5)"
+    assert _ORDER_5.coefficient([1, 1]) == _ORDER_5.raw_coeffs[4]
+
+
+@pytest.mark.parametrize("label", [1, 2, 9])
+def test_derivative_names_a_label_that_is_not_off_base(label):
+    with pytest.raises(InvalidInputError, match=f"label {label} is not an off-base label"):
+        _ORDER_5.derivative([0.1, 0.2], label)
