@@ -15,6 +15,8 @@ not settle, 2 the config is invalid (the message names the field).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -67,6 +69,15 @@ from .verify import (
 
 def _bad(field: str, message: str) -> InvalidInputError:
     return InvalidInputError(f"{field}: {message}")
+
+
+@contextlib.contextmanager
+def _blame(field: str, errors=(InvalidInputError, DomainError)):
+    """Re-raise a library error of type ``errors`` as an invalid ``field``."""
+    try:
+        yield
+    except errors as exc:
+        raise _bad(field, str(exc))
 
 
 def _is_number(value) -> bool:
@@ -124,10 +135,6 @@ def _array(value, field: str, entry, length: int | None = None, non_empty: bool 
     if length is not None and len(out) != length:
         raise _bad(field, f"expected {length} entries, got {len(out)}")
     return out
-
-
-def _as_complex_vector(value, field: str, length: int | None = None) -> list[complex]:
-    return _array(value, field, _as_complex, length)
 
 
 def _as_vectors(value, field: str, length: int | None = None, non_empty: bool = False) -> list[list[complex]]:
@@ -197,10 +204,8 @@ def _vector_set_from(cfg: dict) -> VectorSet:
     rows = _get(cfg, "omega")
     if _get(cfg, "shift_convention") == "ell":
         rows = [[0 - v for v in row] for row in rows]  # -v would make zeros -0.0
-    try:
+    with _blame("omega"):
         A = vector_set(rows)
-    except (InvalidInputError, DomainError) as exc:
-        raise _bad("omega", str(exc))
     if _get(cfg, "n") not in (None, A.n):
         raise _bad("n", f"declared {cfg['n']}, but omega rows have {A.n} entries")
     if _get(cfg, "N") not in (None, A.N):
@@ -254,10 +259,8 @@ def _jsonify(obj):
 def _base_or_default(cfg: dict, A: VectorSet):
     labels = _get(cfg, "base", N=A.N)
     if labels is not None:
-        try:
+        with _blame("base"):
             return select_base(A, labels)
-        except (InvalidInputError, DomainError) as exc:
-            raise _bad("base", str(exc))
     base = first_base(A)
     if base is None:
         raise _bad("omega", "the set has no base (vectors do not span)")
@@ -293,10 +296,9 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
     k = _get(cfg, "k", length=A.n) or (0,) * A.n
     mode = _get(cfg, "mode")
     partition = _get(cfg, "partition", N=A.N)
-    try:  # a full-mode sum is the reduced one times a prefactor (gg_series_eval)
+    # a full-mode sum is the reduced one times a prefactor (gg_series_eval)
+    with _blame("mode", InvalidInputError):
         spec = SeriesSpec(system, k, params["truncation"], {"full": "reduced"}.get(mode, mode), partition)
-    except InvalidInputError as exc:
-        raise _bad("mode", str(exc))
 
     betas = _get(cfg, "beta", length=A.n)
     arg_key, arg_len = ("a", A.N) if mode == "full" else ("x", system.r)
@@ -358,17 +360,13 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
 
 
 def _task_lattice(cfg: dict, A: VectorSet, params: dict):
-    try:
+    with _blame("omega", DomainError):
         lat = orthogonal_lattice(A)
-    except DomainError as exc:
-        raise _bad("omega", str(exc))
     results = {"orthogonal_lattice": lat, "saturation_index": saturation_index(A)}
     labels = _get(cfg, "base", N=A.N)
     if labels is not None:
-        try:
+        with _blame("base", InvalidInputError):
             quotient = lattice_quotient(lat, labels)
-        except InvalidInputError as exc:
-            raise _bad("base", str(exc))
         results.update(base=list(labels), projected_lattice=project_lattice(lat, labels), quotient=quotient)
     return results, []
 
@@ -390,7 +388,7 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
         integrate = partial(hankel_integral, A, label, beta, x, contour)
         inputs = {"base": label, "beta": beta}
     else:
-        beta = _as_complex_vector(raw_beta, "integral.beta", A.n)
+        beta = _as_complex_vector(raw_beta, "integral.beta", length=A.n)
         labels = _as_labels(sub.get("base"), "integral.base", A.N)
         if kind == "shifted-plane":
             branch = _get(sub, "integral.branch", length=A.n) or [0] * A.n
@@ -399,20 +397,16 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
         else:
             integrate = partial(euler_segment_integral, A, labels, beta, x, contour)
             inputs = {"base": list(labels), "beta": beta}
-    try:
+    with _blame("integral"):  # a ConvergenceError stays exit 1
         value = integrate()
-    except (InvalidInputError, DomainError) as exc:  # a ConvergenceError stays exit 1
-        raise _bad("integral", str(exc))
 
     results = {"kind": kind, "inputs": inputs, "x": x, "contour": contour, **_jsonify(value)}
     return results, []
 
 
 def _task_resonance(cfg: dict, A: VectorSet, params: dict):
-    try:
+    with _blame("omega", DomainError):
         candidates = candidate_consistent_vectors(A)
-    except DomainError as exc:
-        raise _bad("omega", str(exc))
     results = {"consistent_vectors": candidates, "consistent_count": len(candidates)}
     v = _get(cfg, "vector", length=A.n)
     if v is not None:
@@ -476,16 +470,12 @@ def _task_family(cfg: dict, A: VectorSet, params: dict):
         raise _bad("truncation", "must be >= 1 for the family task")
     sv_threshold = _get(cfg, "sv_threshold")
     bases = _get(cfg, "bases", N=A.N) or [b.I for b in enumerate_bases(A)]
-    try:
+    with _blame("bases"):
         family = candidate_family(A, bases)
-    except (InvalidInputError, DomainError) as exc:
-        raise _bad("bases", str(exc))
     # only the convergence-domain failure belongs to the bases; a truncation
     # past the factorial range keeps its own message
-    try:
+    with _blame("bases", DomainError):
         outcome = solution_family_rank(A, family, sv_threshold=sv_threshold, **params)
-    except DomainError as exc:
-        raise _bad("bases", str(exc))
     results = {
         "family": [{"base": list(I), "twist": list(k)} for I, k in family],
         "sv_threshold": sv_threshold,
@@ -512,6 +502,7 @@ _count = partial(_as_int, minimum=1)
 _positive = partial(_as_float, positive=True)
 _truncation = partial(_as_int, maximum=_MAX_FACTORIAL)  # the series tabulate m! up to here
 _int_vector = partial(_array, entry=_as_int)
+_as_complex_vector = partial(_array, entry=_as_complex)
 
 # Every config field: dotted path -> (reader, default).  A reader takes
 # (value, path) and returns the parsed value or raises naming the path; the
@@ -612,7 +603,10 @@ def run(
     A = _vector_set_from(cfg)
     params = {key: _get(cfg, key) for key in ("seed", "samples", "tolerance", "truncation")}
 
-    results, reports = _TASK_FUNCS[task](cfg, A, params)
+    log = io.StringIO()  # numpy floating-point events, underflow aside, go here, not to stderr
+    with np.errstate(over="log", divide="log", invalid="log", call=log):
+        results, reports = _TASK_FUNCS[task](cfg, A, params)
+    events = {line.removeprefix("Warning: ") for line in log.getvalue().splitlines()}
     passed = all(rep.passed for rep in reports)
     report = {
         "task": task,
@@ -628,6 +622,8 @@ def run(
         "passed": passed,
         "version": __version__,
     }
+    if events:
+        report["numeric_events"] = sorted(events)
     return _jsonify(report), 0 if passed else 1
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError, PoleError
+
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
 # Good to roughly 1e-13 relative on the half plane Re z >= 0.5; the
 # reflection formula carries that to the rest of the plane.
@@ -93,3 +95,23 @@ def rgamma(z):
     if scalar:
         return complex(out[0])
     return out
+
+
+def _finite(values, what):
+    """``values``, or ConvergenceError naming ``what`` if any entry is inf or NaN."""
+    if not np.isfinite(values).all():
+        raise ConvergenceError(f"{what} leaves the double range")
+    return values
+
+
+def _gamma(z, offender, what):
+    """Gamma(z) = 1/rgamma(z) for the numerator factor ``what``: PoleError listing
+    ``offender(*index)`` per pole of z, ConvergenceError past the double range."""
+    pole = _pole_mask(z)
+    if pole.any():
+        raise PoleError(
+            f"{what} hits a pole inside the truncation range",
+            offenders=[offender(*index) for index in zip(*np.nonzero(pole))],
+        )
+    with np.errstate(all="ignore"):  # an overflow is reported by name below
+        return _finite(1.0 / rgamma(z), what)

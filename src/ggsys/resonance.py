@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .model import VectorSet, _close, _svd_rank
-from .verify import ResidualReport, residual_report
+from .verify import ResidualReport, _call, residual_report
 
 _REL_TOL = 1e-9
 
@@ -108,8 +108,9 @@ def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition | None:
 def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
     """Full shift analysis of one direction: membership split, span of the
     leftovers, annihilator, and (for consistent nonzero v) the chains, None
-    when they do not cover the configuration."""
-    v = np.asarray(v, dtype=np.complex128)
+    when they do not cover the configuration.  ``v`` is copied, so the
+    caller's array stays writeable."""
+    v = np.array(v, dtype=np.complex128)
     if v.shape != (A.n,):
         raise InvalidInputError("direction has the wrong length")
     tol = _match_tolerance(A)
@@ -230,9 +231,9 @@ def check_extra_relation(
             omega = A.row(label)
             target = omega + v
             if np.linalg.norm(target) <= tol_match:
-                value = f(beta, a)
+                value = _call(f, beta, a)
             else:
-                value = f(beta - target, a)
+                value = _call(f, beta - target, a)
             terms.append(np.dot(lam, omega) * a[label - 1] * value)
         residuals.append(abs(sum(terms)))
         scales += [abs(t) for t in terms]

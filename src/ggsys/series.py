@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PoleError
-from .gammafn import _pole_mask, rgamma
+from .errors import DomainError, InvalidInputError
+from .gammafn import _finite, _gamma, _pole_mask, rgamma
 from .model import ReducedSystem, _invariant_point
 
 _TWO_PI_I = 2j * np.pi
@@ -207,27 +207,21 @@ def _shifted_rgamma(system: ReducedSystem, m: np.ndarray, shifted: np.ndarray) -
 
 def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
     """Raw coefficients of the mixed form (see ``mixed_gamma_series_eval``);
-    a numerator gamma at a pole inside the table raises PoleError."""
+    a numerator gamma at a pole inside the table raises PoleError, and a
+    coefficient past the double range ConvergenceError."""
     base = spec.system.base
     group_one, group_two = spec.partition
     pos_one = [base.I.index(i) for i in group_one]
     pos_two = [base.I.index(i) for i in group_two]
-    gamma_args = -shifted[:, pos_one]
-    pole_mask = _pole_mask(gamma_args)
-    if pole_mask.any():
-        rows, cols = np.nonzero(pole_mask)
-        offenders = [
-            (group_one[c], tuple(int(v) for v in m[r])) for r, c in zip(rows, cols)
-        ]
-        raise PoleError(
-            "gamma factor hits a pole inside the truncation range",
-            offenders=offenders,
-        )
+
+    def offender(row, col):
+        return group_one[col], tuple(int(v) for v in m[row])
 
     sign_u = np.exp(1j * np.pi * shifted[:, pos_one].sum(axis=1))
-    numer = np.prod(1.0 / rgamma(gamma_args), axis=1) if pos_one else 1.0
-    denom = np.prod(rgamma(shifted[:, pos_two] + 1.0), axis=1) if pos_two else 1.0
-    return phases * sign_u * numer * denom
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        numer = np.prod(_gamma(-shifted[:, pos_one], offender, "gamma factor"), axis=1) if pos_one else 1.0
+        denom = np.prod(rgamma(shifted[:, pos_two] + 1.0), axis=1) if pos_two else 1.0
+        return _finite(phases * sign_u * numer * denom, "mixed-form coefficient")
 
 
 # the last table reduced_series built, as (system, key, table), or None
@@ -393,21 +387,14 @@ def monomial_solution_zero(gamma, a) -> complex:
 
 def gauss_coefficients(a, b, c, M: int) -> np.ndarray:
     """Taylor coefficients Gamma(a+m)Gamma(b+m)/(Gamma(c+m) m!), m <= M."""
-    m = np.arange(M + 1)
-    for label, v in (("a", complex(a)), ("b", complex(b))):
-        pole = _pole_mask(v + m)
-        if pole.any():
-            offenders = [(label, (int(i),)) for i in np.nonzero(pole)[0]]
-            raise PoleError(
-                f"Gamma({label}+m) hits a pole inside the truncation range",
-                offenders=offenders,
-            )
-    return (
-        1.0 / rgamma(a + m.astype(np.complex128))
-        * (1.0 / rgamma(b + m.astype(np.complex128)))
-        * rgamma(c + m.astype(np.complex128))
-        / _factorials(M)
-    )
+    m = np.arange(M + 1).astype(np.complex128)
+
+    def gamma_up(label, v):
+        return _gamma(v + m, lambda i: (label, (int(i),)), f"Gamma({label}+m)")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        coeffs = gamma_up("a", a) * gamma_up("b", b) * rgamma(c + m) / _factorials(M)
+    return _finite(coeffs, "Gauss coefficient")
 
 
 def gauss_series_eval(a, b, c, x, M: int = 30) -> SeriesValue:

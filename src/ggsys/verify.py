@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
-from .model import VectorSet, ReducedSystem, _svd_rank, first_base, select_base
+from .model import VectorSet, ReducedSystem, _integers, _svd_rank, first_base, select_base
 from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
 
 DEFAULT_TOLERANCE = 1e-8
@@ -178,11 +178,11 @@ def check_def2_system(
 
     ``relation_rows`` spans the relation subspace (empty sequence for the
     zero subspace).  Three reports: partial derivatives against unit shifts
-    of gamma; periodicity of F under the relation rows, when they are all
-    integer vectors; and the pairing identity against vectors annihilating
-    the subspace under the plain (bilinear, no conjugation) pairing.  The
-    unit-shifted values F(gamma - e_i) are computed once per sample and
-    serve both the first and the third report.
+    of gamma; periodicity of F under the relation rows, when
+    ``model._integers`` reads every entry as an exact integer; and the
+    pairing identity against vectors annihilating the subspace under the
+    plain (bilinear, no conjugation) pairing.  The unit-shifted values
+    F(gamma - e_i) are computed once per sample for the first and third.
 
     ``derivative(gamma, a, i)`` may supply exact partials; the default is
     central differences, whose noise floor sits near 5e-11.
@@ -195,8 +195,8 @@ def check_def2_system(
     if rows.shape[1] != size:
         raise InvalidInputError("relation rows have the wrong width")
 
-    integral = np.all(np.abs(rows - np.round(rows.real)) < 1e-12)
-    lattice_shifts = [np.round(r.real).astype(int) for r in rows] if integral else []
+    integral = _integers(rows)
+    lattice_shifts = [] if integral is None else list(integral)
 
     if rows.shape[0] == 0:
         annihilators = [np.eye(size)[i] for i in range(size)]
@@ -220,7 +220,7 @@ def check_def2_system(
             shifted.append(_call(F, gamma - eye[i], a))
             deriv_res.append(abs(d - shifted[i]))
         for shift in lattice_shifts:
-            period_res.append(abs(_call(F, gamma + np.asarray(shift), a) - f0))
+            period_res.append(abs(_call(F, gamma + shift, a) - f0))
         for nu in annihilators:
             lhs = sum(nu[i] * a[i] * shifted[i] for i in range(size))
             pairing_res.append(abs(lhs - np.dot(nu, gamma) * f0))
@@ -299,11 +299,8 @@ def check_reduced_system(
     )
 
 
-def _gauss_eval(coeffs: np.ndarray, x: complex) -> complex:
-    return complex(np.polynomial.polynomial.polyval(x, coeffs))
-
-
-def _gauss_deriv(coeffs: np.ndarray, x: complex, order: int = 1) -> complex:
+def _gauss_eval(coeffs: np.ndarray, x: complex, order: int = 0) -> complex:
+    """The order-th derivative of the series with these coefficients, at x."""
     c = np.polynomial.polynomial.polyder(coeffs, order)
     return complex(np.polynomial.polynomial.polyval(x, c))
 
@@ -344,20 +341,14 @@ def check_gauss_relations(
         f0 = _gauss_eval(here, x)
         fplus = _gauss_eval(plus, x)
         scales.append(abs(f0))
-        res["derivative-up"].append(abs(_gauss_deriv(here, x) - fplus))
-        res["shift-a"].append(
-            abs(a * f0 + x * fplus - _gauss_eval(gauss_coefficients(a + 1, b, c, M), x))
+        res["derivative-up"].append(abs(_gauss_eval(here, x, 1) - fplus))
+        shifts = (
+            ("shift-a", a, (a + 1, b, c)),
+            ("shift-b", b, (a, b + 1, c)),
+            ("shift-c", c - 1, (a, b, c - 1 + perturbation)),
         )
-        res["shift-b"].append(
-            abs(b * f0 + x * fplus - _gauss_eval(gauss_coefficients(a, b + 1, c, M), x))
-        )
-        res["shift-c"].append(
-            abs(
-                (c - 1) * f0
-                + x * fplus
-                - _gauss_eval(gauss_coefficients(a, b, c - 1 + perturbation, M), x)
-            )
-        )
+        for label, factor, params in shifts:
+            res[label].append(abs(factor * f0 + x * fplus - _gauss_eval(gauss_coefficients(*params, M), x)))
     return tuple(
         residual_report(label, values, scales, tolerance) for label, values in res.items()
     )
@@ -388,8 +379,8 @@ def check_gauss_ode(
     residuals, scales = [], []
     for x in xs:
         f0 = _gauss_eval(coeffs, x)
-        d1 = _gauss_deriv(coeffs, x)
-        d2 = _gauss_deriv(coeffs, x, 2)
+        d1 = _gauss_eval(coeffs, x, 1)
+        d2 = _gauss_eval(coeffs, x, 2)
         scales.append(abs(f0))
         residuals.append(
             abs(x * (1 - x) * d2 + (c - (a + bb + 1) * x) * d1 - a * bb * f0)

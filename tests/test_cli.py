@@ -12,7 +12,7 @@ import pytest
 
 import ggsys
 from ggsys.cli import _FIELDS, main
-from ggsys.errors import InvalidInputError
+from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
 
@@ -372,7 +372,7 @@ def test_family_without_a_convergence_domain_names_bases(tmp_path):
     }
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
-    assert _report(out)["error"].startswith("bases: ")
+    assert _report(out)["error"] == "bases: no common convergence domain found for the family"
 
 
 def test_family_at_truncation_zero_names_truncation(tmp_path):
@@ -559,6 +559,7 @@ _MIXED = {
 _RESONANCE = {"task": "resonance", "omega": [[1, 0.3], [0.6, -0.8], [-0.4, -1.1]]}
 _INTEGRAL = _config_reading("integral.x")  # a hankel-loop on omega [[1], [-1]]
 _PLANE = {"kind": "shifted-plane", "beta": [0.5], "x": [0.25], "base": [1]}
+_DEPENDENT = {"omega": [[1, 0], [2, 0], [0, 1]]}  # vectors 1 and 2 are no base
 
 
 @pytest.mark.parametrize(
@@ -575,13 +576,53 @@ _PLANE = {"kind": "shifted-plane", "beta": [0.5], "x": [0.25], "base": [1]}
         ),
         (_INTEGRAL | {"integral": _PLANE | {"branch": [0, 1]}}, "integral.branch: expected 1 entries, got 2"),
         (_INTEGRAL | {"integral": _INTEGRAL["integral"] | {"base": 5}}, "integral.base: must be <= 2"),
+        # library errors mapped to a field; the lattice, integral and family-domain
+        # mappings have tests of their own below
+        ({"task": "bases", "omega": [[1, 0], [2, 0]]}, "omega: vectors do not span the ambient space"),
+        (_DEPENDENT | {"task": "reduce", "base": [1, 2]}, "base: vectors (1, 2) are linearly dependent"),
+        (_eval_config(partition=[[1], [2, 3]]), "mode: partition goes with mixed mode only"),
+        (_DEPENDENT | {"task": "family", "bases": [[1, 2]]}, "bases: vectors (1, 2) are linearly dependent"),
     ],
-    ids=["beta", "x", "partition", "bases", "vector", "distribution.x", "integral.branch", "hankel-base"],
+    ids=[
+        "beta", "x", "partition", "bases", "vector", "distribution.x", "integral.branch", "hankel-base",
+        "vector-set", "select-base", "series-spec", "candidate-family",
+    ],
 )
 def test_bad_entry_is_named_by_its_path(tmp_path, cfg, error):
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == error
+
+
+def test_a_resonance_sweep_refusal_names_omega(tmp_path, monkeypatch):
+    def refuse(A):
+        raise DomainError("chain tops overlap; direction is not consistent")
+
+    monkeypatch.setattr(ggsys.cli, "candidate_consistent_vectors", refuse)
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, _RESONANCE), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "omega: chain tops overlap; direction is not consistent"
+
+
+def test_mixed_eval_overflow_exits_1_with_its_cause(tmp_path, capsys):
+    # the numerator factor Gamma(180.3 - m) is past the double range
+    cfg = _MIXED | {"beta": [[-180.3, 0.7]]}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert _report(out)["error"] == "gamma factor leaves the double range"
+    assert capsys.readouterr().err == ""
+
+
+def test_floating_point_events_go_into_the_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--config", "gauss.json", "--quiet", "--out", str(out), "--truncation", "149"]) == 1
+    assert capsys.readouterr().err == ""
+    events = _report(out)["numeric_events"]
+    assert "overflow encountered in reduce" in events
+    assert events == sorted(set(events))
+    assert all("invalid value" in e or "overflow" in e for e in events)
+    assert main(["--config", "gauss.json", "--quiet", "--out", str(out)]) == 0
+    assert "numeric_events" not in _report(out)
 
 
 def test_every_field_but_the_kind_dependent_two_has_a_reader():

@@ -2,6 +2,7 @@
 
 import re
 from pathlib import Path
+from types import ModuleType
 
 import ggsys
 
@@ -20,3 +21,10 @@ def test_every_export_has_a_caller_or_a_test():
         if not re.search(rf"(?<!def )(?<!class )\b{re.escape(name)}\b", text)
     ]
     assert unused == []
+
+
+def test_the_export_list_is_every_public_name_of_the_package():
+    # vars() may also hold submodules that other tests imported (ggsys.cli)
+    public = {k for k, v in vars(ggsys).items() if not k.startswith("_") and not isinstance(v, ModuleType)}
+    assert len(ggsys.__all__) == len(set(ggsys.__all__))
+    assert set(ggsys.__all__) == public | {"__version__"}

@@ -221,6 +221,27 @@ def test_extra_relation_rejects_degenerate_input():
         check_extra_relation(f, G.vectors, zero)
 
 
+def test_extra_relation_names_a_failing_evaluator():
+    G = grassmannian_set(2, 3)
+    an = analyze_vector(G.vectors, G.from_ambient(np.array([0, 0, 0, -1.0, 1.0])))
+
+    def f(beta, a):
+        raise ValueError("no value here")
+
+    with pytest.raises(RuntimeError, match="^evaluator failed at parameters") as err:
+        check_extra_relation(f, G.vectors, an, samples=1)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_analyze_vector_leaves_the_callers_array_writeable():
+    v = V.astype(np.complex128)
+    an = analyze_vector(CHAIN3, v)
+    assert v.flags.writeable
+    assert not an.v.flags.writeable
+    v[0] = 0  # the analysis keeps its own copy
+    assert an.v[0] == V[0]
+
+
 def test_extra_relation_rejects_off_plane_point():
     G = grassmannian_set(2, 3)
     v12 = G.from_ambient(np.array([0, 0, 0, -1.0, 1.0]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ggsys.series
-from ggsys.errors import DomainError, InvalidInputError, PoleError
+from ggsys.errors import ConvergenceError, DomainError, InvalidInputError, PoleError
 from ggsys.gammafn import rgamma
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.resonance import grassmannian_set
@@ -17,6 +18,7 @@ from ggsys.series import (
     _spec_tables,
     convergence_condition,
     elementary_solution_full,
+    gauss_coefficients,
     gauss_series_eval,
     gg_series_eval,
     mixed_gamma_series_eval,
@@ -250,6 +252,30 @@ def test_gauss_pole_error():
     with pytest.raises(PoleError) as err:
         gauss_series_eval(-2, 1.5, 2.2, 0.3, M=10)
     assert ("a", (0,)) in err.value.offenders
+
+
+@pytest.mark.parametrize(
+    "a, b, c, what",
+    [
+        (200.5, 0.3, 0.7, "Gamma(a+m)"),  # Gamma(200.5) is past the double range
+        (0.3, -200.5, 0.7, "Gamma(b+m)"),  # rgamma(-200.5) is inf and NaN
+        (100.0, 100.0, 0.5, "Gauss coefficient"),  # each factor is finite, their product is not
+    ],
+)
+def test_gauss_coefficients_past_the_double_range_fail_by_name(a, b, c, what):
+    with pytest.raises(ConvergenceError, match=rf"^{re.escape(what)} leaves the double range$"):
+        gauss_coefficients(a, b, c, 3)
+
+
+def test_mixed_table_past_the_double_range_fails_by_name():
+    # the numerator factor Gamma(-beta_1 - m) = Gamma(180.3 - m) overflows
+    spec = _spec(R_G, M=5, mode="mixed", partition=((1,), (2, 3)))
+    with pytest.raises(ConvergenceError, match="^gamma factor leaves the double range$"):
+        mixed_gamma_series_eval(spec, np.array([-180.3, -0.3, 0.8]), np.array([0.5]))
+    # factors below the overflow whose product is not
+    spec = _spec(R_G, M=5, mode="mixed", partition=((1, 2), (3,)))
+    with pytest.raises(ConvergenceError, match="^mixed-form coefficient leaves the double range$"):
+        mixed_gamma_series_eval(spec, np.array([-160.3, -160.4, 0.8]), np.array([0.5]))
 
 
 @given(

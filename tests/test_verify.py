@@ -180,6 +180,15 @@ def test_def2_monomial_solution():
     assert reports[1].sample_points == 0
 
 
+def test_def2_rows_off_an_integer_are_no_lattice_shifts():
+    def F(gamma, a):
+        return elementary_solution_full(a)
+
+    assert check_def2_system(F, 3, np.eye(3), samples=2, seed=4)[1].sample_points == 6
+    # 1e-13 from an integer is not an integer: no periodicity residual is run
+    assert check_def2_system(F, 3, np.eye(3) + 1e-13, samples=2, seed=4)[1].sample_points == 0
+
+
 def test_def2_finite_differences_floor():
     def F(gamma, a):
         return elementary_solution_full(a)
