@@ -75,6 +75,7 @@ from .series import (
     mixed_gamma_series_eval,
     monomial_solution_zero,
     reduced_series,
+    reduced_series_batch,
     reduced_series_eval,
     twist_scaling,
 )

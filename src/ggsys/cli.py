@@ -55,6 +55,7 @@ from .series import (
     gg_series_eval,
     mixed_gamma_series_eval,
     reduced_series,
+    reduced_series_batch,
     reduced_series_eval,
 )
 from .verify import (
@@ -297,7 +298,7 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
     mode = _get(cfg, "mode")
     partition = _get(cfg, "partition", N=A.N)
     # a full-mode sum is the reduced one times a prefactor (gg_series_eval)
-    with _blame("mode", InvalidInputError):
+    with _blame("partition", InvalidInputError):
         spec = SeriesSpec(system, k, params["truncation"], {"full": "reduced"}.get(mode, mode), partition)
 
     betas = _get(cfg, "beta", length=A.n)
@@ -339,11 +340,13 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
         if eps != 0:
             value = value + eps * complex(a[0])
         return value
+    evaluator.prepare = lambda betas: reduced_series_batch([(spec, beta) for beta in betas])
 
     system_reps = check_gg_system(evaluator, A, seed=params["seed"], base=system.base.I, **checked)
 
     def factory(beta, truncation_arg):
         return reduced_series(SeriesSpec(system, k, truncation_arg), beta)
+    factory.prepare = lambda requests: reduced_series_batch([(SeriesSpec(system, k, t), beta) for beta, t in requests])
 
     red1_rep, red2_rep = check_reduced_system(
         factory, system, seed=params["seed"] + 2, mode="exact", truncation=params["truncation"],

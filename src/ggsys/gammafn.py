@@ -42,6 +42,9 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # snap-to-pole window around the non-positive integers
 _POLE_SNAP = 1e-12
 
+# rgamma points per block: 8192 complex values are 128 KiB per temporary
+_BLOCK = 8192
+
 
 def _pole_mask(z):
     """True where z lies within _POLE_SNAP, in both real and imaginary part,
@@ -70,31 +73,29 @@ def rgamma(z):
 
     Exactly 0 at z in {0, -1, -2, ...} (inputs within 1e-12 of such a point
     are snapped).  Relative accuracy is ~1e-13 for |z| <= 50, right up to
-    the snapping window.
+    the snapping window.  Each value depends on its own z only, so the
+    points run in blocks of _BLOCK, whose temporaries stay in cache.
     """
     z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z)
-    out = np.empty(zf.shape, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    for start in range(0, z.size, _BLOCK):
+        zf, block = flat_z[start:start + _BLOCK], flat_out[start:start + _BLOCK]
+        pole = _pole_mask(zf)
+        left = (zf.real < 0.5) & ~pole
+        right = ~left & ~pole
 
-    pole = _pole_mask(zf)
-    left = (zf.real < 0.5) & ~pole
-    right = ~left & ~pole
-
-    out[pole] = 0.0
-    if np.any(right):
-        out[right] = np.exp(-_log_gamma_right(zf[right]))
-    if np.any(left):
-        zl = zf[left]
-        # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z), with sin(pi z)
-        # taken from z - round(z) so that it keeps its digits near the poles
-        k = np.round(zl.real)
-        sinpi = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (zl - k))
-        out[left] = sinpi / np.pi * np.exp(_log_gamma_right(1.0 - zl))
-
-    if scalar:
-        return complex(out[0])
-    return out
+        block[pole] = 0.0
+        if np.any(right):
+            block[right] = np.exp(-_log_gamma_right(zf[right]))
+        if np.any(left):
+            zl = zf[left]
+            # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z), with sin(pi z)
+            # taken from z - round(z) so that it keeps its digits near the poles
+            k = np.round(zl.real)
+            sinpi = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (zl - k))
+            block[left] = sinpi / np.pi * np.exp(_log_gamma_right(1.0 - zl))
+    return complex(out) if z.ndim == 0 else out
 
 
 def _finite(values, what):

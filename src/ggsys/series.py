@@ -7,17 +7,19 @@ neighbor, which is simpler and drift-free.
 
 For a generic set the gamma arguments beta_I - (m @ G) + 1 are generic
 complex numbers, one per term and base coordinate.  When the base
-coordinates G of the off-base vectors are integers, each column of
-arguments only takes the values beta_I[i] - d + 1 for integers d in a short
-range.  ``reduced_series`` then evaluates ``rgamma`` once per distinct value
-and gathers the products from that table; each table entry is one of the
-arguments the generic path would use, so the coefficients are bit-identical.
+coordinates G of the off-base vectors are integers, each column only takes
+the values beta_I[i] - d + 1 for integers d in a short range, so a table
+evaluates ``rgamma`` once per distinct value and gathers from there.
 
-The layer keeps the last table it built (``_last``), so a parameter asked
-for again right after itself, as the points of one beta and the difference
-quotients of a residual check are, is tabulated once.  Table arrays are
-read-only.  Mixed mode goes through the same tabulation, and every
-evaluation gathers its powers from one table of x_j**k for k <= M.
+``reduced_series_batch`` tabulates several (spec, beta) in one ``rgamma``
+call over all their arguments.  Each argument is an entry of the generic
+``shifted + 1`` and each value depends on its own argument only, so every
+table is the generic one-table result bit for bit.  The layer keeps the
+last batch (``_last``) and ``reduced_series`` reads it back, so the
+residual checks, which hand each sample's shifted parameters to one batch,
+tabulate a sample in one call.  Table arrays are read-only.  Mixed mode
+makes its own gamma calls; every evaluation gathers its powers from one
+table of x_j**k for k <= M.
 """
 from __future__ import annotations
 
@@ -165,44 +167,18 @@ class TruncatedSeries:
         return complex(self.raw_coeffs[idx[0]])
 
 
-def _spec_tables(spec: SeriesSpec, beta):
-    """Shared setup: shifted gamma arguments and twist phases per term."""
-    system = spec.system
-    beta = np.asarray(beta, dtype=np.complex128)
-    if beta.shape != (system.base.parent.n,):
-        raise InvalidInputError("parameter vector has the wrong length")
-    beta_I = system.base.coords(beta)
-    m = _shells(system.r, spec.truncation)[0]
-    # base coordinates of beta - sum_j m_j omega^j, one row per term
-    shifted = beta_I[None, :] - m @ system.off_base_coords
-    k = np.asarray(spec.k, dtype=np.float64)
-    phases = np.exp(_TWO_PI_I * (shifted @ k))
-    return m, shifted, phases
-
-
-def _shifted_rgamma(system: ReducedSystem, m: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """rgamma(shifted + 1), from one table of distinct arguments when the
-    off-base coordinates are integers.
-
-    Then entry (t, i) of ``shifted`` is beta_I[i] - d with d = (m @ G)[t, i]
-    an integer, so it depends on t only through d.  One ``rgamma`` call over
-    the ranges [min d, max d] of all coordinates, concatenated, replaces the
-    terms x n evaluations, and a gather spreads the values back.  Every
-    table argument is copied from ``shifted``, so the result is the generic
-    one bit for bit.
-    """
+def _gather_index(system: ReducedSystem, m: np.ndarray):
+    """(at, length): with integer off-base coordinates G, entry (t, i) of the
+    shifted coordinates is beta_I[i] - d, d = (m @ G)[t, i], so rgamma over
+    the ranges [min d, max d] of all coordinates, concatenated, gathered at
+    ``at``, gives every entry.  None for the generic path, or a wider table."""
     G = system.integer_off_base_coords
     if G is None:
-        return rgamma(shifted + 1.0)
+        return None
     d = m @ G
     lo = d.min(axis=0)
     sizes = d.max(axis=0) - lo + 1
-    if sizes.sum() > d.size:  # sparse or wide ranges: the table would be the larger
-        return rgamma(shifted + 1.0)
-    at = d - lo + (np.cumsum(sizes) - sizes)
-    args = np.ones(sizes.sum(), dtype=np.complex128)  # values no term takes stay at 1
-    args[at] = shifted
-    return rgamma(args + 1.0)[at]
+    return None if sizes.sum() > d.size else (d - lo + (np.cumsum(sizes) - sizes), int(sizes.sum()))
 
 
 def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
@@ -224,8 +200,62 @@ def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
         return _finite(phases * sign_u * numer * denom, "mixed-form coefficient")
 
 
-# the last table reduced_series built, as (system, key, table), or None
-_last = None
+def _tabulate(requests) -> list[TruncatedSeries]:
+    """The tables of (spec, beta) ``requests``: m @ G and the gather index
+    once per system and truncation, then one ``rgamma`` call over the
+    arguments of all reduced-mode tables, each reading back its own slice;
+    one table at a time above ``_MAX_TERMS`` terms in all."""
+    if len(requests) > 1 and sum(math.comb(s.truncation + s.system.r, s.system.r) for s, _ in requests) > _MAX_TERMS:
+        return [table for request in requests for table in _tabulate([request])]
+    plans, raws, pending = {}, [None] * len(requests), []
+    for index, (spec, beta) in enumerate(requests):
+        system = spec.system
+        if beta.shape != (system.base.parent.n,):
+            raise InvalidInputError("parameter vector has the wrong length")
+        if (id(system), spec.truncation) not in plans:
+            m = _shells(system.r, spec.truncation)[0]
+            plans[id(system), spec.truncation] = (m, m @ system.off_base_coords, _gather_index(system, m))
+        m, mG, gather = plans[id(system), spec.truncation]
+        # base coordinates of beta - sum_j m_j omega^j, one row per term
+        shifted = system.base.coords(beta)[None, :] - mG
+        phases = np.exp(_TWO_PI_I * (shifted @ np.asarray(spec.k, dtype=np.float64)))
+        if spec.mode == "mixed":
+            raws[index] = _mixed_coeffs(spec, m, shifted, phases)
+        elif gather is None:
+            pending.append((index, phases, shifted, None))
+        else:
+            args = np.ones(gather[1], dtype=np.complex128)  # values no term takes stay at 1
+            args[gather[0]] = shifted
+            pending.append((index, phases, args, gather[0]))
+    if pending:
+        values = np.concatenate([args for _, _, args, _ in pending], axis=None)
+        values += 1.0
+        values = rgamma(values)
+        ends = np.cumsum([args.size for _, _, args, _ in pending])
+        for (index, phases, args, at), own in zip(pending, np.split(values, ends[:-1])):
+            own = own.reshape(args.shape)
+            raws[index] = phases * np.prod(own if at is None else own[at], axis=1)
+    return [TruncatedSeries(spec, beta, raw) for (spec, beta), raw in zip(requests, raws)]
+
+
+def _key(spec: SeriesSpec, beta: np.ndarray) -> tuple:
+    return (id(spec.system), spec.k, spec.truncation, spec.mode, spec.partition, beta.shape, beta.tobytes())
+
+
+# the tables of the last batch by _key; each holds its system, whose id so stays unique
+_last = {}
+
+
+def reduced_series_batch(requests) -> list[TruncatedSeries]:
+    """The tables of (spec, beta) requests, each bit for bit the one
+    ``reduced_series`` builds alone, the reduced-mode ones from one ``rgamma``
+    call.  The batch replaces the last; ``reduced_series`` reads it back."""
+    global _last
+    requests = [(spec, np.asarray(beta, dtype=np.complex128)) for spec, beta in requests]
+    _last = {}  # let the old tables go before the new ones are built
+    tables = _tabulate(requests)
+    _last = {_key(spec, beta): table for (spec, beta), table in zip(requests, tables)}
+    return tables
 
 
 def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
@@ -233,26 +263,13 @@ def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
 
     c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1), where u is the
     exponential twist named by spec.k; in mixed mode the gamma factors are
-    split as ``mixed_gamma_series_eval`` says.  Asking again for the
-    (system, spec, beta) of the previous call returns the same read-only
-    table; any other request replaces it.
+    split as ``mixed_gamma_series_eval`` says.  A (system, spec, beta) of
+    the last batch returns its read-only table; any other request is a
+    batch of one.
     """
-    global _last
-    system = spec.system
     beta = np.asarray(beta, dtype=np.complex128)
-    key = (spec.k, spec.truncation, spec.mode, spec.partition, beta.shape, beta.tobytes())
-    last = _last
-    if last is not None and last[0] is system and last[1] == key:
-        return last[2]
-    _last = None  # let the old table go before the new one is built
-    m, shifted, phases = _spec_tables(spec, beta)
-    if spec.mode == "mixed":
-        raw = _mixed_coeffs(spec, m, shifted, phases)
-    else:
-        raw = phases * np.prod(_shifted_rgamma(system, m, shifted), axis=1)
-    table = TruncatedSeries(spec, beta, raw)
-    _last = (system, key, table)
-    return table
+    table = _last.get(_key(spec, beta))
+    return table if table is not None else reduced_series_batch([(spec, beta)])[0]
 
 
 def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .model import VectorSet, ReducedSystem, _integers, _svd_rank, first_base, select_base
-from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series
+from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series_batch
 
 DEFAULT_TOLERANCE = 1e-8
 _FLOOR = 1e-300
@@ -134,6 +134,9 @@ def check_gg_system(
     derivative-weighted and shift-weighted forms of the system agree,
     sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0, from the same
     difference quotients and shifted values as the first report.
+
+    Each sample first hands [beta, beta - omega^1, ..., beta - omega^N] to
+    ``f.prepare``, if f has one, to tabulate in one ``reduced_series_batch``.
     """
     rng = np.random.default_rng(seed)
     chosen = select_base(A, base) if base is not None else first_base(A)
@@ -143,7 +146,11 @@ def check_gg_system(
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
     shift_res, weighted_res, forms_res, scales = [], [], [], []
+    prepare = getattr(f, "prepare", None)
     for beta, a in zip(betas, args):
+        shifts = [beta - A.row(j) for j in range(1, A.N + 1)]
+        if prepare is not None:
+            prepare([beta, *shifts])
         f0 = _call(f, beta, a)
         scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
@@ -151,8 +158,8 @@ def check_gg_system(
         # every quotient at beta before any shifted value, so that a series
         # evaluator tabulates beta once per sample
         fds = [_central_difference(f, beta, a, j) for j in range(A.N)]
-        for j, fd in enumerate(fds, 1):
-            shifted = _call(f, beta - A.row(j), a)
+        for j, (fd, shift) in enumerate(zip(fds, shifts), 1):
+            shifted = _call(f, shift, a)
             shift_res.append(abs(fd - shifted))
             weighted += a[j - 1] * shifted * A.row(j)
             forms += a[j - 1] * (fd - shifted) * A.row(j)
@@ -252,6 +259,10 @@ def check_reduced_system(
     sample computes the value, the r partials and the n + r shifted values
     once, and both equations are read from them.
 
+    In exact mode each sample first hands (beta, M), (beta - omega^i, M)
+    for i in I and (beta - omega^j, M - 1) for j in J to ``F.prepare``, if
+    F has one.
+
     ``points`` overrides the sampler with explicit (beta, x) pairs, for
     evaluators whose domain excludes the default parameter box.
     """
@@ -270,20 +281,25 @@ def check_reduced_system(
             for _ in range(samples)
         ]
     base_res, off_res, scales = [], [], []
+    prepare = getattr(F, "prepare", None)
     for beta, x in zip(betas, xs):
+        on_base = [beta - A.row(i) for i in base.I]
+        off_base = [beta - A.row(j) for j in base.J]
         if mode == "exact":
+            if prepare is not None:
+                prepare([(b, truncation) for b in (beta, *on_base)] + [(b, truncation - 1) for b in off_base])
             S = F(beta, truncation)
             if not isinstance(S, TruncatedSeries):
                 raise InvalidInputError("exact mode needs a TruncatedSeries factory")
             f0 = S.value(x).value
             partials = [S.derivative(x, j) for j in base.J]
-            base_shifted = [F(beta - A.row(i), truncation).value(x).value for i in base.I]
-            off_shifted = [F(beta - A.row(j), truncation - 1).value(x).value for j in base.J]
+            base_shifted = [F(b, truncation).value(x).value for b in on_base]
+            off_shifted = [F(b, truncation - 1).value(x).value for b in off_base]
         else:
             f0 = _call(F, beta, x)
             partials = [_central_difference(F, beta, x, row) for row in range(system.r)]
-            base_shifted = [_call(F, beta - A.row(i), x) for i in base.I]
-            off_shifted = [_call(F, beta - A.row(j), x) for j in base.J]
+            base_shifted = [_call(F, b, x) for b in on_base]
+            off_shifted = [_call(F, b, x) for b in off_base]
         scales.append(abs(f0))
         beta_I = base.coords(beta)
         for pos, rhs in enumerate(base_shifted):
@@ -468,6 +484,7 @@ def solution_family_rank(
 
         def member(beta_arg, a_arg, spec=spec):
             return gg_series_eval(spec, beta_arg, a_arg).value
+        member.prepare = lambda betas, spec=spec: reduced_series_batch([(spec, b) for b in betas])
 
         shift_rep, weighted_rep, _ = check_gg_system(
             member, A, samples=samples, seed=seed + idx + 1, tolerance=tolerance, base=I

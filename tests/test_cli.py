@@ -580,7 +580,7 @@ _DEPENDENT = {"omega": [[1, 0], [2, 0], [0, 1]]}  # vectors 1 and 2 are no base
         # mappings have tests of their own below
         ({"task": "bases", "omega": [[1, 0], [2, 0]]}, "omega: vectors do not span the ambient space"),
         (_DEPENDENT | {"task": "reduce", "base": [1, 2]}, "base: vectors (1, 2) are linearly dependent"),
-        (_eval_config(partition=[[1], [2, 3]]), "mode: partition goes with mixed mode only"),
+        (_eval_config(partition=[[1], [2, 3]]), "partition: partition goes with mixed mode only"),
         (_DEPENDENT | {"task": "family", "bases": [[1, 2]]}, "bases: vectors (1, 2) are linearly dependent"),
     ],
     ids=[
@@ -589,6 +589,20 @@ _DEPENDENT = {"omega": [[1, 0], [2, 0], [0, 1]]}  # vectors 1 and 2 are no base
     ],
 )
 def test_bad_entry_is_named_by_its_path(tmp_path, cfg, error):
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "cfg, error",
+    [
+        (_MIXED | {"partition": [[1], [3]]}, "partition: partition must split the base labels"),
+        ({k: v for k, v in _MIXED.items() if k != "partition"}, "partition: partition goes with mixed mode only"),
+    ],
+    ids=["off-base-label", "missing"],
+)
+def test_a_mixed_partition_error_names_partition(tmp_path, cfg, error):
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == error

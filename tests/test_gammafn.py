@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ggsys.gammafn as gammafn
 from ggsys.gammafn import rgamma
 
 
@@ -82,3 +83,23 @@ def test_recurrence_property(z):
 @settings(max_examples=200)
 def test_conjugate_symmetry(z):
     assert rgamma(np.conj(z)) == pytest.approx(np.conj(rgamma(z)), rel=1e-10, abs=1e-300)
+
+
+
+
+def test_large_arrays_run_in_bit_identical_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-40, 40, 20_001) + 1j * rng.uniform(-5, 5, 20_001)
+    z[::97] = np.round(z[::97].real)  # poles inside the blocks
+    # small arrays take one block each: the values, whatever the split
+    pieces = np.concatenate([rgamma(z[i:i + 1000]) for i in range(0, len(z), 1000)])
+    blocks = []
+    mask = gammafn._pole_mask
+    monkeypatch.setattr(gammafn, "_pole_mask", lambda part: blocks.append(part.size) or mask(part))
+    # a strided 2-D view: values come back in its shape and order
+    got = rgamma(z.reshape(3, 6667)[:, ::-1])
+    assert blocks == [8192, 8192, 3617]
+    assert got.shape == (3, 6667)
+    assert got.tobytes() == pieces.reshape(3, 6667)[:, ::-1].tobytes()
+    assert rgamma(z).tobytes() == pieces.tobytes()
+    assert isinstance(rgamma(z[0]), complex) and rgamma(z[0]) == pieces[0]

@@ -15,7 +15,8 @@ from ggsys.resonance import grassmannian_set
 from ggsys.series import (
     SeriesSpec,
     TruncatedSeries,
-    _spec_tables,
+    _mixed_coeffs,
+    _shells,
     convergence_condition,
     elementary_solution_full,
     gauss_coefficients,
@@ -24,6 +25,7 @@ from ggsys.series import (
     mixed_gamma_series_eval,
     monomial_solution_zero,
     reduced_series,
+    reduced_series_batch,
     reduced_series_eval,
     twist_scaling,
 )
@@ -313,11 +315,43 @@ def test_coefficient_recurrence_property(b1, b2, b3):
 # -- integer gather and the last-table slot ----------------------------------
 
 
+def _spec_tables(spec, beta):
+    """Shifted gamma arguments and twist phases per term for one parameter,
+    as the single-parameter tabulation computed them."""
+    system = spec.system
+    beta_I = system.base.coords(np.asarray(beta, dtype=np.complex128))
+    m = _shells(system.r, spec.truncation)[0]
+    shifted = beta_I[None, :] - m @ system.off_base_coords
+    phases = np.exp(2j * np.pi * (shifted @ np.asarray(spec.k, dtype=np.float64)))
+    return m, shifted, phases
+
+
 def _generic_coeffs(spec, beta):
     """The generic formula: twist phases times the product of reciprocal
     gammas at every (term, base coordinate); the oracle of the gather."""
     _, shifted, phases = _spec_tables(spec, beta)
     return phases * np.prod(rgamma(shifted + 1.0), axis=1)
+
+
+def _one_table(spec, beta):
+    """The single-parameter tabulation that `reduced_series_batch` replaced,
+    kept as its oracle: mixed form, integer gather with its fallback, or the
+    generic formula."""
+    m, shifted, phases = _spec_tables(spec, beta)
+    if spec.mode == "mixed":
+        return _mixed_coeffs(spec, m, shifted, phases)
+    G = spec.system.integer_off_base_coords
+    if G is None:
+        return _generic_coeffs(spec, beta)
+    d = m @ G
+    lo = d.min(axis=0)
+    sizes = d.max(axis=0) - lo + 1
+    if sizes.sum() > d.size:
+        return _generic_coeffs(spec, beta)
+    at = d - lo + (np.cumsum(sizes) - sizes)
+    args = np.ones(sizes.sum(), dtype=np.complex128)
+    args[at] = shifted
+    return phases * np.prod(rgamma(args + 1.0)[at], axis=1)
 
 
 def _rgamma_shapes(monkeypatch):
@@ -422,7 +456,7 @@ def test_non_integer_set_takes_the_generic_path(monkeypatch):
     spec = SeriesSpec(system, (0, 0), 10)
     beta = np.array([0.3 + 0.1j, -0.4])
     raw = reduced_series(spec, beta).raw_coeffs
-    assert seen == [(math.comb(12, 2), 2)]
+    assert seen == [(math.comb(12, 2) * 2,)]  # every (term, coordinate), flattened
     assert raw.tobytes() == _generic_coeffs(spec, beta).tobytes()
 
 
@@ -457,16 +491,20 @@ def test_memo_key_is_the_parameter_value_at_call_time():
     assert reduced_series(spec, beta) is not first
 
 
+def _slot_tables():
+    return list(ggsys.series._last.values())
+
+
 def test_slot_keeps_only_the_last_table():
     system = build_reduced_system(select_base(A_G, (1, 2, 3)))
     spec = SeriesSpec(system, (0, 0, 0), 30)
     beta = np.array([0.1, 0.2, 0.3])
     first = reduced_series(spec, beta)
-    assert ggsys.series._last[2] is first
+    assert _slot_tables() == [first]
     assert reduced_series(spec, beta) is first
     # any other request replaces it, however small the new table
     small = reduced_series(SeriesSpec(system, (0, 0, 0), 1), beta)
-    assert ggsys.series._last[2] is small
+    assert _slot_tables() == [small]
     assert reduced_series(spec, beta) is not first
     # a table of any size is kept
     A = vector_set([(1,), (-1,), (-2,), (-1,)])
@@ -475,6 +513,71 @@ def test_slot_keeps_only_the_last_table():
     big = reduced_series(spec, np.array([0.3]))
     assert len(big.exponents) > 2**15
     assert reduced_series(spec, np.array([0.3])) is big
+
+
+def _batch_cases():
+    """[(spec, beta), ...] batches, one per tabulation path."""
+    wide = build_reduced_system(select_base(vector_set([(1,), (-5,), (-11,)]), (1,)))
+    generic = build_reduced_system(select_base(vector_set([(1, 0), (0, 1), (0.5, -1.0), (1.25, -0.75)]), (1, 2)))
+    mixed = build_reduced_system(select_base(vector_set([(1, 0), (0, 1), (-1, -2)]), (1, 2)))
+    bare = build_reduced_system(select_base(vector_set([(1, 0), (0, 1)]), (1, 2)))
+    a, b = np.array([0.43 - 0.21j, -0.17 + 0.05j, 0.59]), np.array([-1.7 + 0.4j, 2.25 - 1.1j, -0.35])
+    return {
+        "integer-gather": [(_spec(R_G, (1, -1, 0)), a), (_spec(R_G), b)],
+        "truncations": [(_spec(R_G, M=20), a), (_spec(R_G, M=19), a - A_G.row(4)), (_spec(R_G, M=20), b)],
+        "gather-fallback": [(_spec(wide, M=12), np.array([0.3 - 0.1j])), (_spec(wide, M=11), np.array([2.0]))],
+        "generic": [(_spec(generic, (1, 0), 10), np.array([0.3 + 0.1j, -0.4])), (_spec(generic, M=9), np.array([0.7, 0.2j]))],
+        "mixed": [
+            (_spec(mixed, M=12, mode="mixed", partition=((1,), (2,))), np.array([0.3, 0.7])),
+            (_spec(mixed, M=12), np.array([0.3, 0.7])),
+            (_spec(mixed, M=11, mode="mixed", partition=((2,), (1,))), np.array([-0.35 + 0.1j, 0.45])),
+        ],
+        "r=0": [(_spec(bare, (1, 0), 5), np.array([0.3, 0.7j])), (_spec(bare, M=4), np.array([-1.5, 2.0]))],
+    }
+
+
+@pytest.mark.parametrize("case", list(_batch_cases()))
+def test_batch_matches_the_one_table_oracle(case, monkeypatch):
+    requests = _batch_cases()[case]
+    seen = _rgamma_shapes(monkeypatch)
+    tables = reduced_series_batch(requests)
+    for (spec, beta), table in zip(requests, tables):
+        # bytes, not values: signed zeros and NaN payloads must match too
+        assert table.raw_coeffs.tobytes() == _one_table(spec, beta).tobytes()
+        assert table.spec is spec and reduced_series(spec, beta) is table
+    # the reduced tables share one flat rgamma call; a mixed table makes its own
+    assert sum(len(shape) == 1 for shape in seen) == 1
+    assert _slot_tables() == tables
+
+
+def test_a_batch_over_the_term_cap_runs_one_table_at_a_time(monkeypatch):
+    spec = _spec(R_G, M=55)  # r = 1: 56 terms per table
+    requests = [(spec, np.array([0.1, 0.2, 0.3])), (spec, np.array([0.4, 0.5, 0.6])), (_spec(R_G, M=54), np.array([0.7, 0.8, 0.9]))]
+    monkeypatch.setattr(ggsys.series, "_MAX_TERMS", 111)
+    seen = _rgamma_shapes(monkeypatch)
+    tables = reduced_series_batch(requests)
+    assert len(seen) == 3
+    assert [table.raw_coeffs.tobytes() for table in tables] == [_one_table(s, b).tobytes() for s, b in requests]
+    assert _slot_tables() == tables  # the slot still holds the whole batch
+    monkeypatch.setattr(ggsys.series, "_MAX_TERMS", 112)  # 56 + 56: the first two fit
+    seen.clear()
+    reduced_series_batch(requests[:2])
+    assert len(seen) == 1
+
+
+def test_a_batch_may_hold_several_systems(monkeypatch):
+    other = build_reduced_system(select_base(A_G, (1, 2, 3)))  # equal to R_G, but another instance
+    beta = np.array([0.1, 0.2, 0.3])
+    requests = [(_spec(R_G), beta), (_spec(other), beta), (_spec(R_G), beta + 1)]
+    seen = _rgamma_shapes(monkeypatch)
+    tables = reduced_series_batch(requests)
+    assert len(seen) == 1 and len({id(table) for table in tables}) == 3
+    for (spec, beta), table in zip(requests, tables):
+        assert table.raw_coeffs.tobytes() == _one_table(spec, beta).tobytes()
+        assert reduced_series(spec, beta) is table
+    with pytest.raises(InvalidInputError, match="parameter vector has the wrong length"):
+        reduced_series_batch([(_spec(R_G), beta), (_spec(R_G), beta[:2])])
+    assert reduced_series_batch([]) == [] and ggsys.series._last == {}
 
 
 def test_memo_belongs_to_one_system_instance():
@@ -506,7 +609,7 @@ def test_mixed_mode_shares_the_slot(monkeypatch):
     spec = _spec(R_G, M=5, mode="mixed", partition=((1,), (2, 3)))
     with pytest.raises(PoleError):
         mixed_gamma_series_eval(spec, np.array([2.0, -0.3, 0.8]), np.array([0.5]))
-    assert ggsys.series._last is None
+    assert ggsys.series._last == {}
     built = _count_tables(monkeypatch)
     spec = _spec(R_G, M=30, mode="mixed", partition=((1, 2), (3,)))
     beta = np.array([-0.35, -1.21, 0.7])
@@ -565,10 +668,10 @@ def test_one_reduced_spec_serves_both_variables(monkeypatch):
     post_init = SeriesSpec.__post_init__
     monkeypatch.setattr(SeriesSpec, "__post_init__", lambda self: built.append(self) or post_init(self))
     full = gg_series_eval(spec, beta, a)
-    table = ggsys.series._last[2]
+    [table] = _slot_tables()
     red = reduced_series_eval(spec, beta, R_G.x_from_a(a))
     assert built == []  # no spec is built per call
-    assert ggsys.series._last[2] is table  # the second call reads the first one's table
+    assert _slot_tables() == [table]  # the second call reads the first one's table
     prefactor = np.exp(np.sum(R_G.base.coords(beta) * np.log(a[:3])))
     assert full.value == prefactor * red.value
 

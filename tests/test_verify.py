@@ -11,6 +11,7 @@ from ggsys.series import (
     monomial_solution_zero,
     TruncatedSeries,
     reduced_series,
+    reduced_series_batch,
 )
 from ggsys.verify import (
     check_def2_system,
@@ -370,3 +371,68 @@ def test_evaluator_errors(error):
         assert isinstance(info.value.__cause__, ZeroDivisionError)
     else:
         assert str(info.value) == "inside the evaluator"
+
+
+# -- the prepare hand-off ----------------------------------------------------
+
+# an integer set whose off-base series converge everywhere
+A_INT = vector_set([(1, 0), (0, 1), (-1, -1), (-1, -2)])
+R_INT = build_reduced_system(select_base(A_INT, (1, 2)))
+
+
+def _rgamma_calls(monkeypatch):
+    """Count the rgamma calls of the series layer."""
+    import ggsys.series
+
+    calls = []
+    rgamma = ggsys.series.rgamma
+    monkeypatch.setattr(ggsys.series, "rgamma", lambda z: calls.append(np.shape(z)) or rgamma(z))
+    return calls
+
+
+def _prepared_evaluator(spec):
+    def f(beta, a):
+        return gg_series_eval(spec, beta, a).value
+
+    f.prepare = lambda betas: reduced_series_batch([(spec, beta) for beta in betas])
+    return f
+
+
+def _prepared_factory(system):
+    def make(beta, truncation):
+        return reduced_series(SeriesSpec(system, (0, 0), truncation), beta)
+
+    make.prepare = lambda requests: reduced_series_batch([(SeriesSpec(system, (0, 0), t), b) for b, t in requests])
+    return make
+
+
+def test_a_prepared_evaluator_costs_one_rgamma_call_per_sample(monkeypatch):
+    spec = SeriesSpec(R_INT, (0, 0), 20)
+    calls = _rgamma_calls(monkeypatch)
+    prepared = check_gg_system(_prepared_evaluator(spec), A_INT, samples=5, seed=4, base=(1, 2))
+    assert len(calls) == 5
+    calls.clear()
+    plain = check_gg_system(lambda beta, a: gg_series_eval(spec, beta, a).value, A_INT, samples=5, seed=4, base=(1, 2))
+    assert len(calls) == 5 * (1 + A_INT.N)  # beta, then each shifted parameter on its own
+    assert prepared == plain
+    assert all(rep.passed for rep in plain)
+
+
+def test_a_prepared_factory_costs_one_rgamma_call_per_sample(monkeypatch):
+    calls = _rgamma_calls(monkeypatch)
+    prepared = check_reduced_system(_prepared_factory(R_INT), R_INT, samples=5, seed=6, truncation=20)
+    assert len(calls) == 5
+    calls.clear()
+    plain = check_reduced_system(_series_factory(R_INT), R_INT, samples=5, seed=6, truncation=20)
+    assert len(calls) == 5 * (1 + A_INT.n + R_INT.r)
+    assert prepared == plain
+    assert all(rep.passed for rep in plain)
+
+
+def test_family_members_are_prepared(monkeypatch):
+    family = [((1, 2, 3), (0, 0, 0)), ((1, 2, 4), (0, 0, 0))]
+    calls = _rgamma_calls(monkeypatch)
+    result = solution_family_rank(A_G, family, samples=4, seed=17)
+    assert result.scale_used == 0.3  # one pass builds the rank matrix
+    # one table per member for the rank matrix, then one call per sample and member
+    assert len(calls) == len(family) * (1 + 4)
