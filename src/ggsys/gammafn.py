@@ -58,43 +58,45 @@ def _pole_mask(z):
     )
 
 
-def _log_gamma_right(z):
-    """Principal log-gamma on Re z >= 0.5 (arrays in, arrays out)."""
+def _rgamma_right(z):
+    """1/Gamma(z) on Re z >= 0.5 (arrays in, arrays out): exp(g - (z - 1/2)(log t - 1))
+    / (sqrt(2 pi) S(z)), t = z + g - 1/2, from one real log and one exp; S is summed in place."""
     zz = z - 1.0
-    t = zz + _LANCZOS_G + 0.5
-    series = np.full(z.shape, _LANCZOS_C[0], dtype=np.complex128)
+    term, series = np.empty_like(zz), np.full(z.shape, _LANCZOS_C[0], dtype=np.complex128)
     for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (zz + k)
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(series)
+        series += np.divide(_LANCZOS_C[k], np.add(zz, k, out=term), out=term)
+    t = zz + (_LANCZOS_G + 0.5)
+    term.real = 0.5 * np.log(t.real**2 + t.imag**2) - 1.0  # log t - 1, in the free buffer
+    term.imag = np.arctan2(t.imag, t.real)
+    return np.exp((_LANCZOS_G - _HALF_LOG_TWO_PI) - (zz + 0.5) * term) / series
 
 
 def rgamma(z):
     """Entire reciprocal gamma, 1/Gamma(z), vectorized over numpy arrays.
 
-    Exactly 0 at z in {0, -1, -2, ...} (inputs within 1e-12 of such a point
-    are snapped).  Relative accuracy is ~1e-13 for |z| <= 50, right up to
-    the snapping window.  Each value depends on its own z only, so the
-    points run in blocks of _BLOCK, whose temporaries stay in cache.
+    Exactly 0 at z in {0, -1, -2, ...} (inputs within 1e-12 of such a point are snapped); real,
+    +-inf past the double range, at real z.  Worst relative error against mpmath: 4.2e-14 for
+    |z| <= 60, 1.9e-13 for |z| in 101..170, 4.0e-14 at 1e-12..1e-3 off the poles 0..-50.  Each
+    value depends on its own z only, so the points run in blocks of _BLOCK, whose temporaries
+    stay in cache; a block right of Re z = 0.5 (no pole, no reflection) skips the masks.
     """
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty(z.shape, dtype=np.complex128)
     flat_z, flat_out = z.reshape(-1), out.reshape(-1)
     for start in range(0, z.size, _BLOCK):
         zf, block = flat_z[start:start + _BLOCK], flat_out[start:start + _BLOCK]
-        pole = _pole_mask(zf)
-        left = (zf.real < 0.5) & ~pole
-        right = ~left & ~pole
-
-        block[pole] = 0.0
-        if np.any(right):
-            block[right] = np.exp(-_log_gamma_right(zf[right]))
-        if np.any(left):
-            zl = zf[left]
-            # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z), with sin(pi z)
+        left = zf.real < 0.5
+        block[:] = _rgamma_right(np.where(left, 1.0 - zf, zf) if left.any() else zf)
+        if left.any():
+            pole = _pole_mask(zf)
+            block[pole] = 0.0
+            left &= ~pole
+            # reflection: 1/Gamma(z) = sin(pi z)/pi / rgamma(1-z), with sin(pi z)
             # taken from z - round(z) so that it keeps its digits near the poles
+            zl = zf[left]
             k = np.round(zl.real)
-            sinpi = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (zl - k))
-            block[left] = sinpi / np.pi * np.exp(_log_gamma_right(1.0 - zl))
+            block[left] = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (zl - k)) / np.pi / block[left]
+            block.imag[left & (zf.imag == 0.0)] = 0.0  # past the double range x / 0j is inf + nan j
     return complex(out) if z.ndim == 0 else out
 
 
@@ -114,5 +116,5 @@ def _gamma(z, offender, what):
             f"{what} hits a pole inside the truncation range",
             offenders=[offender(*index) for index in zip(*np.nonzero(pole))],
         )
-    with np.errstate(all="ignore"):  # an overflow is reported by name below
-        return _finite(1.0 / rgamma(z), what)
+    with np.errstate(all="ignore"):  # Gamma past either end of the range is reported by name
+        return _finite(1.0 / _finite(rgamma(z), what), what)

@@ -132,11 +132,11 @@ class TruncatedSeries:
             array.setflags(write=False)
 
     def _powers(self, x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        """prod_j x_j**exponents[:, j], gathered from the table of x_j**k,
-        k <= M; its column 0 holds numpy's complex 0**0 = 1."""
+        """prod_j x_j**exponents[:, j], gathered column by column from the
+        table of x_j**k, k <= M; its column 0 holds numpy's complex 0**0 = 1."""
         with np.errstate(invalid="ignore"):
             table = x[:, None] ** np.arange(self.spec.truncation + 1)
-        return np.prod(table[np.arange(len(x)), exponents], axis=1)
+        return _product(row[column] for row, column in zip(table, exponents.T))
 
     def terms(self, x) -> np.ndarray:
         x = _invariant_point(self.spec.system, x)
@@ -167,18 +167,28 @@ class TruncatedSeries:
         return complex(self.raw_coeffs[idx[0]])
 
 
+def _product(columns):
+    """Elementwise product of ``columns`` in order (1.0 for none): a copy of the first multiplied
+    in place by each further one, where np.prod along a short row would run a slow reduction."""
+    columns = iter(columns)
+    product = np.array(next(columns, 1.0))
+    for column in columns:
+        product *= column
+    return product
+
+
 def _gather_index(system: ReducedSystem, m: np.ndarray):
     """(at, length): with integer off-base coordinates G, entry (t, i) of the
-    shifted coordinates is beta_I[i] - d, d = (m @ G)[t, i], so rgamma over
+    shifted coordinates is beta_I[i] - d, d = (G.T @ m.T)[i, t], so rgamma over
     the ranges [min d, max d] of all coordinates, concatenated, gathered at
-    ``at``, gives every entry.  None for the generic path, or a wider table."""
+    row i of ``at``, gives column i.  None for the generic path, or a wider table."""
     G = system.integer_off_base_coords
     if G is None:
         return None
-    d = m @ G
-    lo = d.min(axis=0)
-    sizes = d.max(axis=0) - lo + 1
-    return None if sizes.sum() > d.size else (d - lo + (np.cumsum(sizes) - sizes), int(sizes.sum()))
+    d = G.T @ m.T
+    lo = d.min(axis=1)
+    sizes = d.max(axis=1) - lo + 1
+    return None if sizes.sum() > d.size else (d + (np.cumsum(sizes) - sizes - lo)[:, None], int(sizes.sum()))
 
 
 def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
@@ -195,8 +205,8 @@ def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
 
     sign_u = np.exp(1j * np.pi * shifted[:, pos_one].sum(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        numer = np.prod(_gamma(-shifted[:, pos_one], offender, "gamma factor"), axis=1) if pos_one else 1.0
-        denom = np.prod(rgamma(shifted[:, pos_two] + 1.0), axis=1) if pos_two else 1.0
+        numer = _product(_gamma(-shifted[:, pos_one], offender, "gamma factor").T)
+        denom = _product(rgamma(shifted[:, pos_two] + 1.0).T)
         return _finite(phases * sign_u * numer * denom, "mixed-form coefficient")
 
 
@@ -222,19 +232,17 @@ def _tabulate(requests) -> list[TruncatedSeries]:
         if spec.mode == "mixed":
             raws[index] = _mixed_coeffs(spec, m, shifted, phases)
         elif gather is None:
-            pending.append((index, phases, shifted, None))
+            pending.append((index, phases, shifted.T, None))
         else:
             args = np.ones(gather[1], dtype=np.complex128)  # values no term takes stay at 1
-            args[gather[0]] = shifted
+            args[gather[0]] = shifted.T
             pending.append((index, phases, args, gather[0]))
     if pending:
-        values = np.concatenate([args for _, _, args, _ in pending], axis=None)
-        values += 1.0
-        values = rgamma(values)
+        values = rgamma(np.concatenate([args for _, _, args, _ in pending], axis=None) + 1.0)
         ends = np.cumsum([args.size for _, _, args, _ in pending])
         for (index, phases, args, at), own in zip(pending, np.split(values, ends[:-1])):
-            own = own.reshape(args.shape)
-            raws[index] = phases * np.prod(own if at is None else own[at], axis=1)
+            columns = own.reshape(args.shape) if at is None else (own[column] for column in at)
+            raws[index] = phases * _product(columns)
     return [TruncatedSeries(spec, beta, raw) for (spec, beta), raw in zip(requests, raws)]
 
 

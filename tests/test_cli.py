@@ -632,7 +632,7 @@ def test_floating_point_events_go_into_the_report(tmp_path, capsys):
     assert main(["--config", "gauss.json", "--quiet", "--out", str(out), "--truncation", "149"]) == 1
     assert capsys.readouterr().err == ""
     events = _report(out)["numeric_events"]
-    assert "overflow encountered in reduce" in events
+    assert any("overflow" in e for e in events)  # the class of the event, not numpy's wording
     assert events == sorted(set(events))
     assert all("invalid value" in e or "overflow" in e for e in events)
     assert main(["--config", "gauss.json", "--quiet", "--out", str(out)]) == 0

@@ -103,3 +103,63 @@ def test_large_arrays_run_in_bit_identical_blocks(monkeypatch):
     assert got.tobytes() == pieces.reshape(3, 6667)[:, ::-1].tobytes()
     assert rgamma(z).tobytes() == pieces.tobytes()
     assert isinstance(rgamma(z[0]), complex) and rgamma(z[0]) == pieces[0]
+
+
+@pytest.mark.parametrize("z, want", [(-200.5, -math.inf), (-171.5, math.inf)])
+def test_real_arguments_past_the_double_range_give_real_infinities(z, want):
+    # |1/Gamma| is above the double range: a signed infinity, not inf + nan j,
+    # beside a complex point in one block as well as alone
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = rgamma(np.array([z, z + 0.25j]))
+    assert got[0].real == want and got[0].imag == 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        assert rgamma(z) == complex(want, 0.0)
+
+
+def test_real_argument_below_the_double_range_stays_real():
+    got = rgamma(171.7)  # 1/Gamma(171.7) is a subnormal double
+    with mpmath.workdps(40):
+        want = float(mpmath.rgamma(171.7))
+    assert got.imag == 0.0 and 0.0 < got.real < 1e-307
+    assert got.real == pytest.approx(want, rel=1e-12)
+
+
+def _band(name):
+    """Sample points of one accuracy band: uniform in an annulus of |z|, or
+    1e-12..1e-3 off each pole 0..-50 along and across the real axis."""
+    rng = np.random.default_rng(2024)
+    if name == "near":
+        offsets = np.logspace(-11.8, -3, 10)
+        return np.array([
+            v for pole in range(0, -51, -1) for d in offsets
+            for v in (pole + d, pole - d, complex(pole, d), complex(pole - d, -d))
+        ])
+    lo, hi = {"le60": (0.05, 60.0), "101-170": (101.0, 170.0)}[name]
+    radius = np.sqrt(rng.uniform(lo**2, hi**2, 800))
+    return radius * np.exp(1j * rng.uniform(-np.pi, np.pi, 800))
+
+
+# Each bound is the worst relative error that the two-log Lanczos form
+# (exp(-log Gamma)) reached on the same points, measured at 40 digits; the
+# one-log form measures 4.2e-14, 1.9e-13 and 4.0e-14.
+@pytest.mark.parametrize("name, bound", [("le60", 5.5e-14), ("101-170", 2.2e-13), ("near", 4.08e-14)])
+def test_relative_error_against_mpmath_by_band(name, bound):
+    z = _band(name)
+    with mpmath.workdps(40):
+        want = np.array([complex(mpmath.rgamma(mpmath.mpc(v))) for v in z])
+    keep = (np.abs(want) > 1e-300) & (np.abs(want) < 1e300)  # values inside the double range
+    assert keep.mean() > 0.8
+    rel = np.abs(rgamma(z[keep]) - want[keep]) / np.abs(want[keep])
+    assert rel.max() <= bound
+
+
+def test_blocks_right_of_one_half_skip_the_masks_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.5, 170.0, 3000) + 1j * rng.uniform(-60.0, 60.0, 3000)
+    z[0] = 0.5  # the edge of the half plane belongs to the fast path
+    masked = rgamma(np.append(z, -0.5))[:-1]  # one point left of 1/2: the whole block is masked
+    calls = []
+    mask = gammafn._pole_mask
+    monkeypatch.setattr(gammafn, "_pole_mask", lambda part: calls.append(part.size) or mask(part))
+    assert rgamma(z).tobytes() == masked.tobytes()
+    assert calls == []
