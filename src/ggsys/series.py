@@ -168,8 +168,7 @@ class TruncatedSeries:
 
 
 def _product(columns):
-    """Elementwise product of ``columns`` in order (1.0 for none): a copy of the first multiplied
-    in place by each further one, where np.prod along a short row would run a slow reduction."""
+    """Product of ``columns``, elementwise and in order (1.0 for none); np.prod on a short row is slow."""
     columns = iter(columns)
     product = np.array(next(columns, 1.0))
     for column in columns:

@@ -116,6 +116,14 @@ def test_real_arguments_past_the_double_range_give_real_infinities(z, want):
         assert rgamma(z) == complex(want, 0.0)
 
 
+@pytest.mark.parametrize("z", [1e160, -1e160, 1e300])
+def test_huge_real_arguments_give_zero_without_floating_point_events(z):
+    # |t| is taken without squaring its parts: 1/Gamma underflows, nothing overflows
+    with np.errstate(all="raise", under="ignore"):
+        got = rgamma(z)
+    assert got == 0.0 and got.imag == 0.0
+
+
 def test_real_argument_below_the_double_range_stays_real():
     got = rgamma(171.7)  # 1/Gamma(171.7) is a subnormal double
     with mpmath.workdps(40):
@@ -141,7 +149,8 @@ def _band(name):
 
 # Each bound is the worst relative error that the two-log Lanczos form
 # (exp(-log Gamma)) reached on the same points, measured at 40 digits; the
-# one-log form measures 4.2e-14, 1.9e-13 and 4.0e-14.
+# one-log form, whose log|t| carries its low part, measures 3.5e-14, 1.4e-13
+# and 2.6e-14 with numpy 2.4 on an x86-64 with AVX-512.
 @pytest.mark.parametrize("name, bound", [("le60", 5.5e-14), ("101-170", 2.2e-13), ("near", 4.08e-14)])
 def test_relative_error_against_mpmath_by_band(name, bound):
     z = _band(name)
@@ -151,15 +160,3 @@ def test_relative_error_against_mpmath_by_band(name, bound):
     assert keep.mean() > 0.8
     rel = np.abs(rgamma(z[keep]) - want[keep]) / np.abs(want[keep])
     assert rel.max() <= bound
-
-
-def test_blocks_right_of_one_half_skip_the_masks_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(11)
-    z = rng.uniform(0.5, 170.0, 3000) + 1j * rng.uniform(-60.0, 60.0, 3000)
-    z[0] = 0.5  # the edge of the half plane belongs to the fast path
-    masked = rgamma(np.append(z, -0.5))[:-1]  # one point left of 1/2: the whole block is masked
-    calls = []
-    mask = gammafn._pole_mask
-    monkeypatch.setattr(gammafn, "_pole_mask", lambda part: calls.append(part.size) or mask(part))
-    assert rgamma(z).tobytes() == masked.tobytes()
-    assert calls == []
