@@ -54,7 +54,6 @@ from .series import (
     convergence_condition,
     gg_series_eval,
     mixed_gamma_series_eval,
-    reduced_series,
     reduced_series_batch,
     reduced_series_eval,
 )
@@ -343,15 +342,7 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
     evaluator.prepare = lambda betas: reduced_series_batch([(spec, beta) for beta in betas])
 
     system_reps = check_gg_system(evaluator, A, seed=params["seed"], base=system.base.I, **checked)
-
-    def factory(beta, truncation_arg):
-        return reduced_series(SeriesSpec(system, k, truncation_arg), beta)
-    factory.prepare = lambda requests: reduced_series_batch([(SeriesSpec(system, k, t), beta) for beta, t in requests])
-
-    red1_rep, red2_rep = check_reduced_system(
-        factory, system, seed=params["seed"] + 2, mode="exact", truncation=params["truncation"],
-        **checked,
-    )
+    red1_rep, red2_rep = check_reduced_system(spec, system, seed=params["seed"] + 2, **checked)
     results = {
         "base": list(system.base.I),
         "twist": list(k),

@@ -210,10 +210,10 @@ def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
 
 
 def _tabulate(requests) -> list[TruncatedSeries]:
-    """The tables of (spec, beta) ``requests``: m @ G and the gather index
-    once per system and truncation, then one ``rgamma`` call over the
-    arguments of all reduced-mode tables, each reading back its own slice;
-    one table at a time above ``_MAX_TERMS`` terms in all."""
+    """The tables of (spec, beta) ``requests``: m @ G and the gather index once
+    per system and truncation, then one ``rgamma`` call over the arguments of all
+    reduced-mode tables, each reading back its own slice (ConvergenceError past the
+    double range); one table at a time above ``_MAX_TERMS`` terms in all."""
     if len(requests) > 1 and sum(math.comb(s.truncation + s.system.r, s.system.r) for s, _ in requests) > _MAX_TERMS:
         return [table for request in requests for table in _tabulate([request])]
     plans, raws, pending = {}, [None] * len(requests), []
@@ -241,7 +241,8 @@ def _tabulate(requests) -> list[TruncatedSeries]:
         ends = np.cumsum([args.size for _, _, args, _ in pending])
         for (index, phases, args, at), own in zip(pending, np.split(values, ends[:-1])):
             columns = own.reshape(args.shape) if at is None else (own[column] for column in at)
-            raws[index] = phases * _product(columns)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+                raws[index] = _finite(phases * _product(columns), "series coefficient")
     return [TruncatedSeries(spec, beta, raw) for (spec, beta), raw in zip(requests, raws)]
 
 

@@ -10,13 +10,14 @@ stay positive so principal powers are unambiguous.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import takewhile
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .model import VectorSet, ReducedSystem, _integers, _svd_rank, first_base, select_base
-from .series import SeriesSpec, TruncatedSeries, gauss_coefficients, gg_series_eval, reduced_series_batch
+from .series import SeriesSpec, gauss_coefficients, gg_series_eval, reduced_series_batch
 
 DEFAULT_TOLERANCE = 1e-8
 _FLOOR = 1e-300
@@ -244,33 +245,30 @@ def check_reduced_system(
     samples: int = 20,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    mode: str = "exact",
-    truncation: int = 20,
     x_bound: float = 0.3,
     points=None,
 ) -> tuple[ResidualReport, ResidualReport]:
     """Residuals of the reduced system in the invariant variables.
 
-    mode="exact": F is a factory (beta, truncation) -> TruncatedSeries and
-    derivatives are term-wise, so residuals measure floating noise only
-    (shifted right-hand series are truncated one order lower where the
-    identity demands it).  mode="fd": F is an evaluator (beta, x) -> complex
-    and x-derivatives come from central differences.  Either way each
-    sample computes the value, the r partials and the n + r shifted values
-    once, and both equations are read from them.
-
-    In exact mode each sample first hands (beta, M), (beta - omega^i, M)
-    for i in I and (beta - omega^j, M - 1) for j in J to ``F.prepare``, if
-    F has one.
+    F is a ``SeriesSpec`` of ``system``, differentiated term by term, or an
+    evaluator (beta, x) -> complex, differentiated by central differences.
+    Each sample computes the value, the r partials and the n + r shifted
+    values once, and both equations read them.  A spec of truncation M
+    tabulates (beta, M), (beta - omega^i, M) for i in I and (beta - omega^j,
+    M - 1) for j in J in one ``reduced_series_batch``, so its residuals
+    measure floating noise only.
 
     ``points`` overrides the sampler with explicit (beta, x) pairs, for
     evaluators whose domain excludes the default parameter box.
     """
-    if mode not in ("exact", "fd"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     base = system.base
     A = base.parent
+    exact = isinstance(F, SeriesSpec)
+    if exact:
+        if F.system is not system:
+            raise InvalidInputError("the series spec belongs to another system")
+        specs = [F] * (1 + A.n) + [replace(F, truncation=F.truncation - 1)] * system.r
     if points is not None:
         betas = [np.asarray(b, dtype=np.complex128) for b, _ in points]
         xs = [np.asarray(x, dtype=np.complex128) for _, x in points]
@@ -281,33 +279,25 @@ def check_reduced_system(
             for _ in range(samples)
         ]
     base_res, off_res, scales = [], [], []
-    prepare = getattr(F, "prepare", None)
     for beta, x in zip(betas, xs):
-        on_base = [beta - A.row(i) for i in base.I]
-        off_base = [beta - A.row(j) for j in base.J]
-        if mode == "exact":
-            if prepare is not None:
-                prepare([(b, truncation) for b in (beta, *on_base)] + [(b, truncation - 1) for b in off_base])
-            S = F(beta, truncation)
-            if not isinstance(S, TruncatedSeries):
-                raise InvalidInputError("exact mode needs a TruncatedSeries factory")
+        shifts = [beta - A.row(i) for i in (*base.I, *base.J)]
+        if exact:
+            S, *tables = reduced_series_batch(zip(specs, (beta, *shifts)))
             f0 = S.value(x).value
             partials = [S.derivative(x, j) for j in base.J]
-            base_shifted = [F(b, truncation).value(x).value for b in on_base]
-            off_shifted = [F(b, truncation - 1).value(x).value for b in off_base]
+            shifted = [T.value(x).value for T in tables]
         else:
             f0 = _call(F, beta, x)
             partials = [_central_difference(F, beta, x, row) for row in range(system.r)]
-            base_shifted = [_call(F, b, x) for b in on_base]
-            off_shifted = [_call(F, b, x) for b in off_base]
+            shifted = [_call(F, b, x) for b in shifts]
         scales.append(abs(f0))
         beta_I = base.coords(beta)
-        for pos, rhs in enumerate(base_shifted):
+        for pos, rhs in enumerate(shifted[:A.n]):
             lhs = beta_I[pos] * f0
             for row, d in enumerate(partials):
                 lhs += system.l_on_base[row, pos] * x[row] * d
             base_res.append(abs(lhs - rhs))
-        for d, rhs in zip(partials, off_shifted):
+        for d, rhs in zip(partials, shifted[A.n:]):
             off_res.append(abs(d - rhs))
     return (
         residual_report("reduced-base", base_res, scales, tolerance),
@@ -443,38 +433,30 @@ def solution_family_rank(
     base_draw = rng.uniform(0.5, 1.5, size=(samples, A.N))
     off_draw = rng.uniform(0.2, 1.0, size=(samples, len(off_base_labels)))
 
-    def argument_matrix(delta: float) -> np.ndarray:
-        args = base_draw.astype(np.complex128).copy()
-        for col, j in enumerate(off_base_labels):
-            args[:, j - 1] = delta * off_draw[:, col]
-        return args
-
     specs = {
         (I, k): SeriesSpec(systems[I], k, truncation) for I, k in family
     }
-    delta = 0.3
-    matrix = None
-    for _ in range(20):
-        args = argument_matrix(delta)
-        candidate = np.zeros((samples, len(family)), dtype=np.complex128)
-        ok = True
-        for col, member in enumerate(family):
-            for row in range(samples):
-                val = gg_series_eval(specs[member], beta, args[row])
-                if val.tail_estimate > 1e-9 * max(abs(val.value), 1e-30):
-                    ok = False
-                    break
-                candidate[row, col] = val.value
-            if not ok:
-                break
-        if ok:
-            matrix = candidate
+
+    def settled(spec, args):
+        """The member's values at the rows of args, or None at the first whose tail is not negligible."""
+        values = []
+        for a in args:
+            val = gg_series_eval(spec, beta, a)
+            if val.tail_estimate > 1e-9 * max(abs(val.value), 1e-30):
+                return None
+            values.append(val.value)
+        return values
+
+    for delta in (0.3 / 2**k for k in range(20)):
+        args = base_draw.astype(np.complex128)
+        args[:, [j - 1 for j in off_base_labels]] = delta * off_draw
+        columns = list(takewhile(lambda col: col is not None, (settled(specs[m], args) for m in family)))
+        if len(columns) == len(family):
             break
-        delta /= 2
-    if matrix is None:
+    else:
         raise DomainError("no common convergence domain found for the family")
 
-    svals = np.linalg.svd(matrix, compute_uv=False)
+    svals = np.linalg.svd(np.column_stack(columns), compute_uv=False)
     top = float(svals[0]) if len(svals) else 0.0
     rank = int(np.sum(svals > sv_threshold * max(top, _FLOOR)))
 

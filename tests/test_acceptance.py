@@ -44,7 +44,6 @@ from ggsys.series import (
     gauss_series_eval,
     gg_series_eval,
     monomial_solution_zero,
-    reduced_series,
     reduced_series_eval,
     twist_scaling,
 )
@@ -123,14 +122,8 @@ def test_03_reduced_exactness_random_sets():
         if system is None:
             continue
 
-        def factory(beta, truncation, system=system):
-            spec = SeriesSpec(system, (0,) * len(system.base.I), truncation)
-            return reduced_series(spec, beta)
-
-        r1, r2 = check_reduced_system(
-            factory, system, samples=20, seed=found, tolerance=1e-10,
-            mode="exact", truncation=18, x_bound=0.3,
-        )
+        spec = SeriesSpec(system, (0,) * len(system.base.I), 18)
+        r1, r2 = check_reduced_system(spec, system, samples=20, seed=found, tolerance=1e-10, x_bound=0.3)
         worst = max(worst, r1.max_rel_residual, r2.max_rel_residual)
         found += 1
     ok = found == 10 and worst <= 1e-10
@@ -222,7 +215,7 @@ def test_07_euler_segment_integral():
 
     beta = np.array([-0.6, -0.8])
     points = [(beta, [0.1]), (beta, [0.1j]), (beta, [-0.06 + 0.08j])]
-    base_rep, off_rep = check_reduced_system(F, system, tolerance=1e-6, mode="fd", points=points)
+    base_rep, off_rep = check_reduced_system(F, system, tolerance=1e-6, points=points)
     worst = max(base_rep.max_rel_residual, off_rep.max_rel_residual)
     ok = beta_rel <= 1e-7 and base_rep.passed and off_rep.passed
     _verdict(7, "euler segment integral", ok,

@@ -627,9 +627,20 @@ def test_mixed_eval_overflow_exits_1_with_its_cause(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# x**k overflows in numpy while the table itself stays finite
+_X_OVERFLOW = {
+    "task": "eval",
+    "omega": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
+    "base": [1, 2, 3],
+    "truncation": 25,
+    "beta": [[0.3, 0.4, 0.5]],
+    "x": [[1e200]],
+}
+
+
 def test_floating_point_events_go_into_the_report(tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["--config", "gauss.json", "--quiet", "--out", str(out), "--truncation", "149"]) == 1
+    assert main(["--config", _write(tmp_path, _X_OVERFLOW), "--quiet", "--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     events = _report(out)["numeric_events"]
     assert any("overflow" in e for e in events)  # the class of the event, not numpy's wording
@@ -647,7 +658,7 @@ def test_every_field_but_the_kind_dependent_two_has_a_reader():
 def test_overflow_report_is_strict_json(tmp_path):
     out = tmp_path / "report.json"
     with np.errstate(all="ignore"):
-        code = main(["--config", "gauss.json", "--quiet", "--out", str(out), "--truncation", "149"])
+        code = main(["--config", _write(tmp_path, _X_OVERFLOW), "--quiet", "--out", str(out)])
     assert code == 1
 
     def reject(constant):
@@ -658,6 +669,23 @@ def test_overflow_report_is_strict_json(tmp_path):
     unsettled = [c for c in rep["checks"] if c["max_rel_residual"] is None]
     assert unsettled
     assert all(c["passed"] is False for c in unsettled)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _load_bundled("gauss.json"),
+        _X_OVERFLOW | {"x": [[0.1]]},
+        {"task": "family", "omega": _X_OVERFLOW["omega"], "bases": [[1, 2, 3], [1, 2, 4]], "samples": 3},
+    ],
+    ids=["verify", "eval", "family"],
+)
+def test_a_table_past_the_double_range_fails_by_name(tmp_path, capsys, cfg):
+    # products of three reciprocal gammas near 1/Gamma(-100) pass 1e308
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out), "--truncation", "149"]) == 1
+    assert _report(out)["error"] == "series coefficient leaves the double range"
+    assert capsys.readouterr().err == ""
 
 
 # a two-dimensional set whose order-25 table would need 13,884,156 terms

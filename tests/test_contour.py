@@ -369,9 +369,7 @@ def test_euler_reduced_system_residuals():
 
     beta = np.array([-0.6, -0.8])
     points = [(beta, [0.1]), (beta, [0.1j]), (beta, [-0.07 + 0.0714j])]
-    base_rep, off_rep = check_reduced_system(
-        F, system, tolerance=1e-6, mode="fd", points=points
-    )
+    base_rep, off_rep = check_reduced_system(F, system, tolerance=1e-6, points=points)
     assert base_rep.passed, base_rep
     assert off_rep.passed, off_rep
 

@@ -37,14 +37,6 @@ def _gg_evaluator(A, I, k=None, truncation=25):
     return f
 
 
-def _series_factory(system, k=None):
-    def make(beta, truncation):
-        spec = SeriesSpec(system, k or (0,) * system.base.parent.n, truncation)
-        return reduced_series(spec, beta)
-
-    return make
-
-
 def test_gg_system_on_running_example():
     f = _gg_evaluator(A_G, (1, 2, 3))
     r1, r2, r3 = check_gg_system(f, A_G, samples=20, seed=3, base=(1, 2, 3))
@@ -208,22 +200,13 @@ def test_def2_negative_control():
 
 
 def test_reduced_exact_mode_running_example():
-    r1, r2 = check_reduced_system(
-        _series_factory(R_G), R_G, samples=20, seed=7, mode="exact", truncation=20
-    )
+    r1, r2 = check_reduced_system(SeriesSpec(R_G, (0, 0, 0), 20), R_G, samples=20, seed=7)
     assert r1.max_rel_residual <= 1e-10
     assert r2.max_rel_residual <= 1e-10
 
 
 def test_reduced_exact_mode_twisted():
-    r1, r2 = check_reduced_system(
-        _series_factory(R_G, k=(1, 0, 0)),
-        R_G,
-        samples=15,
-        seed=7,
-        mode="exact",
-        truncation=20,
-    )
+    r1, r2 = check_reduced_system(SeriesSpec(R_G, (1, 0, 0), 20), R_G, samples=15, seed=7)
     assert r1.max_rel_residual <= 1e-10
     assert r2.max_rel_residual <= 1e-10
 
@@ -233,24 +216,33 @@ def test_reduced_fd_mode_mixed_series():
         spec = SeriesSpec(R_G, (0, 0, 0), 30, "mixed", ((1, 2), (3,)))
         return mixed_gamma_series_eval(spec, beta, x).value
 
-    r1, r2 = check_reduced_system(
-        F, R_G, samples=10, seed=9, mode="fd", tolerance=1e-9
-    )
+    r1, r2 = check_reduced_system(F, R_G, samples=10, seed=9, tolerance=1e-9)
     assert r1.passed and r2.passed
+
+
+def test_reduced_exact_mode_mixed_series():
+    spec = SeriesSpec(R_G, (0, 0, 0), 20, "mixed", ((1, 2), (3,)))
+    r1, r2 = check_reduced_system(spec, R_G, samples=10, seed=9)
+    assert r1.max_rel_residual <= 1e-12
+    assert r2.max_rel_residual <= 1e-12
+
+
+def test_reduced_exact_mode_rejects_a_spec_of_another_system():
+    other = build_reduced_system(select_base(A_G, (1, 2, 4)))
+    with pytest.raises(InvalidInputError):
+        check_reduced_system(SeriesSpec(other, (0, 0, 0), 20), R_G)
 
 
 def test_reduced_fd_error_shrinks_with_step():
     # quantify the finite-difference contribution by comparing fd mode with
     # exact mode on the same seed
-    exact = check_reduced_system(
-        _series_factory(R_G), R_G, samples=10, seed=13, mode="exact", truncation=25
-    )
+    exact = check_reduced_system(SeriesSpec(R_G, (0, 0, 0), 25), R_G, samples=10, seed=13)
 
     def F(beta, x):
         spec = SeriesSpec(R_G, (0, 0, 0), 25)
         return reduced_series(spec, beta).value(x).value
 
-    fd = check_reduced_system(F, R_G, samples=10, seed=13, mode="fd")
+    fd = check_reduced_system(F, R_G, samples=10, seed=13)
     assert exact[0].max_rel_residual <= 1e-11
     assert fd[0].max_rel_residual <= 1e-7
     assert fd[0].max_rel_residual >= exact[0].max_rel_residual
@@ -269,7 +261,7 @@ def _counting(f):
 def test_reduced_exact_mode_takes_each_partial_once(monkeypatch):
     counted, calls = _counting(TruncatedSeries.derivative)
     monkeypatch.setattr(TruncatedSeries, "derivative", counted)
-    check_reduced_system(_series_factory(R_G), R_G, samples=4, seed=7, mode="exact")
+    check_reduced_system(SeriesSpec(R_G, (0, 0, 0), 20), R_G, samples=4, seed=7)
     assert len(calls) == 4 * R_G.r
 
 
@@ -278,7 +270,7 @@ def test_reduced_fd_mode_evaluates_each_value_once():
         return reduced_series(SeriesSpec(R_G, (0, 0, 0), 20), beta).value(x).value
 
     counted, calls = _counting(F)
-    check_reduced_system(counted, R_G, samples=4, seed=7, mode="fd")
+    check_reduced_system(counted, R_G, samples=4, seed=7)
     n = R_G.base.parent.n
     # the value, a central difference per partial, and the n + r shifts
     assert len(calls) == 4 * (1 + n + 3 * R_G.r)
@@ -289,11 +281,6 @@ def test_def2_pairing_reuses_the_shifted_values():
     size = 3
     check_def2_system(counted, size, [], samples=4, seed=2)
     assert len(calls) == 4 * (1 + 3 * size)
-
-
-def test_reduced_rejects_unknown_mode():
-    with pytest.raises(InvalidInputError):
-        check_reduced_system(_series_factory(R_G), R_G, mode="symbolic")
 
 
 def test_gauss_relations_pass():
@@ -398,14 +385,6 @@ def _prepared_evaluator(spec):
     return f
 
 
-def _prepared_factory(system):
-    def make(beta, truncation):
-        return reduced_series(SeriesSpec(system, (0, 0), truncation), beta)
-
-    make.prepare = lambda requests: reduced_series_batch([(SeriesSpec(system, (0, 0), t), b) for b, t in requests])
-    return make
-
-
 def test_a_prepared_evaluator_costs_one_rgamma_call_per_sample(monkeypatch):
     spec = SeriesSpec(R_INT, (0, 0), 20)
     calls = _rgamma_calls(monkeypatch)
@@ -418,15 +397,11 @@ def test_a_prepared_evaluator_costs_one_rgamma_call_per_sample(monkeypatch):
     assert all(rep.passed for rep in plain)
 
 
-def test_a_prepared_factory_costs_one_rgamma_call_per_sample(monkeypatch):
+def test_a_spec_costs_one_rgamma_call_per_sample(monkeypatch):
     calls = _rgamma_calls(monkeypatch)
-    prepared = check_reduced_system(_prepared_factory(R_INT), R_INT, samples=5, seed=6, truncation=20)
+    reports = check_reduced_system(SeriesSpec(R_INT, (0, 0), 20), R_INT, samples=5, seed=6)
     assert len(calls) == 5
-    calls.clear()
-    plain = check_reduced_system(_series_factory(R_INT), R_INT, samples=5, seed=6, truncation=20)
-    assert len(calls) == 5 * (1 + A_INT.n + R_INT.r)
-    assert prepared == plain
-    assert all(rep.passed for rep in plain)
+    assert all(rep.passed for rep in reports)
 
 
 def test_family_members_are_prepared(monkeypatch):
@@ -436,3 +411,27 @@ def test_family_members_are_prepared(monkeypatch):
     assert result.scale_used == 0.3  # one pass builds the rank matrix
     # one table per member for the rank matrix, then one call per sample and member
     assert len(calls) == len(family) * (1 + 4)
+
+
+def test_family_domain_search_halves_delta_until_the_member_settles():
+    # the coefficients grow like (3m)! / m!, so the order-30 tail settles only at small delta
+    A = vector_set([(1, 0), (0, 1), (-1, 3)])
+    delta = 0.3
+    for _ in range(7):
+        delta /= 2
+    result = solution_family_rank(A, [((1, 2), (0, 0))], samples=3, seed=17, truncation=30)
+    assert result.scale_used == delta
+
+
+def test_family_domain_search_stops_each_delta_at_the_first_unsettled_sample(monkeypatch):
+    import ggsys.verify
+
+    bases = []
+    evaluate = ggsys.verify.gg_series_eval
+    monkeypatch.setattr(ggsys.verify, "gg_series_eval", lambda spec, *args: bases.append(spec.system.base.I) or evaluate(spec, *args))
+    family = [((1, 2, 3), (0, 0, 0)), ((2, 3, 4), (0, 0, 0))]
+    with pytest.raises(DomainError):
+        solution_family_rank(A_G, family, samples=4, seed=17)
+    # delta scales a_1 and a_4 alike, which leaves the first member's x_4 = a_3 a_4 / (a_1 a_2)
+    # as it is: its third sample never settles, so no delta reaches the second member
+    assert bases == [(1, 2, 3)] * (20 * 3)
