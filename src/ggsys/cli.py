@@ -36,7 +36,7 @@ from .distributions import (
     gg_distribution_pair,
     smooth_bump,
 )
-from .errors import ConvergenceError, DomainError, InvalidInputError
+from .errors import ConvergenceError, DomainError, InvalidInputError, PoleError
 from .lattice import candidate_family, lattice_quotient, orthogonal_lattice, project_lattice, saturation_index
 from .model import (
     ReducedSystem,
@@ -54,7 +54,6 @@ from .series import (
     convergence_condition,
     gg_series_eval,
     mixed_gamma_series_eval,
-    reduced_series_batch,
     reduced_series_eval,
 )
 from .verify import (
@@ -307,7 +306,10 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
         raise _bad(arg_key, f"expected one entry per beta ({len(betas)}), got {len(args)}")
 
     evaluate = {"full": gg_series_eval, "mixed": mixed_gamma_series_eval}.get(mode, reduced_series_eval)
-    values = [evaluate(spec, beta, arg) for beta, arg in zip(betas, args)]
+    values = []
+    for i, (beta, arg) in enumerate(zip(betas, args)):
+        with _blame(f"{arg_key}[{i}]", DomainError), _blame(f"beta[{i}]", PoleError):  # a PoleError is a DomainError
+            values.append(evaluate(spec, beta, arg))
     points = [{"beta": beta, arg_key: arg, **_jsonify(v)} for beta, arg, v in zip(betas, args, values)]
     # the sums have settled when their largest tail is small against their largest value
     tails = [v.tail_estimate for v in values]
@@ -331,17 +333,8 @@ def _task_verify(cfg: dict, A: VectorSet, params: dict):
     x_bound = _get(cfg, "x_bound")
     eps = _get(cfg, "perturbation")
     checked = {"samples": params["samples"], "tolerance": params["tolerance"], "x_bound": x_bound}
-
     spec = SeriesSpec(system, k, params["truncation"])
-
-    def evaluator(beta, a):
-        value = gg_series_eval(spec, beta, a).value
-        if eps != 0:
-            value = value + eps * complex(a[0])
-        return value
-    evaluator.prepare = lambda betas: reduced_series_batch([(spec, beta) for beta in betas])
-
-    system_reps = check_gg_system(evaluator, A, seed=params["seed"], base=system.base.I, **checked)
+    system_reps = check_gg_system(spec, A, seed=params["seed"], perturbation=eps, **checked)
     red1_rep, red2_rep = check_reduced_system(spec, system, seed=params["seed"] + 2, **checked)
     results = {
         "base": list(system.base.I),

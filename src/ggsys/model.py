@@ -60,7 +60,7 @@ def _integers(values: np.ndarray) -> np.ndarray | None:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSet:
     """A finite spanning family of complex n-vectors.
 
@@ -114,7 +114,7 @@ def vector_set(rows) -> VectorSet:
     return VectorSet(omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseSelection:
     """An n-subset of labels whose vectors form a basis, plus the
     coordinate map it induces.
@@ -196,7 +196,7 @@ def kernel_space(A: VectorSet) -> np.ndarray:
     return null_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedSystem:
     """A base together with the difference-equation data it induces.
 

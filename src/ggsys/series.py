@@ -221,10 +221,10 @@ def _tabulate(requests) -> list[TruncatedSeries]:
         system = spec.system
         if beta.shape != (system.base.parent.n,):
             raise InvalidInputError("parameter vector has the wrong length")
-        if (id(system), spec.truncation) not in plans:
+        if (system, spec.truncation) not in plans:
             m = _shells(system.r, spec.truncation)[0]
-            plans[id(system), spec.truncation] = (m, m @ system.off_base_coords, _gather_index(system, m))
-        m, mG, gather = plans[id(system), spec.truncation]
+            plans[system, spec.truncation] = (m, m @ system.off_base_coords, _gather_index(system, m))
+        m, mG, gather = plans[system, spec.truncation]
         # base coordinates of beta - sum_j m_j omega^j, one row per term
         shifted = system.base.coords(beta)[None, :] - mG
         phases = np.exp(_TWO_PI_I * (shifted @ np.asarray(spec.k, dtype=np.float64)))
@@ -247,10 +247,10 @@ def _tabulate(requests) -> list[TruncatedSeries]:
 
 
 def _key(spec: SeriesSpec, beta: np.ndarray) -> tuple:
-    return (id(spec.system), spec.k, spec.truncation, spec.mode, spec.partition, beta.shape, beta.tobytes())
+    return (spec, beta.shape, beta.tobytes())
 
 
-# the tables of the last batch by _key; each holds its system, whose id so stays unique
+# the tables of the last batch, by _key
 _last = {}
 
 

@@ -118,15 +118,17 @@ def _central_difference(f, beta, z, index) -> complex:
 
 
 def check_gg_system(
-    f,
+    F,
     A: VectorSet,
     samples: int = 20,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
     base=None,
     x_bound: float = 0.3,
+    perturbation: complex = 0j,
 ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    """Residuals of the defining system for an evaluator f(beta, a).
+    """Residuals of the defining system for F: a reduced-mode ``SeriesSpec`` of
+    a system of A, or an evaluator f(beta, a) on ``base`` (default the first).
 
     One pass over the samples gives three reports.  First: every partial
     derivative in a_j (central differences) matches the parameter shift by
@@ -134,24 +136,35 @@ def check_gg_system(
     function, checked directly with no differentiation.  Third: the
     derivative-weighted and shift-weighted forms of the system agree,
     sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0, from the same
-    difference quotients and shifted values as the first report.
-
-    Each sample first hands [beta, beta - omega^1, ..., beta - omega^N] to
-    ``f.prepare``, if f has one, to tabulate in one ``reduced_series_batch``.
+    difference quotients and shifted values as the first report.  A spec is
+    read through ``gg_series_eval`` on its own base, each sample's beta and N
+    shifts tabulated in one ``reduced_series_batch``; an evaluator is only
+    called.  A nonzero ``perturbation`` (negative-control hook) adds
+    perturbation * a_1 to every value.
     """
     rng = np.random.default_rng(seed)
-    chosen = select_base(A, base) if base is not None else first_base(A)
-    if chosen is None:
-        raise InvalidInputError("the vector set has no base")
-    system = ReducedSystem(chosen)
+    spec = F if isinstance(F, SeriesSpec) else None
+    if spec is None:
+        chosen = select_base(A, base) if base is not None else first_base(A)
+        if chosen is None:
+            raise InvalidInputError("the vector set has no base")
+    elif spec.system.base.parent is not A or spec.mode != "reduced":
+        raise InvalidInputError("the series spec is not a reduced-mode spec of a system of this vector set")
+    elif base is not None:
+        raise InvalidInputError("a series spec brings its own base")
+    system = ReducedSystem(chosen) if spec is None else spec.system
+
+    def f(beta, a):
+        value = F(beta, a) if spec is None else gg_series_eval(spec, beta, a).value
+        return value + perturbation * complex(a[0]) if perturbation != 0 else value
+
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
     shift_res, weighted_res, forms_res, scales = [], [], [], []
-    prepare = getattr(f, "prepare", None)
     for beta, a in zip(betas, args):
         shifts = [beta - A.row(j) for j in range(1, A.N + 1)]
-        if prepare is not None:
-            prepare([beta, *shifts])
+        if spec is not None:
+            reduced_series_batch((spec, b) for b in (beta, *shifts))
         f0 = _call(f, beta, a)
         scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
@@ -462,14 +475,8 @@ def solution_family_rank(
 
     member_reports = []
     for idx, (I, k) in enumerate(family):
-        spec = specs[(I, k)]
-
-        def member(beta_arg, a_arg, spec=spec):
-            return gg_series_eval(spec, beta_arg, a_arg).value
-        member.prepare = lambda betas, spec=spec: reduced_series_batch([(spec, b) for b in betas])
-
         shift_rep, weighted_rep, _ = check_gg_system(
-            member, A, samples=samples, seed=seed + idx + 1, tolerance=tolerance, base=I
+            specs[(I, k)], A, samples=samples, seed=seed + idx + 1, tolerance=tolerance
         )
         member_reports += [shift_rep, weighted_rep]
     # np.max, unlike the builtin max, carries a NaN through to the summary

@@ -59,7 +59,14 @@ def test_perturbed_control_fails(tmp_path):
     assert code == 1
     rep = _report(out)
     assert rep["passed"] is False
-    assert any(not c["passed"] for c in rep["checks"])
+    # the perturbation reaches the gg-system checks only
+    assert [(c["equation"], c["passed"]) for c in rep["checks"]] == [
+        ("derivative-shift", False),
+        ("weighted-shift", False),
+        ("weighted-forms-agreement", False),
+        ("reduced-base", True),
+        ("reduced-offbase", True),
+    ]
 
 
 def test_seed_override_is_echoed(tmp_path):
@@ -582,10 +589,20 @@ _DEPENDENT = {"omega": [[1, 0], [2, 0], [0, 1]]}  # vectors 1 and 2 are no base
         (_DEPENDENT | {"task": "reduce", "base": [1, 2]}, "base: vectors (1, 2) are linearly dependent"),
         (_eval_config(partition=[[1], [2, 3]]), "partition: partition goes with mixed mode only"),
         (_DEPENDENT | {"task": "family", "bases": [[1, 2]]}, "bases: vectors (1, 2) are linearly dependent"),
+        # a point's domain error names the point's argument, and a pole (a kind of domain error) its beta
+        (
+            {"task": "eval", "omega": [[1, 0], [0, 1], [1, 1]], "base": [1, 2], "mode": "full",
+             "beta": [[0.3, 0.4]], "a": [[0, 1, 0.2]]},
+            "a[0]: arguments at the base positions must be nonzero",
+        ),
+        (
+            _MIXED | {"omega": [[1, 0], [0, 1], [-1, -1]], "beta": [[0, 0.3]], "truncation": 5},
+            "beta[0]: gamma factor hits a pole inside the truncation range",
+        ),
     ],
     ids=[
         "beta", "x", "partition", "bases", "vector", "distribution.x", "integral.branch", "hankel-base",
-        "vector-set", "select-base", "series-spec", "candidate-family",
+        "vector-set", "select-base", "series-spec", "candidate-family", "eval-argument", "eval-pole",
     ],
 )
 def test_bad_entry_is_named_by_its_path(tmp_path, cfg, error):

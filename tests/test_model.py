@@ -326,13 +326,21 @@ def test_reduced_system_arrays_match_the_stored_shift_vectors(A):
 def test_reduced_system_holds_its_base_and_derives_the_rest_once():
     assert [f.name for f in dataclasses.fields(model.ReducedSystem)] == ["base"]
     R = model.ReducedSystem(select_base(vector_set(A_G_ROWS), (1, 2, 3)))
-    assert build_reduced_system(R.base) == R
+    assert build_reduced_system(R.base).base is R.base
     for name in ("off_base_coords", "l_on_base", "integer_off_base_coords"):
         array = getattr(R, name)
         assert getattr(R, name) is array
         with pytest.raises(ValueError):
             array[0, 0] = 5
     np.testing.assert_array_equal(R.integer_off_base_coords, [[1, 1, -1]])
+
+
+def test_value_types_compare_and_hash_by_identity():
+    # equal but distinct sets: comparing their omega arrays with == would have no truth value
+    one, two = (model.ReducedSystem(select_base(vector_set(A_G_ROWS), (1, 2, 3))) for _ in range(2))
+    for left, right in ((one, two), (one.base, two.base), (one.base.parent, two.base.parent)):
+        assert left == left and left != right
+        assert len({left, right}) == 2
 
 
 def _old_reducibility(A):

@@ -11,7 +11,6 @@ from ggsys.series import (
     monomial_solution_zero,
     TruncatedSeries,
     reduced_series,
-    reduced_series_batch,
 )
 from ggsys.verify import (
     check_def2_system,
@@ -27,9 +26,13 @@ A_G = vector_set([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
 R_G = build_reduced_system(select_base(A_G, (1, 2, 3)))
 
 
+def _gg_spec(A, I, k=None, truncation=25):
+    return SeriesSpec(build_reduced_system(select_base(A, I)), k or (0,) * A.n, truncation)
+
+
 def _gg_evaluator(A, I, k=None, truncation=25):
-    system = build_reduced_system(select_base(A, I))
-    spec = SeriesSpec(system, k or (0,) * A.n, truncation)
+    """The series of ``_gg_spec`` as a plain evaluator, which the check only calls."""
+    spec = _gg_spec(A, I, k, truncation)
 
     def f(beta, a):
         return gg_series_eval(spec, beta, a).value
@@ -38,8 +41,7 @@ def _gg_evaluator(A, I, k=None, truncation=25):
 
 
 def test_gg_system_on_running_example():
-    f = _gg_evaluator(A_G, (1, 2, 3))
-    r1, r2, r3 = check_gg_system(f, A_G, samples=20, seed=3, base=(1, 2, 3))
+    r1, r2, r3 = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=20, seed=3)
     assert r1.equation_id == "derivative-shift"
     assert r2.equation_id == "weighted-shift"
     assert r3.equation_id == "weighted-forms-agreement"
@@ -56,26 +58,43 @@ def test_gg_system_default_base_is_the_first_base():
 
 
 def test_gg_system_negative_control():
+    r1, r2, _ = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=10, seed=3, perturbation=1e-3)
+    assert not (r1.passed and r2.passed)
+
+
+def test_a_perturbed_spec_reads_like_the_perturbed_evaluator():
     f = _gg_evaluator(A_G, (1, 2, 3))
 
     def broken(beta, a):
         return f(beta, a) + 1e-3 * a[0]
 
-    r1, r2, _ = check_gg_system(broken, A_G, samples=10, seed=3, base=(1, 2, 3))
-    assert not (r1.passed and r2.passed)
+    by_hand = check_gg_system(broken, A_G, samples=6, seed=3, base=(1, 2, 3))
+    assert check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=6, seed=3, perturbation=1e-3) == by_hand
+    assert not any(rep.passed for rep in by_hand)
+
+
+def test_a_spec_of_another_set_or_with_a_base_is_refused():
+    spec = _gg_spec(A_G, (1, 2, 3))
+    twin = vector_set(A_G.omega)  # equal rows, another set
+    with pytest.raises(InvalidInputError, match="not a reduced-mode spec of a system of this vector set"):
+        check_gg_system(spec, twin, samples=1)
+    # a mixed-mode spec has no form in the original variables a
+    mixed = SeriesSpec(R_G, (0, 0, 0), 5, "mixed", ((1,), (2, 3)))
+    with pytest.raises(InvalidInputError, match="not a reduced-mode spec"):
+        check_gg_system(mixed, A_G, samples=1)
+    with pytest.raises(InvalidInputError, match="its own base"):
+        check_gg_system(spec, A_G, samples=1, base=(1, 2, 3))
 
 
 def test_gg_forms_agree():
-    f = _gg_evaluator(A_G, (1, 2, 3))
-    rep = check_gg_system(f, A_G, samples=10, seed=5, tolerance=1e-9, base=(1, 2, 3))[2]
+    rep = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=10, seed=5, tolerance=1e-9)[2]
     assert rep.equation_id == "weighted-forms-agreement"
     assert rep.sample_points == 10
     assert rep.passed
 
 
 def test_report_invariant_pass_iff_rel_below_tol():
-    f = _gg_evaluator(A_G, (1, 2, 3))
-    for rep in check_gg_system(f, A_G, samples=5, seed=1, base=(1, 2, 3)):
+    for rep in check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=5, seed=1):
         assert rep.passed == (rep.max_rel_residual <= rep.tolerance)
 
 
@@ -139,9 +158,9 @@ def test_gg_system_tabulates_each_parameter_once_per_sample(monkeypatch):
 
 
 def test_reports_are_deterministic():
-    f = _gg_evaluator(A_G, (1, 2, 3))
-    first = check_gg_system(f, A_G, samples=8, seed=11, base=(1, 2, 3))
-    second = check_gg_system(f, A_G, samples=8, seed=11, base=(1, 2, 3))
+    spec = _gg_spec(A_G, (1, 2, 3))
+    first = check_gg_system(spec, A_G, samples=8, seed=11)
+    second = check_gg_system(spec, A_G, samples=8, seed=11)
     assert first == second
 
 
@@ -360,7 +379,7 @@ def test_evaluator_errors(error):
         assert str(info.value) == "inside the evaluator"
 
 
-# -- the prepare hand-off ----------------------------------------------------
+# -- rgamma calls per sample --------------------------------------------------
 
 # an integer set whose off-base series converge everywhere
 A_INT = vector_set([(1, 0), (0, 1), (-1, -1), (-1, -2)])
@@ -377,23 +396,21 @@ def _rgamma_calls(monkeypatch):
     return calls
 
 
-def _prepared_evaluator(spec):
-    def f(beta, a):
-        return gg_series_eval(spec, beta, a).value
-
-    f.prepare = lambda betas: reduced_series_batch([(spec, beta) for beta in betas])
-    return f
-
-
-def test_a_prepared_evaluator_costs_one_rgamma_call_per_sample(monkeypatch):
+@pytest.mark.parametrize("perturbation", [0j, 1e-3])
+def test_a_gg_spec_costs_one_rgamma_call_per_sample(monkeypatch, perturbation):
     spec = SeriesSpec(R_INT, (0, 0), 20)
     calls = _rgamma_calls(monkeypatch)
-    prepared = check_gg_system(_prepared_evaluator(spec), A_INT, samples=5, seed=4, base=(1, 2))
+    batched = check_gg_system(spec, A_INT, samples=5, seed=4, perturbation=perturbation)
     assert len(calls) == 5
-    calls.clear()
+    assert all(rep.passed for rep in batched) == (perturbation == 0)
+
+
+def test_a_gg_spec_reads_like_its_evaluator(monkeypatch):
+    spec = SeriesSpec(R_INT, (0, 0), 20)
+    calls = _rgamma_calls(monkeypatch)
     plain = check_gg_system(lambda beta, a: gg_series_eval(spec, beta, a).value, A_INT, samples=5, seed=4, base=(1, 2))
     assert len(calls) == 5 * (1 + A_INT.N)  # beta, then each shifted parameter on its own
-    assert prepared == plain
+    assert check_gg_system(spec, A_INT, samples=5, seed=4) == plain
     assert all(rep.passed for rep in plain)
 
 
@@ -404,7 +421,7 @@ def test_a_spec_costs_one_rgamma_call_per_sample(monkeypatch):
     assert all(rep.passed for rep in reports)
 
 
-def test_family_members_are_prepared(monkeypatch):
+def test_family_members_cost_one_rgamma_call_per_sample(monkeypatch):
     family = [((1, 2, 3), (0, 0, 0)), ((1, 2, 4), (0, 0, 0))]
     calls = _rgamma_calls(monkeypatch)
     result = solution_family_rank(A_G, family, samples=4, seed=17)
