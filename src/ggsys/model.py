@@ -225,19 +225,12 @@ class ReducedSystem:
         coords.setflags(write=False)
         return coords
 
-    @cached_property
-    def l_on_base(self) -> np.ndarray:
-        """(r, n) block of l^j at the base positions (= -coords of omega^j)."""
-        l_on_base = -self.off_base_coords
-        l_on_base.setflags(write=False)
-        return l_on_base
-
     @property
     def l_coeffs(self) -> np.ndarray:
         """(r, N) shift vectors l^j, one row per off-base label."""
         L = np.zeros((self.r, self.base.parent.N), dtype=np.complex128)
         L[np.arange(self.r), _positions(self.base.J)] = 1.0
-        L[:, _positions(self.base.I)] = self.l_on_base
+        L[:, _positions(self.base.I)] = -self.off_base_coords
         return L
 
     @cached_property
@@ -251,7 +244,7 @@ class ReducedSystem:
         ipos = _positions(self.base.I)
         jpos = _positions(self.base.J)
         log_base = np.log(a[ipos])
-        return a[jpos] * np.exp(self.l_on_base @ log_base)
+        return a[jpos] * np.exp(-self.off_base_coords @ log_base)
 
 
 def _invariant_point(system: ReducedSystem, x) -> np.ndarray:

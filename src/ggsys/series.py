@@ -14,12 +14,12 @@ evaluates ``rgamma`` once per distinct value and gathers from there.
 ``reduced_series_batch`` tabulates several (spec, beta) in one ``rgamma``
 call over all their arguments.  Each argument is an entry of the generic
 ``shifted + 1`` and each value depends on its own argument only, so every
-table is the generic one-table result bit for bit.  The layer keeps the
-last batch (``_last``) and ``reduced_series`` reads it back, so the
-residual checks, which hand each sample's shifted parameters to one batch,
-tabulate a sample in one call.  Table arrays are read-only.  Mixed mode
-makes its own gamma calls; every evaluation gathers its powers from one
-table of x_j**k for k <= M.
+table is the generic one-table result bit for bit.  A batch only returns
+its tables: the residual checks hand it each sample's parameter and its
+shifts and read the tables they get back.  ``reduced_series`` alone keeps
+the table of its last call.  Table arrays are read-only.  Mixed mode makes
+its own gamma calls; every evaluation gathers its powers from one table of
+x_j**k for k <= M.
 """
 from __future__ import annotations
 
@@ -209,13 +209,15 @@ def _mixed_coeffs(spec: SeriesSpec, m, shifted, phases) -> np.ndarray:
         return _finite(phases * sign_u * numer * denom, "mixed-form coefficient")
 
 
-def _tabulate(requests) -> list[TruncatedSeries]:
-    """The tables of (spec, beta) ``requests``: m @ G and the gather index once
-    per system and truncation, then one ``rgamma`` call over the arguments of all
-    reduced-mode tables, each reading back its own slice (ConvergenceError past the
-    double range); one table at a time above ``_MAX_TERMS`` terms in all."""
+def reduced_series_batch(requests) -> list[TruncatedSeries]:
+    """The tables of (spec, beta) ``requests``, each bit for bit the one
+    ``reduced_series`` builds alone: m @ G and the gather index once per system
+    and truncation, then one ``rgamma`` call over the arguments of all
+    reduced-mode tables, each reading back its own slice (ConvergenceError past
+    the double range); one table at a time above ``_MAX_TERMS`` terms in all."""
+    requests = [(spec, np.asarray(beta, dtype=np.complex128)) for spec, beta in requests]
     if len(requests) > 1 and sum(math.comb(s.truncation + s.system.r, s.system.r) for s, _ in requests) > _MAX_TERMS:
-        return [table for request in requests for table in _tabulate([request])]
+        return [table for request in requests for table in reduced_series_batch([request])]
     plans, raws, pending = {}, [None] * len(requests), []
     for index, (spec, beta) in enumerate(requests):
         system = spec.system
@@ -246,24 +248,8 @@ def _tabulate(requests) -> list[TruncatedSeries]:
     return [TruncatedSeries(spec, beta, raw) for (spec, beta), raw in zip(requests, raws)]
 
 
-def _key(spec: SeriesSpec, beta: np.ndarray) -> tuple:
-    return (spec, beta.shape, beta.tobytes())
-
-
-# the tables of the last batch, by _key
-_last = {}
-
-
-def reduced_series_batch(requests) -> list[TruncatedSeries]:
-    """The tables of (spec, beta) requests, each bit for bit the one
-    ``reduced_series`` builds alone, the reduced-mode ones from one ``rgamma``
-    call.  The batch replaces the last; ``reduced_series`` reads it back."""
-    global _last
-    requests = [(spec, np.asarray(beta, dtype=np.complex128)) for spec, beta in requests]
-    _last = {}  # let the old tables go before the new ones are built
-    tables = _tabulate(requests)
-    _last = {_key(spec, beta): table for (spec, beta), table in zip(requests, tables)}
-    return tables
+# ((spec, beta shape, beta bytes), table) of the last reduced_series call
+_memo = None
 
 
 def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
@@ -271,13 +257,16 @@ def reduced_series(spec: SeriesSpec, beta) -> TruncatedSeries:
 
     c_m = u(beta - sum m_j omega^j) / Gamma_I(shifted + 1), where u is the
     exponential twist named by spec.k; in mixed mode the gamma factors are
-    split as ``mixed_gamma_series_eval`` says.  A (system, spec, beta) of
-    the last batch returns its read-only table; any other request is a
-    batch of one.
+    split as ``mixed_gamma_series_eval`` says.  The read-only table of the
+    last call is kept, so a repeated (spec, beta) tabulates once.
     """
+    global _memo
     beta = np.asarray(beta, dtype=np.complex128)
-    table = _last.get(_key(spec, beta))
-    return table if table is not None else reduced_series_batch([(spec, beta)])[0]
+    key = (spec, beta.shape, beta.tobytes())
+    if _memo is None or _memo[0] != key:
+        _memo = None  # let the old table go before the new one is built
+        _memo = (key, reduced_series_batch([(spec, beta)])[0])
+    return _memo[1]
 
 
 def reduced_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
@@ -291,22 +280,22 @@ def gg_series_eval(spec: SeriesSpec, beta, a) -> SeriesValue:
     series of ``spec`` at x(a).  Principal branch throughout."""
     if spec.mode != "reduced":
         raise InvalidInputError("gg_series_eval needs mode='reduced'")
-    system = spec.system
-    base = system.base
+    base = spec.system.base
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (base.parent.N,):
         raise InvalidInputError("argument vector has the wrong length")
-    a_I = a[[i - 1 for i in base.I]]
-    if np.any(a_I == 0):
+    if np.any(a[[i - 1 for i in base.I]] == 0):
         raise DomainError("arguments at the base positions must be nonzero")
-    beta = np.asarray(beta, dtype=np.complex128)
-    beta_I = base.coords(beta)
-    prefactor = np.exp(np.sum(beta_I * np.log(a_I)))
-    val = reduced_series(spec, beta).value(system.x_from_a(a))
-    scale = abs(prefactor)
-    return SeriesValue(
-        complex(prefactor * val.value), scale * val.tail_estimate, val.terms_used
-    )
+    return _gg_value(reduced_series(spec, beta), a)
+
+
+def _gg_value(table: TruncatedSeries, a: np.ndarray) -> SeriesValue:
+    """``gg_series_eval`` of ``table`` at a complex vector ``a`` nonzero on the base."""
+    system = table.spec.system
+    a_I = a[[i - 1 for i in system.base.I]]
+    prefactor = np.exp(np.sum(system.base.coords(table.beta) * np.log(a_I)))
+    val = table.value(system.x_from_a(a))
+    return SeriesValue(complex(prefactor * val.value), abs(prefactor) * val.tail_estimate, val.terms_used)
 
 
 def mixed_gamma_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:
@@ -366,7 +355,7 @@ def convergence_condition(system: ReducedSystem) -> ConvergenceReport:
     shift vector l^j is >= -1; equivalently the real part of the sum of the
     base coordinates of omega^j is <= 1.
     """
-    l_sums = system.l_on_base.sum(axis=1).real
+    l_sums = (-system.off_base_coords).sum(axis=1).real
     g_sums = system.off_base_coords.sum(axis=1).real
     holds = tuple(bool(v >= -1.0) for v in l_sums)
     return ConvergenceReport(

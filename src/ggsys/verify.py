@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .model import VectorSet, ReducedSystem, _integers, _svd_rank, first_base, select_base
-from .series import SeriesSpec, gauss_coefficients, gg_series_eval, reduced_series_batch
+from .series import SeriesSpec, _gg_value, gauss_coefficients, reduced_series_batch
 
 DEFAULT_TOLERANCE = 1e-8
 _FLOOR = 1e-300
@@ -136,9 +136,9 @@ def check_gg_system(
     function, checked directly with no differentiation.  Third: the
     derivative-weighted and shift-weighted forms of the system agree,
     sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0, from the same
-    difference quotients and shifted values as the first report.  A spec is
-    read through ``gg_series_eval`` on its own base, each sample's beta and N
-    shifts tabulated in one ``reduced_series_batch``; an evaluator is only
+    difference quotients and shifted values as the first report.  A spec
+    tabulates each sample's beta and N shifts in one ``reduced_series_batch``
+    and reads those tables as ``gg_series_eval`` would; an evaluator is only
     called.  A nonzero ``perturbation`` (negative-control hook) adds
     perturbation * a_1 to every value.
     """
@@ -154,24 +154,23 @@ def check_gg_system(
         raise InvalidInputError("a series spec brings its own base")
     system = ReducedSystem(chosen) if spec is None else spec.system
 
-    def f(beta, a):
-        value = F(beta, a) if spec is None else gg_series_eval(spec, beta, a).value
+    def f(point, a):  # point: a parameter for an evaluator, a table for a spec
+        value = F(point, a) if spec is None else _gg_value(point, a).value
         return value + perturbation * complex(a[0]) if perturbation != 0 else value
 
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
     shift_res, weighted_res, forms_res, scales = [], [], [], []
     for beta, a in zip(betas, args):
-        shifts = [beta - A.row(j) for j in range(1, A.N + 1)]
-        if spec is not None:
-            reduced_series_batch((spec, b) for b in (beta, *shifts))
-        f0 = _call(f, beta, a)
+        points = [beta] + [beta - A.row(j) for j in range(1, A.N + 1)]
+        here, *shifts = points if spec is None else reduced_series_batch((spec, b) for b in points)
+        f0 = _call(f, here, a)
         scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
         forms = np.zeros(A.n, dtype=np.complex128)
         # every quotient at beta before any shifted value, so that a series
         # evaluator tabulates beta once per sample
-        fds = [_central_difference(f, beta, a, j) for j in range(A.N)]
+        fds = [_central_difference(f, here, a, j) for j in range(A.N)]
         for j, (fd, shift) in enumerate(zip(fds, shifts), 1):
             shifted = _call(f, shift, a)
             shift_res.append(abs(fd - shifted))
@@ -308,7 +307,7 @@ def check_reduced_system(
         for pos, rhs in enumerate(shifted[:A.n]):
             lhs = beta_I[pos] * f0
             for row, d in enumerate(partials):
-                lhs += system.l_on_base[row, pos] * x[row] * d
+                lhs -= system.off_base_coords[row, pos] * x[row] * d
             base_res.append(abs(lhs - rhs))
         for d, rhs in zip(partials, shifted[A.n:]):
             off_res.append(abs(d - rhs))
@@ -427,10 +426,11 @@ def solution_family_rank(
     """Numeric rank of a candidate solution family at a fixed generic
     parameter, plus a residual report over every member.
 
-    The family is a sequence of (base labels, twist) pairs.  A common
-    evaluation domain is found by shrinking the off-base argument
-    coordinates until every member's series tail is negligible at every
-    sample; failure to find one raises DomainError.
+    The family is a sequence of (base labels, twist) pairs, tabulated in
+    one batch.  A common evaluation domain is found by shrinking the
+    off-base argument coordinates until every member's series value is
+    finite, with a finite and negligible tail, at every sample; failure to
+    find one raises DomainError.
     """
     family = [(tuple(I), tuple(k)) for I, k in family]
     if not family:
@@ -446,16 +446,14 @@ def solution_family_rank(
     base_draw = rng.uniform(0.5, 1.5, size=(samples, A.N))
     off_draw = rng.uniform(0.2, 1.0, size=(samples, len(off_base_labels)))
 
-    specs = {
-        (I, k): SeriesSpec(systems[I], k, truncation) for I, k in family
-    }
+    tables = reduced_series_batch((SeriesSpec(systems[I], k, truncation), beta) for I, k in family)
 
-    def settled(spec, args):
-        """The member's values at the rows of args, or None at the first whose tail is not negligible."""
+    def settled(table, args):
+        """The member's values at the rows of args, or None at the first that has not settled."""
         values = []
         for a in args:
-            val = gg_series_eval(spec, beta, a)
-            if val.tail_estimate > 1e-9 * max(abs(val.value), 1e-30):
+            val = _gg_value(table, a)
+            if not (np.isfinite(val.value) and val.tail_estimate <= 1e-9 * max(abs(val.value), 1e-30)):
                 return None
             values.append(val.value)
         return values
@@ -463,7 +461,7 @@ def solution_family_rank(
     for delta in (0.3 / 2**k for k in range(20)):
         args = base_draw.astype(np.complex128)
         args[:, [j - 1 for j in off_base_labels]] = delta * off_draw
-        columns = list(takewhile(lambda col: col is not None, (settled(specs[m], args) for m in family)))
+        columns = list(takewhile(lambda col: col is not None, (settled(table, args) for table in tables)))
         if len(columns) == len(family):
             break
     else:
@@ -474,9 +472,9 @@ def solution_family_rank(
     rank = int(np.sum(svals > sv_threshold * max(top, _FLOOR)))
 
     member_reports = []
-    for idx, (I, k) in enumerate(family):
+    for idx, table in enumerate(tables):
         shift_rep, weighted_rep, _ = check_gg_system(
-            specs[(I, k)], A, samples=samples, seed=seed + idx + 1, tolerance=tolerance
+            table.spec, A, samples=samples, seed=seed + idx + 1, tolerance=tolerance
         )
         member_reports += [shift_rep, weighted_rep]
     # np.max, unlike the builtin max, carries a NaN through to the summary

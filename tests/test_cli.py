@@ -7,11 +7,14 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import ggsys
 from ggsys.cli import _FIELDS, main
+from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
+from ggsys.distributions import TestFunction, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
@@ -599,15 +602,26 @@ _DEPENDENT = {"omega": [[1, 0], [2, 0], [0, 1]]}  # vectors 1 and 2 are no base
             _MIXED | {"omega": [[1, 0], [0, 1], [-1, -1]], "beta": [[0, 0.3]], "truncation": 5},
             "beta[0]: gamma factor hits a pole inside the truncation range",
         ),
+        # the config as a whole; a string is a --config path that does not exist
+        (_eval_config(base=[1, 1, 3]), "base: labels must be distinct"),
+        ({"task": "bases", "omega": [[1, 0, 0], [0, 1], [0, 0, 1]]}, "omega: rows have inconsistent lengths"),
+        ({"task": "bases", "omega": [[1, 0], [0, 1], [1, 1]], "N": 4}, "N: declared 4, but omega has 3 rows"),
+        ({"task": "reduce", "omega": [[1, 0], [0, 1], [1, 1]]}, "base: the reduce task needs an explicit base"),
+        (_eval_config(x=[[0.1], [0.2]]), "x: expected one entry per beta (1), got 2"),
+        ("no-such-dir/missing.json", "--config: no such file: no-such-dir/missing.json"),
+        ([_eval_config()], "--config: top level must be a JSON object"),
     ],
     ids=[
         "beta", "x", "partition", "bases", "vector", "distribution.x", "integral.branch", "hankel-base",
         "vector-set", "select-base", "series-spec", "candidate-family", "eval-argument", "eval-pole",
+        "repeated-base", "ragged-omega", "declared-N", "reduce-without-base", "x-past-beta", "missing-config",
+        "top-level-array",
     ],
 )
 def test_bad_entry_is_named_by_its_path(tmp_path, cfg, error):
     out = tmp_path / "report.json"
-    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    path = cfg if isinstance(cfg, str) else _write(tmp_path, cfg)
+    assert main(["--config", path, "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == error
 
 
@@ -796,3 +810,81 @@ def test_lattice_refusals_name_their_field(tmp_path, omega, error):
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert _report(out)["error"] == error
+
+
+def test_eval_far_from_the_real_axis_matches_mpmath(tmp_path):
+    # 1/Gamma(1.3 + 250i) is finite, though sin(pi z) of its reflection is not
+    cfg = {
+        "task": "eval", "omega": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]], "base": [1, 2, 3],
+        "truncation": 10, "beta": [[[0.3, 250], [0.2, 0], [0.1, 0]]], "x": [[1e-3]],
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    rep = _report(out)
+    assert "numeric_events" not in rep
+    with mpmath.workdps(40):
+        beta = (mpmath.mpc(0.3, 250), mpmath.mpf("0.2"), mpmath.mpf("0.1"))
+        x = mpmath.mpf("1e-3")
+        want = complex(mpmath.fsum(
+            x**m / mpmath.factorial(m)
+            * mpmath.rgamma(beta[0] - m + 1) * mpmath.rgamma(beta[1] - m + 1) * mpmath.rgamma(beta[2] + m + 1)
+            for m in range(11)
+        ))
+    got = complex(*rep["results"]["points"][0]["value"])
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _integral(tmp_path, sub, omega):
+    out = tmp_path / "report.json"
+    cfg = {"task": "integral", "omega": omega, "integral": sub}
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    return _report(out)["results"]
+
+
+def test_euler_segment_through_the_cli_matches_the_library(tmp_path):
+    omega = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+    sub = {"kind": "euler-segment", "base": [1, 2], "beta": [-0.5, -0.7], "x": [0.08], "tolerance": 1e-12}
+    results = _integral(tmp_path, sub, omega)
+    want = euler_segment_integral(vector_set(omega), (1, 2), [-0.5, -0.7], [0.08], ContourSpec(tolerance=1e-12))
+    assert complex(*results["value"]) == want.value
+    assert results["inputs"] == {"base": [1, 2], "beta": [[-0.5, 0.0], [-0.7, 0.0]]}
+
+
+def test_a_hankel_beta_may_be_a_one_vector(tmp_path):
+    sub = {"kind": "hankel-loop", "beta": 0.3, "x": [0.25]}
+    scalar = _integral(tmp_path, sub, [[1], [-1]])
+    vector = _integral(tmp_path, sub | {"beta": [0.3]}, [[1], [-1]])
+    assert vector == scalar
+    assert complex(*scalar["value"]) == hankel_integral(vector_set([[1], [-1]]), 1, 0.3, [0.25], ContourSpec()).value
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_plane_adaptive_flag_is_read(tmp_path, adaptive):
+    sub = {"kind": "shifted-plane", "base": [1], "beta": [0.5], "x": [0.25], "adaptive": adaptive, "tolerance": 1e-6}
+    results = _integral(tmp_path, sub, [[1], [-1]])
+    want = shifted_plane_integral(
+        vector_set([[1], [-1]]), (1,), (0,), [0.5], [0.25], ContourSpec(adaptive=adaptive, tolerance=1e-6)
+    )
+    assert complex(*results["value"]) == want.value
+    assert results["contour"]["adaptive"] is adaptive
+
+
+@pytest.mark.parametrize("phi, probe", [
+    ({"kind": "power", "degree": 2}, lambda s: s**2),
+    ({"kind": "exponential", "rate": [0.5, 0.0]}, lambda s: np.exp(0.5 * s)),
+], ids=["power", "exponential"])
+def test_distribution_phi_kinds(tmp_path, phi, probe):
+    cfg = {"task": "distribution", "omega": [[1]], "distribution": {"ell": [1], "x": [0.3], "phi": phi}}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    pairing = _report(out)["results"]["pairing"]
+    want = gg_distribution_pair([[1]], [0.3], TestFunction(probe))
+    assert complex(*pairing["value"]) == want.value
+
+
+def test_distribution_phi_past_one_dimension_must_be_constant(tmp_path):
+    sub = {"ell": [[1, 0]], "x": [0.3], "phi": {"kind": "power", "degree": 1}}
+    cfg = {"task": "distribution", "omega": [[1, 0], [0, 1]], "distribution": sub}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "distribution.phi.kind: only 'constant' is available when n > 1"

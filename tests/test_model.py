@@ -316,7 +316,7 @@ def test_reduced_system_arrays_match_the_stored_shift_vectors(A):
         L = _old_l_coeffs(B)
         ipos = np.asarray(B.I) - 1
         assert _same_bits(R.off_base_coords, -L[:, ipos])  # layout and bits
-        assert _same_bits(R.l_on_base, L[:, ipos])
+        assert _same_bits(-R.off_base_coords, L[:, ipos])
         assert np.array_equal(R.l_coeffs, L)
         a = np.linspace(0.5, 2.0, A.N) + 0.1j
         x = a[np.asarray(B.J) - 1] * np.exp(L[:, ipos] @ np.log(a[ipos]))
@@ -327,7 +327,7 @@ def test_reduced_system_holds_its_base_and_derives_the_rest_once():
     assert [f.name for f in dataclasses.fields(model.ReducedSystem)] == ["base"]
     R = model.ReducedSystem(select_base(vector_set(A_G_ROWS), (1, 2, 3)))
     assert build_reduced_system(R.base).base is R.base
-    for name in ("off_base_coords", "l_on_base", "integer_off_base_coords"):
+    for name in ("off_base_coords", "integer_off_base_coords"):
         array = getattr(R, name)
         assert getattr(R, name) is array
         with pytest.raises(ValueError):

@@ -503,7 +503,8 @@ def test_memo_key_is_the_parameter_value_at_call_time():
 
 
 def _slot_tables():
-    return list(ggsys.series._last.values())
+    """The table ``reduced_series`` keeps, as a list of none or one."""
+    return [] if ggsys.series._memo is None else [ggsys.series._memo[1]]
 
 
 def test_slot_keeps_only_the_last_table():
@@ -555,10 +556,9 @@ def test_batch_matches_the_one_table_oracle(case, monkeypatch):
     for (spec, beta), table in zip(requests, tables):
         # bytes, not values: signed zeros and NaN payloads must match too
         assert table.raw_coeffs.tobytes() == _one_table(spec, beta).tobytes()
-        assert table.spec is spec and reduced_series(spec, beta) is table
+        assert table.spec is spec
     # the reduced tables share one flat rgamma call; a mixed table makes its own
     assert sum(len(shape) == 1 for shape in seen) == 1
-    assert _slot_tables() == tables
 
 
 def test_a_batch_over_the_term_cap_runs_one_table_at_a_time(monkeypatch):
@@ -569,7 +569,6 @@ def test_a_batch_over_the_term_cap_runs_one_table_at_a_time(monkeypatch):
     tables = reduced_series_batch(requests)
     assert len(seen) == 3
     assert [table.raw_coeffs.tobytes() for table in tables] == [_one_table(s, b).tobytes() for s, b in requests]
-    assert _slot_tables() == tables  # the slot still holds the whole batch
     monkeypatch.setattr(ggsys.series, "_MAX_TERMS", 112)  # 56 + 56: the first two fit
     seen.clear()
     reduced_series_batch(requests[:2])
@@ -585,10 +584,23 @@ def test_a_batch_may_hold_several_systems(monkeypatch):
     assert len(seen) == 1 and len({id(table) for table in tables}) == 3
     for (spec, beta), table in zip(requests, tables):
         assert table.raw_coeffs.tobytes() == _one_table(spec, beta).tobytes()
-        assert reduced_series(spec, beta) is table
     with pytest.raises(InvalidInputError, match="parameter vector has the wrong length"):
         reduced_series_batch([(_spec(R_G), beta), (_spec(R_G), beta[:2])])
-    assert reduced_series_batch([]) == [] and ggsys.series._last == {}
+    assert reduced_series_batch([]) == []
+
+
+def test_a_batch_leaves_the_memo_as_it_was():
+    spec = _spec(R_G, M=10)
+    beta = np.array([0.1, 0.2, 0.3])
+    first = reduced_series(spec, beta)
+    memo = ggsys.series._memo
+    again, other = reduced_series_batch([(spec, beta), (spec, beta + 1)])
+    assert again is not first and again.raw_coeffs.tobytes() == first.raw_coeffs.tobytes()
+    assert ggsys.series._memo is memo and reduced_series(spec, beta) is first
+    assert reduced_series(spec, beta + 1) is not other
+    with pytest.raises(InvalidInputError):
+        reduced_series_batch([(spec, beta[:2])])
+    assert _slot_tables() == [reduced_series(spec, beta + 1)]
 
 
 def test_memo_belongs_to_one_system_instance():
@@ -620,7 +632,7 @@ def test_mixed_mode_shares_the_slot(monkeypatch):
     spec = _spec(R_G, M=5, mode="mixed", partition=((1,), (2, 3)))
     with pytest.raises(PoleError):
         mixed_gamma_series_eval(spec, np.array([2.0, -0.3, 0.8]), np.array([0.5]))
-    assert ggsys.series._last == {}
+    assert _slot_tables() == []
     built = _count_tables(monkeypatch)
     spec = _spec(R_G, M=30, mode="mixed", partition=((1, 2), (3,)))
     beta = np.array([-0.35, -1.21, 0.7])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -426,8 +428,8 @@ def test_family_members_cost_one_rgamma_call_per_sample(monkeypatch):
     calls = _rgamma_calls(monkeypatch)
     result = solution_family_rank(A_G, family, samples=4, seed=17)
     assert result.scale_used == 0.3  # one pass builds the rank matrix
-    # one table per member for the rank matrix, then one call per sample and member
-    assert len(calls) == len(family) * (1 + 4)
+    # one batch of every member for the rank matrix, then one call per sample and member
+    assert len(calls) == 1 + len(family) * 4
 
 
 def test_family_domain_search_halves_delta_until_the_member_settles():
@@ -444,11 +446,39 @@ def test_family_domain_search_stops_each_delta_at_the_first_unsettled_sample(mon
     import ggsys.verify
 
     bases = []
-    evaluate = ggsys.verify.gg_series_eval
-    monkeypatch.setattr(ggsys.verify, "gg_series_eval", lambda spec, *args: bases.append(spec.system.base.I) or evaluate(spec, *args))
+    evaluate = ggsys.verify._gg_value
+    monkeypatch.setattr(ggsys.verify, "_gg_value", lambda table, a: bases.append(table.spec.system.base.I) or evaluate(table, a))
     family = [((1, 2, 3), (0, 0, 0)), ((2, 3, 4), (0, 0, 0))]
     with pytest.raises(DomainError):
         solution_family_rank(A_G, family, samples=4, seed=17)
     # delta scales a_1 and a_4 alike, which leaves the first member's x_4 = a_3 a_4 / (a_1 a_2)
     # as it is: its third sample never settles, so no delta reaches the second member
     assert bases == [(1, 2, 3)] * (20 * 3)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda val: replace(val, tail_estimate=float("nan")),
+    lambda val: replace(val, value=complex(float("inf"), 0.0), tail_estimate=float("inf")),
+], ids=["nan-tail", "infinite-value-and-tail"])
+def test_family_domain_search_fails_closed_on_a_non_finite_value(monkeypatch, broken):
+    import ggsys.verify
+
+    evaluate = ggsys.verify._gg_value
+    monkeypatch.setattr(ggsys.verify, "_gg_value", lambda table, a: broken(evaluate(table, a)))
+    with pytest.raises(DomainError, match="no common convergence domain"):
+        solution_family_rank(A_G, [((1, 2, 3), (0, 0, 0))], samples=2, seed=17)
+
+
+def test_checks_read_the_tables_they_batch(monkeypatch):
+    import ggsys.series
+    import ggsys.verify
+
+    def refuse(*args):
+        raise AssertionError("a check read a table it did not batch")
+
+    for name in ("gg_series_eval", "reduced_series"):
+        monkeypatch.setattr(ggsys.series, name, refuse)
+        assert not hasattr(ggsys.verify, name)
+    assert all(rep.passed for rep in check_gg_system(SeriesSpec(R_INT, (0, 0), 20), A_INT, samples=3, seed=4))
+    result = solution_family_rank(A_G, [((1, 2, 3), (0, 0, 0)), ((1, 2, 4), (0, 0, 0))], samples=3, seed=17)
+    assert result.rank == 2 and result.report.passed
