@@ -1,12 +1,13 @@
 """Batch front-end: JSON problem in, JSON report out.
 
 A config names a vector set, a task, and whatever inputs the task needs.
-``run`` dispatches to the library and assembles a report that is a pure
-function of the config and the seed: keys are sorted, complex numbers are
-emitted as [re, im] pairs, non-finite numbers as null, and no clock or
-environment data is recorded, so identical invocations produce byte-identical
-output.  Every config field, with its reader and default, is listed once in
-``_FIELDS``.
+``_execute`` dispatches to the library and assembles the report object, and
+``_write`` gives its text in one walk, a pure function of the config and the
+seed: sorted keys, a two-space indent, complex numbers as [re, im] pairs,
+non-finite numbers as null, numpy values as Python values, a library dataclass
+as the object of its fields less those ``_OMITTED`` lists, and no clock or
+environment data, so identical invocations produce byte-identical output.
+Every config field, with its reader and default, is listed once in ``_FIELDS``.
 
 Exit codes: 0 every check passed, 1 a check failed or a sum/quadrature did
 not settle, 2 the config is invalid (the message names the field).
@@ -47,7 +48,7 @@ from .model import (
     select_base,
     vector_set,
 )
-from .resonance import ChainDecomposition, ResonanceAnalysis, analyze_vector, candidate_consistent_vectors
+from .resonance import ResonanceAnalysis, analyze_vector, candidate_consistent_vectors
 from .series import (
     _MAX_FACTORIAL,
     SeriesSpec,
@@ -58,7 +59,6 @@ from .series import (
 )
 from .verify import (
     FamilyRankResult,
-    ResidualReport,
     check_gg_system,
     check_reduced_system,
     residual_report,
@@ -212,41 +212,44 @@ def _vector_set_from(cfg: dict) -> VectorSet:
     return A
 
 
-# Where a report differs from a library dataclass: the fields it leaves out
-# (a family's report is listed under "checks"), the fields it renames and the
-# properties it adds.
+# The report's one rule: a library dataclass is the object of its fields but
+# these (a family's report is listed under "checks").
 _OMITTED = {FamilyRankResult: ("report",), ResonanceAnalysis: ("span_basis",)}
-_RENAMED = {ResidualReport: {"equation_id": "equation"}}
-_ADDED = {ChainDecomposition: ("counts",)}
+_encode = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
 
 
-def _jsonify(obj):
-    """Recursively rewrite values into deterministic, strict JSON-ready form.
+def _fields(obj) -> dict:
+    """A library dataclass as {field name: value}, less its omitted fields."""
+    omitted = _OMITTED.get(type(obj), ())
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omitted}
 
-    Non-finite floats become None (null); a library dataclass becomes an
-    object keyed by its field names.
-    """
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
+
+def _write(obj, pad: str = "\n") -> str:
+    """The report text of ``obj``, by the rules in the module docstring; ``pad``
+    starts each line of ``obj``'s own level."""
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        # a flat integer row (a base, a representative) is joined in one step
+        flat = all(type(v) is int for v in obj)
+        items = map(int.__repr__, obj) if flat else [_write(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        items = [f"{_encode(k)}: {_write(v, inner)}" for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if obj else "{}"
+    if isinstance(obj, float):  # a numpy float64 too
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _write(obj.tolist(), pad)
+    if isinstance(obj, complex):
+        return _write([obj.real, obj.imag], pad)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _encode(obj)
     if is_dataclass(obj):
-        cls = type(obj)
-        names = [f.name for f in fields(obj) if f.name not in _OMITTED.get(cls, ())]
-        names += _ADDED.get(cls, ())
-        return {_RENAMED.get(cls, {}).get(name, name): _jsonify(getattr(obj, name)) for name in names}
-    if obj is None or isinstance(obj, str):
-        return obj
+        return _write(_fields(obj), pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -310,7 +313,7 @@ def _task_eval(cfg: dict, A: VectorSet, params: dict):
     for i, (beta, arg) in enumerate(zip(betas, args)):
         with _blame(f"{arg_key}[{i}]", DomainError), _blame(f"beta[{i}]", PoleError):  # a PoleError is a DomainError
             values.append(evaluate(spec, beta, arg))
-    points = [{"beta": beta, arg_key: arg, **_jsonify(v)} for beta, arg, v in zip(betas, args, values)]
+    points = [{"beta": beta, arg_key: arg, **_fields(v)} for beta, arg, v in zip(betas, args, values)]
     # the sums have settled when their largest tail is small against their largest value
     tails = [v.tail_estimate for v in values]
     settled = residual_report("series-tail", tails, [abs(v.value) for v in values], params["tolerance"])
@@ -387,7 +390,7 @@ def _task_integral(cfg: dict, A: VectorSet, params: dict):
     with _blame("integral"):  # a ConvergenceError stays exit 1
         value = integrate()
 
-    results = {"kind": kind, "inputs": inputs, "x": x, "contour": contour, **_jsonify(value)}
+    results = {"kind": kind, "inputs": inputs, "x": x, "contour": contour, **_fields(value)}
     return results, []
 
 
@@ -467,7 +470,7 @@ def _task_family(cfg: dict, A: VectorSet, params: dict):
         "family": [{"base": list(I), "twist": list(k)} for I, k in family],
         "sv_threshold": sv_threshold,
         "truncation": params["truncation"],
-        **_jsonify(outcome),
+        **_fields(outcome),
     }
     return results, [outcome.report]
 
@@ -565,16 +568,11 @@ def _resolve_config_path(path_str: str) -> Path:
     raise _bad("--config", f"no such file: {path_str}")
 
 
-def run(
-    config_path: str,
-    seed: int | None = None,
-    tolerance: float | None = None,
-    truncation: int | None = None,
-) -> tuple[dict, int]:
-    """Execute the task a config describes; return (JSON-ready report, exit code).
+def _execute(config_path: str, overrides: dict) -> tuple[dict, int]:
+    """Execute the task a config describes; return (report object, exit code).
 
-    The overrides replace the config's fields before any field is read, so
-    the field table checks them like the rest.
+    The overrides that are not None replace the config's fields before any
+    field is read, so the field table checks them like the rest.
     """
     path = _resolve_config_path(config_path)
     try:
@@ -584,7 +582,6 @@ def run(
     if not isinstance(cfg, dict):
         raise _bad("--config", "top level must be a JSON object")
     _as_object(cfg, "config")
-    overrides = {"seed": seed, "tolerance": tolerance, "truncation": truncation}
     cfg.update((key, value) for key, value in overrides.items() if value is not None)
     task = _get(cfg, "task")
     A = _vector_set_from(cfg)
@@ -611,15 +608,18 @@ def run(
     }
     if events:
         report["numeric_events"] = sorted(events)
-    return _jsonify(report), 0 if passed else 1
+    return report, 0 if passed else 1
 
 
-def _emit(report: dict, out: str | None, quiet: bool) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    if not quiet:
-        sys.stdout.write(text)
+def _jsonify(obj):
+    """``obj`` in plain JSON values: its report text, parsed."""
+    return json.loads(_write(obj))
+
+
+def run(config_path: str) -> tuple[dict, int]:
+    """``_execute`` with no overrides, the report in plain JSON values: the text ``main`` writes, parsed."""
+    report, code = _execute(config_path, {})
+    return _jsonify(report), code
 
 
 def main(argv=None) -> int:
@@ -629,23 +629,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="config path, or the name of a bundled config")
     parser.add_argument("--out", help="also write the report to this path")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--tolerance", type=float, help="override the config tolerance")
-    parser.add_argument("--truncation", type=int, help="override the config truncation")
+    for key, kind in (("seed", int), ("tolerance", float), ("truncation", int)):
+        parser.add_argument(f"--{key}", type=kind, help=f"override the config {key}")
     parser.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
     opts = parser.parse_args(argv)
 
+    overrides = {key: getattr(opts, key) for key in ("seed", "tolerance", "truncation")}
     try:
-        report, code = run(
-            opts.config,
-            seed=opts.seed,
-            tolerance=opts.tolerance,
-            truncation=opts.truncation,
-        )
+        report, code = _execute(opts.config, overrides)
     except (InvalidInputError, DomainError, ConvergenceError) as exc:
         report = {"error": str(exc), "passed": False, "version": __version__}
         code = 1 if isinstance(exc, ConvergenceError) else 2
-    _emit(report, opts.out, opts.quiet)
+    text = _write(report) + "\n"
+    if opts.out:
+        Path(opts.out).write_text(text, encoding="utf-8")
+    if not opts.quiet:
+        sys.stdout.write(text)
     return code
 
 

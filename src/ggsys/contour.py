@@ -216,7 +216,7 @@ def _plane_integrand(system, k, beta, x):
     shift = np.pi * (2 * k + 1)
     w = x * np.exp(1j * (gamma @ shift))
     for row, j in enumerate(base.J):
-        if x[row] != 0 and w[row].real >= -1e-12:
+        if x[row] != 0 and w[row].real >= -1e-12 * abs(w[row]):
             raise DomainError(
                 f"|arg(x_{j} e^(i pi <omega^{j}, 2k+1>))| > pi/2 fails"
             )

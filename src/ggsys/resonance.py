@@ -30,12 +30,9 @@ class ChainDecomposition:
 
     chains: tuple[tuple[int, ...], ...]
     zero_chain: tuple[int, ...]
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        # zero-chain count first; it is one longer than its member list
-        # because the chain conceptually ends at the origin
-        return (len(self.zero_chain) + 1,) + tuple(len(c) for c in self.chains)
+    # chain lengths, the zero chain's first; it is one longer than its member
+    # list because the chain conceptually ends at the origin
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,8 @@ def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition | None:
         zero.append(label)
     if available.any():
         return None
-    return ChainDecomposition(tuple(chains), tuple(zero))
+    counts = (len(zero) + 1,) + tuple(len(c) for c in chains)
+    return ChainDecomposition(tuple(chains), tuple(zero), counts)
 
 
 def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:

@@ -25,7 +25,7 @@ _FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class ResidualReport:
-    equation_id: str
+    equation: str
     max_abs_residual: float
     max_rel_residual: float
     sample_points: int
@@ -33,7 +33,7 @@ class ResidualReport:
     passed: bool
 
 
-def residual_report(equation_id, residuals, scale_values, tolerance) -> ResidualReport:
+def residual_report(equation, residuals, scale_values, tolerance) -> ResidualReport:
     """Verdict on one equation from its residuals and the magnitudes that set
     its scale.
 
@@ -50,7 +50,7 @@ def residual_report(equation_id, residuals, scale_values, tolerance) -> Residual
     else:
         max_rel = float("nan")
     return ResidualReport(
-        equation_id, max_abs, max_rel, int(res.size), tolerance, bool(max_rel <= tolerance)
+        equation, max_abs, max_rel, int(res.size), tolerance, bool(max_rel <= tolerance)
     )
 
 

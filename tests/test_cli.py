@@ -1,6 +1,8 @@
 """End-to-end tests for the JSON config / report front-end."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,14 +12,21 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ggsys
-from ggsys.cli import _FIELDS, main
+from ggsys.cli import _FIELDS, _OMITTED, main
+from ggsys.cli import _write as write_report
 from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
 from ggsys.distributions import TestFunction, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, select_base, vector_set
+from ggsys.resonance import analyze_vector, decompose_structure
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
+from ggsys.verify import FamilyRankResult, residual_report
 
 CONFIG_DIR = Path(ggsys.__file__).parent / "configs"
 
@@ -888,3 +897,111 @@ def test_distribution_phi_past_one_dimension_must_be_constant(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == "distribution.phi.kind: only 'constant' is available when n > 1"
+
+
+def test_a_tiny_plane_argument_at_phase_pi_is_taken(tmp_path):
+    # x e^(-i pi) = -x has phase exactly pi however small x is
+    for x in (1e-12, 1e-13):
+        sub = {"kind": "shifted-plane", "base": [1], "beta": [0.5], "x": [x]}
+        value = complex(*_integral(tmp_path, sub, [[1], [-1]])["value"])
+        want = 2 * x**-0.25 * sp.kv(0.5, 2 * math.sqrt(x)) * np.exp(-0.5j * np.pi)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_a_plane_cutoff_search_that_fails_names_the_integral(tmp_path):
+    sub = {"kind": "shifted-plane", "base": [1], "beta": [0.5], "x": [0.25], "cutoff": 0.01}
+    cfg = {"task": "integral", "omega": [[1], [-1]], "integral": sub}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "integral: integrand does not decay on the truncation boundary"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--config", path.name] for path in sorted(CONFIG_DIR.glob("*.json"))),
+    ["--config", "gauss.json", "--truncation", "149"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_report_layout_and_stdout(tmp_path, capsys, argv):
+    # the layout of json.dumps(sort_keys=True, indent=2, ensure_ascii=False),
+    # and the same text on stdout as in --out
+    out = tmp_path / "report.json"
+    main([*argv, "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert capsys.readouterr().out == text
+
+
+# -- the report writer against the two passes it replaced -----------------------
+
+
+def _plain(obj):
+    """The value rules of the writer's predecessor: obj copied into plain JSON values."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_plain(float(obj.real)), _plain(float(obj.imag))]
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        omitted = _OMITTED.get(type(obj), ())
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in omitted}
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False)
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_STRINGS = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028é∑😀", ""])
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.bool_, np.int64, np.float64, np.complex128]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    elements={"allow_nan": True, "allow_infinity": True},
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**40), 10**40), _FLOATS, _COMPLEX, _STRINGS,
+    st.builds(np.bool_, st.booleans()), st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.float64, _FLOATS), st.builds(np.complex128, _COMPLEX), _ARRAYS,
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS | st.integers(-9, 9), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_TREES)
+@example({"b": [-0.0, math.nan, (1, 2)], "a": {}, 10: [], 9: np.array([[1 + 2j]])})
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_pair_it_replaced(obj):
+    assert write_report(obj) == _dumps(obj)
+
+
+def test_writer_applies_the_omitted_rule():
+    an = analyze_vector(vector_set([(1.0, 0.3), (0.6, -0.8), (-0.4, -1.1)]), [0.4, 1.1])
+    dec = decompose_structure(vector_set([(1, 0), (0, 1), (0, 2)]), [0.0, -1.0])
+    family = FamilyRankResult(2, (1.5, 0.25), residual_report("family-member-system", [1e-12], [1.0], 1e-8), 0.3)
+    for obj, keys in [
+        (family, {"rank", "singular_values", "scale_used"}),
+        (an, {f.name for f in dataclasses.fields(an)} - {"span_basis"}),
+        (dec, {"chains", "zero_chain", "counts"}),
+    ]:
+        text = write_report(obj)
+        assert text == _dumps(obj)
+        assert set(json.loads(text)) == keys
+    assert json.loads(write_report(dec))["counts"] == [3, 1]
+    assert json.loads(write_report(an))["decomposition"]["counts"] == [2, 2]

@@ -187,6 +187,54 @@ def test_plane_separable_two_dimensional_oracle():
         assert abs(fixed.value - want) <= 1e-10 * abs(want)
 
 
+def _bessel_plane(beta, x, k=0):
+    """The 1-D plane integral in closed form: 2 x^(-beta/2) K_beta(2 sqrt x) e^(-i pi beta (2k+1))."""
+    return 2 * x ** (-beta / 2) * sp.kv(beta, 2 * np.sqrt(x)) * np.exp(-1j * np.pi * beta * (2 * k + 1))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("x", [1e-12, 1e-13])
+def test_plane_takes_a_tiny_argument_at_phase_pi(x, k):
+    # x e^(i pi <omega^2, 2k+1>) = -x has phase exactly pi however small x is;
+    # an absolute bound on its real part used to refuse every x <= 1e-12
+    got = shifted_plane_integral(A1, (1,), (k,), [0.5], [x], plane_spec())
+    want = _bessel_plane(0.5, x, k)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_plane_takes_a_tiny_argument_in_two_dimensions():
+    # the third vector of the set has phase 1, so x = -1e-12 sits at phase pi;
+    # oracle: the sigma_2 integral in closed form, the sigma_1 one by scipy
+    from scipy.integrate import quad
+
+    A = vector_set([(1, 0), (0, 1), (-1, -1)])
+    spec = plane_spec(nodes=33, cutoff=30.0, tolerance=1e-9)
+    got = shifted_plane_integral(A, (1, 2), (0, 0), [0.6, 0.9], [-1e-12], spec)
+
+    def inner(s):  # e^(-e^s - 0.6 s) 2 c^(-0.45) K_0.9(2 sqrt c), c = 1e-12 e^-s, in logs
+        log_c = np.log(1e-12) - s
+        z = 2 * np.exp(log_c / 2)
+        return np.exp(-np.exp(s) - 0.6 * s - z + np.log(2) - 0.45 * log_c + np.log(sp.kve(0.9, z)))
+
+    value, _ = quad(inner, -60, 5, points=[np.log(1e-12) / 2], limit=1000, epsabs=0, epsrel=1e-13)
+    want = value * np.exp(-1.5j * np.pi)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_plane_cutoff_search():
+    # a short cutoff is doubled until the integrand has decayed on the boundary,
+    # and the value agrees with the default cutoff's within its error estimate
+    default = shifted_plane_integral(A1, (1,), (0,), [0.5], [0.25], plane_spec())
+    short = shifted_plane_integral(A1, (1,), (0,), [0.5], [0.25], plane_spec(cutoff=2.0))
+    assert abs(short.value - default.value) <= default.error_estimate
+    with pytest.raises(DomainError, match="does not decay on the truncation boundary"):
+        shifted_plane_integral(A1, (1,), (0,), [0.5], [0.25], plane_spec(cutoff=0.01))
+    # with x = 0 nothing damps e^(-beta sigma) as sigma -> -inf, so the search
+    # doubles the cutoff until the grid overflows
+    with pytest.raises(DomainError, match="overflows on the sampling grid"):
+        shifted_plane_integral(A1, (1,), (0,), [0.5], [0.0], plane_spec())
+
+
 def test_plane_preconditions():
     with pytest.raises(DomainError):  # complex vectors
         shifted_plane_integral(

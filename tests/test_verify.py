@@ -44,9 +44,9 @@ def _gg_evaluator(A, I, k=None, truncation=25):
 
 def test_gg_system_on_running_example():
     r1, r2, r3 = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=20, seed=3)
-    assert r1.equation_id == "derivative-shift"
-    assert r2.equation_id == "weighted-shift"
-    assert r3.equation_id == "weighted-forms-agreement"
+    assert r1.equation == "derivative-shift"
+    assert r2.equation == "weighted-shift"
+    assert r3.equation == "weighted-forms-agreement"
     assert r1.passed and r2.passed and r3.passed
 
 
@@ -90,7 +90,7 @@ def test_a_spec_of_another_set_or_with_a_base_is_refused():
 
 def test_gg_forms_agree():
     rep = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=10, seed=5, tolerance=1e-9)[2]
-    assert rep.equation_id == "weighted-forms-agreement"
+    assert rep.equation == "weighted-forms-agreement"
     assert rep.sample_points == 10
     assert rep.passed
 
@@ -306,7 +306,7 @@ def test_def2_pairing_reuses_the_shifted_values():
 
 def test_gauss_relations_pass():
     reports = check_gauss_relations(samples=100, seed=0, tolerance=1e-9)
-    assert [r.equation_id for r in reports] == [
+    assert [r.equation for r in reports] == [
         "derivative-up",
         "shift-a",
         "shift-b",
@@ -333,7 +333,7 @@ def test_gauss_relations_negative_control():
 def test_gauss_ode_log_case():
     rep = check_gauss_ode(1, 1, 2, samples=50, seed=1)
     assert rep.passed
-    assert rep.equation_id == "hypergeometric-ode"
+    assert rep.equation == "hypergeometric-ode"
 
 
 def test_gauss_ode_at_origin():
