@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .series import _factorials, _shells
+from .series import _shells
 from .verify import ResidualReport, residual_report
 
 _DECAY = 1e-14
@@ -54,36 +54,29 @@ def _truncation(value, name: str) -> int:
 
 
 def _not_decaying(last, value):
-    """The last shell is not negligible against the sum it ends."""
-    return (last >= _DECAY * np.maximum(np.abs(value), _TINY)) & (last > _TINY)
+    """The last shell is not negligible against the sum it ends, or either is not finite."""
+    settled = (last < _DECAY * np.maximum(np.abs(value), _TINY)) | (last <= _TINY)
+    return ~(settled & np.isfinite(value))
 
 
-def _one_sided(phi, truncation: int, sign: int, what: str) -> PairingResult:
-    """sum over m <= truncation of sign^m phi(sign m)/m!, scalar probes."""
+def _unit_comb(fn, truncation: int, what: str) -> PairingResult:
+    """sum over m <= truncation of fn(m)/m!: the comb of ell = 1 at m = 0."""
     truncation = _truncation(truncation, "truncation")
-    fn = _as_callable(phi)
-    terms = np.array(
-        [sign**m * fn(complex(sign * m)) for m in range(truncation + 1)], dtype=np.complex128
-    ) / _factorials(truncation)
-    value = complex(sum(terms))
-    last = abs(terms[-1])
-    if _not_decaying(last, value):
-        raise ConvergenceError(
-            f"{what}: terms are not decaying at the truncation "
-            f"(last magnitude {last:.3e})"
-        )
-    return PairingResult(value, truncation, 0, last)
+    values, last = _comb_sums(np.ones((1, 1)), np.zeros((1, 1)), fn, truncation, what)
+    return PairingResult(complex(values[0]), truncation, 0, float(last[0]))
 
 
 def gamma_plus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the alternating comb on the nonpositive integers:
-    sum of (-1)^m phi(-m)/m!.  Scalar probe arguments."""
-    return _one_sided(phi, truncation, -1, "gamma-plus pairing")
+    sum of (-1)^m phi(-m)/m!.  Scalar probes complex(-m), m an int."""
+    fn = _as_callable(phi)
+    return _unit_comb(lambda z: (-1) ** round(z.real) * fn(complex(-round(z.real))),
+                      truncation, "gamma-plus pairing")
 
 
 def gamma_minus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the comb on the nonnegative integers: sum of phi(m)/m!."""
-    return _one_sided(phi, truncation, 1, "gamma-minus pairing")
+    return _unit_comb(_as_callable(phi), truncation, "gamma-minus pairing")
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -97,10 +90,10 @@ def _distinct_rows(rows: np.ndarray):
     return ranked[change], inverse
 
 
-def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
-    """Inner comb sums for a block of outer multi-indices ``ms``: for each m,
-    the sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!, and the
-    magnitude of its last shell |r| = R."""
+def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int, what: str = "inner comb sum"):
+    """Comb sums for a block of outer multi-indices ``ms``: for each m, the
+    sum over r in Z_+^n, |r| <= R of phi(m @ ell + r)/prod r!, and the
+    magnitude of its last shell |r| = R; ``what`` names the sum in errors."""
     n = ell.shape[1]
     shells, degrees, mfact = _shells(n, R)
     points = (ms.astype(np.float64) @ ell)[:, None, :] + shells
@@ -113,8 +106,7 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int):
     bad = np.flatnonzero(_not_decaying(last, values))
     if bad.size:
         raise ConvergenceError(
-            "inner comb sum is not decaying at the truncation "
-            f"(last shell {last[bad[0]]:.3e})"
+            f"{what} is not decaying at the truncation (last shell {last[bad[0]]:.3e})"
         )
     return values, last
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ggsys
-from ggsys.cli import _FIELDS, _OMITTED, main
+from ggsys.cli import _FIELDS, _OMITTED, main, run
 from ggsys.cli import _write as write_report
 from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
 from ggsys.distributions import TestFunction, gg_distribution_pair
@@ -765,6 +765,15 @@ def test_fourier_overflow_fails_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_an_overflowing_pairing_fails_by_name(tmp_path, capsys):
+    # x^m/m! overflows at x = 1e30, so the outer series sums to NaN
+    cfg = {"task": "distribution", "omega": [[1]], "distribution": {"ell": [[1.0]], "x": [1e30]}}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert _report(out)["error"] == "outer series is not decaying at the truncation (nan)"
+    assert capsys.readouterr().err == ""
+
+
 def test_integral_domain_error_names_the_integral(tmp_path):
     cfg = {
         "task": "integral",
@@ -928,6 +937,13 @@ def test_report_layout_and_stdout(tmp_path, capsys, argv):
     text = out.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_run_returns_the_parsed_report_and_exit_code(tmp_path, name):
+    out = tmp_path / "report.json"
+    code = main(["--config", name, "--quiet", "--out", str(out)])
+    assert run(name) == (_report(out), code)
 
 
 # -- the report writer against the two passes it replaced -----------------------

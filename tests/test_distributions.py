@@ -53,6 +53,27 @@ def test_gamma_pairing_rejects_growth():
     # super-factorial growth, kept below double-precision overflow
     with pytest.raises(ConvergenceError):
         gamma_minus_pair(lambda s: np.exp(1.5 * s * np.log(s + 1.0)))
+    # a sum that overflows or turns NaN fails closed; the overflow is the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="^gamma-minus pairing is not decaying"):
+            gamma_minus_pair(lambda s: np.exp(800 * s))
+    with pytest.raises(ConvergenceError, match="^gamma-plus pairing is not decaying"):
+        gamma_plus_pair(lambda s: np.nan)
+
+
+def test_one_sided_pairings_probe_the_unit_comb():
+    # each probes complex(+-m), m = 0..R, with a +0.0 imaginary part (and real
+    # part at m = 0); the minus pairing is the comb pairing at m = 0, bit for bit
+    bits = lambda z: (z.real.hex(), z.imag.hex())
+    for pair, sign in ((gamma_plus_pair, -1), (gamma_minus_pair, 1)):
+        probes = []
+        pair(lambda s: probes.append(s) or 1.0, 30)
+        probes.sort(key=lambda z: sign * z.real)
+        assert [bits(z) for z in probes] == [bits(complex(sign * m)) for m in range(31)]
+        assert all(type(z) is complex for z in probes)
+    for phi in (lambda s: 1.0, lambda s: np.exp(0.4 * s), lambda s: s**3 * np.exp(-0.8j * s)):
+        for R in (30, 40):
+            assert bits(gamma_minus_pair(phi, R).value) == bits(cm_pair([[1.0]], [0], phi, R))
 
 
 def _analytic_family():
@@ -69,6 +90,12 @@ def test_comb_pairings_reject_growth():
         gg_distribution_pair([[1.0]], [0.3], grow)
     with pytest.raises(ConvergenceError, match="outer series"):
         gg_distribution_pair([[1.0]], [40.0], lambda s: 1.0)
+    # a NaN sum or an overflowing last shell fails closed
+    with pytest.raises(ConvergenceError, match="^inner comb sum is not decaying"):
+        cm_pair([[1.0]], [0], lambda s: np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=r"^outer series is not decaying .*\(nan\)"):
+            gg_distribution_pair([[1.0]], [1e30], lambda s: 1.0)
 
 
 def test_functional_relations_at_pairing_level():
