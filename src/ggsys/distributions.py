@@ -100,9 +100,11 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int, what: str = "inner c
     distinct, inverse = _distinct_rows(points.reshape(-1, n))
     probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
     terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
-    terms /= mfact
-    values = terms.sum(axis=1)
-    last = np.abs(terms[:, degrees == R]).sum(axis=1)
+    # a probe past the double range gives non-finite sums, which _not_decaying judges
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms /= mfact
+        values = terms.sum(axis=1)
+        last = np.abs(terms[:, degrees == R]).sum(axis=1)
     bad = np.flatnonzero(_not_decaying(last, values))
     if bad.size:
         raise ConvergenceError(

@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 _RANK_TOL = 1e-10
 # membership and equal-vector tolerance of reducibility_check
 _REDUCIBILITY_TOL = 1e-9
-# most n-subsets _iter_bases tests with one batched SVD
+# most n-subsets _iter_bases tests with one batched QR
 _BASE_BLOCK = 256
 
 
@@ -153,18 +153,48 @@ def select_base(A: VectorSet, labels) -> BaseSelection:
     return BaseSelection(A, I)
 
 
+def _full_rank(cols: np.ndarray) -> np.ndarray:
+    """``_rank_count(np.linalg.svd(cols, compute_uv=False)) == n`` for a stack
+    of n x n matrices M, most of them decided by one batched QR.
+
+    The computed R is the exact R of M + E, ||E|| <= slack = 1e-12 ||M||_F
+    (Householder QR's backward error is about n^2 eps ||M||: Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 19.4).  R has the singular
+    values of M + E, and ||M||_F / sqrt(n) <= sigma_max <= ||M||_F.  So M is
+    - dependent if min|r_ii| + slack <= 1e-10 max(1, ||M||_F / sqrt(n)), as
+      sigma_min <= min|r_ii|;
+    - independent if prod|r_ii| / ||R||_F^(n-1) - slack > 1e-10 max(1,
+      ||M||_F), as sigma_min >= |det R| / sigma_max^(n-1);
+    and the rule decides it the same with nearly all the slack to spare.  A
+    bound that is not finite decides nothing; the rest go through the SVD.
+    """
+    n = cols.shape[-1]
+    with np.errstate(all="ignore"):
+        R = np.linalg.qr(cols if np.any(cols.imag) else cols.real, mode="r")
+        r = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+        size, fro = np.linalg.norm(R, axis=(-2, -1)), np.linalg.norm(cols, axis=(-2, -1))
+        low = r.min(axis=-1) + 1e-12 * fro
+        high = np.prod(r / size[:, None], axis=-1) * size - 1e-12 * fro
+        dependent = np.isfinite(fro) & (low <= _RANK_TOL * np.maximum(1.0, fro / np.sqrt(n)))
+        full = high > _RANK_TOL * np.maximum(1.0, fro)
+    undecided = ~(dependent | full)
+    if undecided.any():
+        full[undecided] = _rank_count(np.linalg.svd(cols[undecided], compute_uv=False)) == n
+    return full
+
+
 def _iter_bases(A: VectorSet):
     """Bases one at a time, in lexicographic label order.
 
-    The n-subsets are tested in blocks of one batched SVD each; the blocks
-    double in size up to _BASE_BLOCK, so the first base costs one SVD when
-    the first subset is independent.
+    The n-subsets are tested in blocks, each through ``_full_rank``; the
+    blocks double in size up to _BASE_BLOCK, so the first base costs one
+    factorization when the first subset is independent.
     """
     subsets = itertools.combinations(range(1, A.N + 1), A.n)
     size = 1
     while block := list(itertools.islice(subsets, size)):
         cols = np.swapaxes(A.omega[np.asarray(block) - 1], 1, 2)
-        independent = _rank_count(np.linalg.svd(cols, compute_uv=False)) == A.n
+        independent = _full_rank(cols)
         for I in itertools.compress(block, independent):
             yield BaseSelection(A, I)
         size = min(2 * size, _BASE_BLOCK)

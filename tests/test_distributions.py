@@ -59,6 +59,9 @@ def test_gamma_pairing_rejects_growth():
             gamma_minus_pair(lambda s: np.exp(800 * s))
     with pytest.raises(ConvergenceError, match="^gamma-plus pairing is not decaying"):
         gamma_plus_pair(lambda s: np.nan)
+    # a non-finite probe fails closed without a RuntimeWarning from the sums
+    with pytest.raises(ConvergenceError, match="^gamma-minus pairing is not decaying"):
+        gamma_minus_pair(lambda s: complex(float("inf"), float("nan")))
 
 
 def test_one_sided_pairings_probe_the_unit_comb():

@@ -228,6 +228,56 @@ def test_select_base_accepts_exactly_the_enumerated_bases(rows):
             assert I in labels
 
 
+def _svd_subsets_vs_rule(A, monkeypatch):
+    """Check ``_full_rank`` and ``enumerate_bases`` against the SVD rule on
+    every n-subset of A; return how many subsets the screen sent to the SVD."""
+    subsets = list(itertools.combinations(range(1, A.N + 1), A.n))
+    cols = np.swapaxes(A.omega[np.asarray(subsets) - 1], 1, 2)
+    rule = model._rank_count(np.linalg.svd(cols, compute_uv=False)) == A.n
+    svd, sent = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sent.append(len(a)) or svd(a, **kw))
+    assert np.array_equal(model._full_rank(cols), rule)
+    monkeypatch.undo()
+    assert [B.I for B in enumerate_bases(A)] == list(itertools.compress(subsets, rule))
+    return sum(sent)
+
+
+@pytest.mark.parametrize(
+    "rows,bases,svd_subsets",
+    [
+        (grassmannian_set(2, 5).vectors.omega, 80, 0),
+        (grassmannian_set(3, 5).vectors.omega, 2025, 0),
+        (np.random.default_rng(4).normal(size=(10, 4, 2)) @ np.array([1, 1j]), 210, 0),
+        # ||M||_F overflows, so no bound is finite and every subset takes the SVD
+        (grassmannian_set(2, 4).vectors.omega.real * 1e160, 32, 56),
+        # a zero vector gives a zero column of R; alone (n = 1) it gives R = 0
+        # and 0/0 in the screen, with no warning
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], 3, 0),
+        ([(0,), (1,)], 1, 0),
+        # sigma_min = 1.2e-10 of (1, 2, 3) clears the floor 1e-10 * sigma_max,
+        # though not 1e-10 * ||M||_F; the screen leaves it to the SVD
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1.2e-10), (0, 0, 1)], 2, 1),
+    ],
+    ids=["G(2,5)", "G(3,5)", "complex 4x10", "G(2,4)*1e160", "zero vector", "zero 1x1", "near the floor"],
+)
+def test_full_rank_screen_matches_the_svd_rule(rows, bases, svd_subsets, monkeypatch):
+    A = vector_set(rows)
+    assert _svd_subsets_vs_rule(A, monkeypatch) == svd_subsets
+    assert len(enumerate_bases(A)) == bases
+
+
+def test_full_rank_screen_sends_the_near_threshold_subsets_to_the_svd(monkeypatch):
+    # one vector is u + v + eps * noise, so the subsets holding all three have
+    # sigma_min near eps, around the rule's 1e-10 * max(1, sigma_max)
+    sent = 0
+    for eps, seed in itertools.product((1e-8, 1e-9, 3e-10, 1e-10, 1e-11), range(10)):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(7, 3))
+        rows[6] = rows[0] + rows[1] + eps * rng.normal(size=3)
+        sent += _svd_subsets_vs_rule(vector_set(rows), monkeypatch)
+    assert sent > 0
+
+
 def _batched_inverses(A):
     """Inverse of every base's column matrix as the enumeration once built
     them: one np.linalg.inv per block of independent subsets, the blocks
