@@ -77,9 +77,11 @@ def _trapezoid_levels(F, W: float, nodes: int, n: int):
     Halving the step keeps the old grid as the even-index points, so each
     later level evaluates only the points with an odd index on some axis, as
     n product sets: axis k takes its odd nodes, the axes before it their even
-    nodes and the axes after it all of theirs.  ``F`` takes an (n, ...) array
-    of points and sees whole first-axis rows, about _GRID_BLOCK points a call.
-    The levels end before one that would pass _MAX_EVALUATIONS points.
+    nodes and the axes after it all of theirs.  ``F`` takes the open grid of a
+    block, n per-axis arrays as np.ix_ gives them, and returns values that
+    broadcast to the block; it sees whole first-axis rows, about _GRID_BLOCK
+    points a call.  The levels end before one that would pass
+    _MAX_EVALUATIONS points.
     """
     count, total, points = nodes, 0j, 0
     while count**n <= _MAX_EVALUATIONS:
@@ -93,21 +95,34 @@ def _trapezoid_levels(F, W: float, nodes: int, n: int):
             step = max(1, _GRID_BLOCK // math.prod(map(len, axes[1:])))
             for i in range(0, len(axes[0]), step):
                 rows = slice(i, i + step)
-                block = np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])))
+                block = np.ix_(axes[0][rows], *axes[1:])
                 total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * F(block))
             points += math.prod(map(len, axes))
         yield complex((2 * W / (count - 1)) ** n * total), points
         count = 2 * count - 1
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where abs raises OverflowError: on a finite z whose
+    modulus passes the double range, and on a NaN z when an earlier C call
+    (glibc's cexp underflowing, say) left errno at ERANGE."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _settle(levels, tolerance: float, max_levels: int, what: str):
     """Read ``levels`` until two successive sums agree within
-    tolerance * max(1, |value|); return (value, difference, points)."""
-    prev = np.nan  # the first level has nothing to agree with
-    read = 0
+    tolerance * max(1, |value|); return (value, difference, points).  A sum
+    whose modulus is not finite fails at once."""
+    prev = read = 0
     for read, (value, points) in enumerate(itertools.islice(levels, max_levels), 1):
-        err = abs(value - prev)
-        if err <= tolerance * max(1.0, abs(value)):
+        size = _modulus(value)
+        if not math.isfinite(size):
+            raise ConvergenceError(f"{what} level sum is not finite")
+        err = _modulus(value - prev) if read > 1 else math.nan  # the first level has nothing to agree with
+        if err <= tolerance * max(1.0, size):
             return value, err, points
         prev = value
     limit = f"{max_levels} levels" if read == max_levels else f"{_MAX_EVALUATIONS} evaluations"
@@ -187,17 +202,17 @@ def hankel_integral(
 
     what = "hankel-loop quadrature"
     lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec, what)
-    arc, e2, n2 = _tanh_sinh(
-        lambda th: g(delta * np.exp(1j * th)) * 1j * delta * np.exp(1j * th),
-        -np.pi / 2,
-        np.pi / 2,
-        spec, what,
-    )
+    arc, e2, n2 = _tanh_sinh(lambda th: g(delta * np.exp(1j * th)) * 1j * delta * np.exp(1j * th),
+                             -np.pi / 2, np.pi / 2, spec, what)
     upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec, what)
     return IntegralValue(lower + arc - upper, e1 + e2 + e3, n1 + n2 + n3)
 
 
 def _plane_integrand(system, k, beta, x):
+    """The plane integrand g(sigma), after checking its preconditions.  g takes
+    an open grid (n per-axis arrays, as np.ix_ gives them), broadcasts over it
+    and takes the complex exp only where it can be nonzero: below -746 in the
+    real part, with a finite imaginary part, exp is exactly 0."""
     base = system.base
     n = base.parent.n
     if np.max(np.abs(base.parent.omega.imag)) > 1e-12:
@@ -222,17 +237,15 @@ def _plane_integrand(system, k, beta, x):
             )
     phase = np.exp(-1j * np.sum(beta_I * shift))
 
-    def g(sigma_cols):
-        # sigma_cols: (n, ...) real arrays, broadcastable
+    def g(sigma):
         with np.errstate(over="ignore", invalid="ignore"):
-            total = -np.sum(np.exp(sigma_cols), axis=0) - np.einsum(
-                "i,i...->...", beta_I, sigma_cols.astype(np.complex128)
-            )
+            total = -sum(np.exp(s) for s in sigma) - sum(b * s for b, s in zip(beta_I, sigma))
             for row in range(system.r):
-                total = total + w[row] * np.exp(
-                    np.einsum("i,i...->...", gamma[row], sigma_cols)
-                )
-            return phase * np.exp(total)
+                total += w[row] * np.exp(sum(c * s for c, s in zip(gamma[row], sigma)))
+            live = ~((total.real < -746.0) & np.isfinite(total.imag))
+            out = np.zeros(total.shape, np.complex128)
+            out[live] = phase * np.exp(total[live])
+            return out
 
     return g
 
@@ -257,8 +270,7 @@ def shifted_plane_integral(
     W = spec.cutoff
     coarse = np.linspace(-1.0, 1.0, 33)
     for _ in range(9):
-        grids = np.meshgrid(*([W * coarse] * n), indexing="ij")
-        bulk = np.abs(g(np.stack(grids)))
+        bulk = np.abs(g(np.ix_(*[W * coarse] * n)))
         peak = float(bulk.max())
         if not np.isfinite(peak):
             raise DomainError("integrand overflows on the sampling grid")

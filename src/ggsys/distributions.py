@@ -97,7 +97,9 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int, what: str = "inner c
     n = ell.shape[1]
     shells, degrees, mfact = _shells(n, R)
     points = (ms.astype(np.float64) @ ell)[:, None, :] + shells
-    distinct, inverse = _distinct_rows(points.reshape(-1, n))
+    # the points of one m are distinct by construction: one probe each
+    flat = points.reshape(-1, n)
+    distinct, inverse = _distinct_rows(flat) if len(ms) > 1 else (flat, np.arange(len(flat)))
     probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
     terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
     # a probe past the double range gives non-finite sums, which _not_decaying judges

@@ -774,6 +774,18 @@ def test_an_overflowing_pairing_fails_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("x", [400, 1000])
+def test_an_overflowing_loop_integral_fails_by_name(tmp_path, capsys, x):
+    # e^(x/t) reaches e^(2x) on the arc |t| = 1/2, past the double range, so the arc's
+    # first level sum is NaN: the run fails there, in the report, not on stderr
+    cfg = {"task": "integral", "omega": [[1], [-1]],
+           "integral": {"kind": "hankel-loop", "base": 1, "beta": 0.5, "x": [x], "tolerance": 1e-10}}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert _report(out)["error"] == "hankel-loop quadrature level sum is not finite"
+    assert capsys.readouterr().err == ""
+
+
 def test_integral_domain_error_names_the_integral(tmp_path):
     cfg = {
         "task": "integral",

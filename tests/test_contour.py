@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ggsys.contour import (
     shifted_plane_integral,
 )
 from ggsys.errors import ConvergenceError, DomainError, InvalidInputError
-from ggsys.model import build_reduced_system, select_base, vector_set
+from ggsys.model import ReducedSystem, build_reduced_system, select_base, vector_set
 from ggsys.series import SeriesSpec, reduced_series_eval
 from ggsys.verify import check_reduced_system
 
@@ -263,16 +264,22 @@ def _full_grid_sum(F, W, nodes, n):
     for start in range(0, nodes**n, _GRID_BLOCK):
         flat = np.arange(start, min(start + _GRID_BLOCK, nodes**n))
         cols = np.stack(np.unravel_index(flat, (nodes,) * n))
-        total += np.sum(np.prod(ends[cols], axis=0) * F(axis[cols]))
+        total += np.sum(np.prod(ends[cols], axis=0) * F(tuple(axis[cols])))
     return complex((2 * W / (nodes - 1)) ** n * total)
 
 
 def _skewed(points):
-    # no symmetry between the axes or the two ends, and sizeable at the boundary
+    # no symmetry between the axes or the two ends, and sizeable at the boundary;
+    # points: one array per axis, broadcasting against each other
+    q = [p - c for p, c in zip(points, (0.0, 0.5))]
+    return np.exp(-sum(a * v**2 for a, v in zip((0.4, 0.2), q)) + 1j * sum(j * v for j, v in enumerate(q, 1)))
+
+
+def _assert_open_grid(points):
+    # n per-axis arrays as np.ix_ gives them: axis i varies along dimension i only
     n = len(points)
-    flat = points.reshape(n, -1) - np.array([0.0, 0.5])[:n, None]
-    out = np.exp(-(np.array([0.4, 0.2])[:n, None] * flat**2).sum(axis=0) + 1j * (np.arange(1, n + 1) @ flat))
-    return out.reshape(points.shape[1:])
+    for i, p in enumerate(points):
+        assert p.ndim == n and all(size == 1 for d, size in enumerate(p.shape) if d != i)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -291,8 +298,10 @@ def test_nested_levels_call_in_blocks_of_rows(n, nodes):
     sizes = []
 
     def F(points):
-        sizes.append((points[0].size, points.shape[-1]))
-        return np.ones(points.shape[1:])
+        _assert_open_grid(points)
+        shape = np.broadcast_shapes(*(p.shape for p in points))
+        sizes.append((math.prod(shape), shape[-1]))
+        return 1.0  # anything that broadcasts to the block
 
     for _ in zip(range(3), contour._trapezoid_levels(F, 1.0, nodes, n)):
         pass
@@ -316,9 +325,10 @@ def test_plane_evaluates_each_grid_point_once(monkeypatch, A, beta, x, spec, use
     def counting(*args):
         g = build(*args)
 
-        def counted(sigma_cols):
-            calls.append(np.array(sigma_cols))
-            return g(sigma_cols)
+        def counted(sigma):
+            _assert_open_grid(sigma)
+            calls.append(np.stack(np.broadcast_arrays(*sigma)))
+            return g(sigma)
 
         return counted
 
@@ -331,6 +341,61 @@ def test_plane_evaluates_each_grid_point_once(monkeypatch, A, beta, x, spec, use
     assert points.shape[1] == got.nodes_used == len(np.unique(keys))
     if used is not None:  # 591,361 points, not 769^2 plus the 385^2 half-rate grid
         assert got.nodes_used == used
+
+
+def _stacked_plane_integrand(system, k, beta, x):
+    # reference: the plane integrand's formula on a stacked (n, ...) grid, through np.sum and einsum
+    beta_I = system.base.coords(np.asarray(beta, dtype=np.complex128))
+    gamma = system.off_base_coords.real
+    shift = np.pi * (2 * np.asarray(k, dtype=np.float64) + 1)
+    w = np.asarray(x, dtype=np.complex128) * np.exp(1j * (gamma @ shift))
+    phase = np.exp(-1j * np.sum(beta_I * shift))
+
+    def g(sigma_cols):
+        total = -np.sum(np.exp(sigma_cols), axis=0) - np.einsum(
+            "i,i...->...", beta_I, sigma_cols.astype(np.complex128)
+        )
+        for row in range(system.r):
+            total = total + w[row] * np.exp(np.einsum("i,i...->...", gamma[row], sigma_cols))
+        return phase * np.exp(total)
+
+    return g
+
+
+# sigma near 6.6 puts Re of the 1-D exponent between about -752 and -738 (exp
+# is 0 below -745.13); near -1418 exp(-sigma/2) is finite but x e^(-sigma/2)
+# overflows in its imaginary part alone, so exp gives NaN at a real part of
+# about -1e306; below -1419.6 it overflows to inf
+_EDGE_1D = np.concatenate([np.linspace(-40, 40, 161), 6.6 + np.linspace(-0.01, 0.01, 2001),
+                           np.linspace(-1420.0, -1416.0, 81), [-800.0, -710.0, 710.0, 800.0, np.nan]])
+
+
+@pytest.mark.parametrize(
+    "omega, beta, x, axes, kind",
+    [
+        ([(1,), (-1,)], [0.7], [0.3], [_EDGE_1D], "edges"),
+        ([(1,), (-0.5,)], [0.7], [-10 * np.exp(0.01j)], [_EDGE_1D], "edges"),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -2)], [0.6, 0.9], [0.3, 0.8, 0.05],
+         [np.r_[np.linspace(-30, 30, 61), -800.0, np.nan], np.r_[np.linspace(-30, 30, 41), -710.0, 6.6]], None),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], [0.6, 1.2], [0.3, 0.8],
+         [np.linspace(50.0, 60.0, 7), np.linspace(-5.0, 5.0, 9)], "underflow"),
+    ],
+    ids=["1d-edges", "1d-imaginary-overflow", "2d-coupled-edges", "2d-all-underflow"],
+)
+def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(omega, beta, x, axes, kind):
+    system = ReducedSystem(select_base(vector_set(omega), tuple(range(1, len(axes) + 1))))
+    k = (0,) * len(axes)
+    grid = np.ix_(*axes)
+    with np.errstate(all="ignore"):
+        want = _stacked_plane_integrand(system, k, beta, x)(np.stack(np.broadcast_arrays(*grid)))
+        got = contour._plane_integrand(system, k, beta, x)(grid)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    if kind == "edges":  # the grid reaches the cases it is there for
+        assert np.isnan(want).any() and (want == 0).any()
+        assert ((want != 0) & (np.abs(want) < 1e-320)).any()  # a subnormal at Re about -745
+    if kind == "underflow":
+        assert not want.any()
 
 
 def test_tanh_sinh_evaluates_each_node_once():
@@ -350,7 +415,7 @@ def test_tanh_sinh_evaluates_each_node_once():
 
 def test_fixed_plane_grid_holds_its_half_rate_grid():
     # an even node count integrates on nodes + 1 points per axis
-    for nodes, count in ((64, 65), (257, 257), (769, 769)):
+    for nodes, count in ((64, 65), (129, 129), (257, 257), (769, 769)):
         spec = plane_spec(nodes=nodes, cutoff=32.0, adaptive=False)
         one = shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], spec)
         two = shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], spec)
@@ -375,9 +440,35 @@ def test_nonconvergence_names_kind_and_levels():
     assert contour._settle(iter(levels), 1e-9, 3, "sums") == (2.0, 0.0, 33)
 
 
+def test_settle_fails_closed_at_the_first_sum_that_is_not_finite():
+    def levels(*sums):
+        yield from ((value, 9 * 2**i) for i, value in enumerate(sums))
+        raise AssertionError("read past the failing level")
+
+    big = 0.8e308 * (1 + 1j)  # finite, but |big - (-big)| passes the double range
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf), 1.5e308 * (1 + 1j)):
+        with pytest.raises(ConvergenceError, match="^sums level sum is not finite$"):
+            contour._settle(levels(1.0, bad), 1e-9, 12, "sums")
+    assert contour._settle(iter([(-big, 9), (big, 17), (big, 33)]), 1e-9, 12, "sums") == (big, 0.0, 33)
+    assert contour._settle(iter([(-big, 9), (big, 17)]), np.inf, 2, "sums") == (big, np.inf, 17)
+
+
+def test_settle_reads_no_difference_at_the_first_level():
+    # an underflowing complex exp leaves errno at ERANGE under glibc, and
+    # Python's abs of a NaN complex then raises OverflowError; the first level
+    # has no previous sum to differ from, so the rule takes no abs with NaN
+    def underflowing(*sums):
+        for i, value in enumerate(sums):
+            np.exp(np.full(4, -800.0 + 1j))
+            yield value, 9 * 2**i
+
+    assert contour._settle(underflowing(1 + 1j, 1 + 1j), np.inf, 2, "sums") == (1 + 1j, 0.0, 18)
+    assert contour._settle(underflowing(1 + 1j, 1 + 1j), 1e-9, 2, "sums") == (1 + 1j, 0.0, 18)
+
+
 def test_levels_stop_before_the_evaluation_cap(monkeypatch):
     monkeypatch.setattr(contour, "_MAX_EVALUATIONS", 10**4)
-    counts = [points for _, points in contour._trapezoid_levels(lambda p: p[0] * 0 + 1, 1.0, 16, 2)]
+    counts = [points for _, points in contour._trapezoid_levels(lambda p: 1.0, 1.0, 16, 2)]
     assert counts == [16**2, 31**2, 61**2]  # 121^2 would pass the cap
     spec = plane_spec(nodes=16, tolerance=1e-30)
     with pytest.raises(ConvergenceError) as info:

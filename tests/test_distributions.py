@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ggsys import distributions
 from ggsys.distributions import (
     _BLOCK_POINTS,
     _distinct_rows,
@@ -77,6 +78,18 @@ def test_one_sided_pairings_probe_the_unit_comb():
     for phi in (lambda s: 1.0, lambda s: np.exp(0.4 * s), lambda s: s**3 * np.exp(-0.8j * s)):
         for R in (30, 40):
             assert bits(gamma_minus_pair(phi, R).value) == bits(cm_pair([[1.0]], [0], phi, R))
+
+
+def test_only_blocks_of_several_outer_indices_are_deduplicated(monkeypatch):
+    # the points of one outer index m are m @ ell + r over distinct shells r,
+    # distinct by construction, so one-index combs skip _distinct_rows
+    calls = []
+    monkeypatch.setattr(distributions, "_distinct_rows", lambda rows: calls.append(len(rows)) or _distinct_rows(rows))
+    phi = lambda s: np.exp(-0.3 * np.sum(s))
+    gamma_plus_pair(phi), gamma_minus_pair(phi), cm_pair([[1.0, 0.5], [0.3, 2.0]], [2, 1], phi)
+    assert calls == []
+    gg_distribution_pair([[1.0]], [0.5], phi)
+    assert calls == [26 * 41]  # outer m = 0..25, inner r = 0..40: one block
 
 
 def _analytic_family():
