@@ -182,12 +182,12 @@ def hankel_integral(
     x = _invariant_point(system, x)
     beta = complex(beta)
 
-    def g(t):
+    def g(t, jacobian=lambda value: value):  # the Jacobian is applied under the same errstate
         t = np.asarray(t, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             log_t = np.log(t)
             inner = t + (x[None, :] * np.exp(np.outer(log_t, exponents))).sum(axis=1)
-            return np.exp(inner + (-beta - 1.0) * log_t)
+            return jacobian(np.exp(inner + (-beta - 1.0) * log_t))
 
     delta = spec.offset
     scale = float(abs(g(np.asarray([delta]))[0]))
@@ -202,7 +202,7 @@ def hankel_integral(
 
     what = "hankel-loop quadrature"
     lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec, what)
-    arc, e2, n2 = _tanh_sinh(lambda th: g(delta * np.exp(1j * th)) * 1j * delta * np.exp(1j * th),
+    arc, e2, n2 = _tanh_sinh(lambda th: g(delta * np.exp(1j * th), lambda v: v * 1j * delta * np.exp(1j * th)),
                              -np.pi / 2, np.pi / 2, spec, what)
     upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec, what)
     return IntegralValue(lower + arc - upper, e1 + e2 + e3, n1 + n2 + n3)

@@ -15,11 +15,11 @@ evaluates ``rgamma`` once per distinct value and gathers from there.
 call over all their arguments.  Each argument is an entry of the generic
 ``shifted + 1`` and each value depends on its own argument only, so every
 table is the generic one-table result bit for bit.  A batch only returns
-its tables: the residual checks hand it each sample's parameter and its
-shifts and read the tables they get back.  ``reduced_series`` alone keeps
+its tables: the residual checks hand it the parameters and shifts of a block
+of samples and read the tables they get back.  ``reduced_series`` alone keeps
 the table of its last call.  Table arrays are read-only.  Mixed mode makes
-its own gamma calls; every evaluation gathers its powers from one table of
-x_j**k for k <= M.
+its own gamma calls; every evaluation, at one point or at a stack of them,
+gathers its powers from one table of x_j**k for k <= M.
 """
 from __future__ import annotations
 
@@ -131,16 +131,20 @@ class TruncatedSeries:
         for array in (self.beta, self.raw_coeffs, self.coeffs):
             array.setflags(write=False)
 
-    def _powers(self, x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        """prod_j x_j**exponents[:, j], gathered column by column from the
-        table of x_j**k, k <= M; its column 0 holds numpy's complex 0**0 = 1."""
+    def _powers(self, x: np.ndarray, *lowered) -> list[np.ndarray]:
+        """prod_j x_j**m_j over the multi-indices m, with m_c lowered by one (floored at 0) for each c
+        in ``lowered`` (None: m as it is), at a point x or at each row of a 2-D stack x; new arrays,
+        gathered column by column from one table of x_j**k, k <= M (numpy's complex 0**0 is 1)."""
         with np.errstate(invalid="ignore"):
-            table = x[:, None] ** np.arange(self.spec.truncation + 1)
-        return _product(row[column] for row, column in zip(table, exponents.T))
+            table = x[..., None] ** np.arange(self.spec.truncation + 1)
+        m, one = self.exponents, np.ones((*x.shape[:-1], 1), dtype=np.complex128)  # r = 0: one term, power 1
+        # a point gathers from 1-D rows of its table, numpy's fast path; a stack from 2-D slices
+        gather = (lambda j, k: table[j][k]) if x.ndim == 1 else (lambda j, k: table[:, j][:, k])
+        return [_product((gather(j, np.maximum(m[:, j] - 1, 0) if j == c else m[:, j]) for j in range(m.shape[1])), one)
+                for c in lowered]
 
     def terms(self, x) -> np.ndarray:
-        x = _invariant_point(self.spec.system, x)
-        return self.coeffs * self._powers(x, self.exponents)
+        return self.coeffs * self._powers(_invariant_point(self.spec.system, x), None)[0]
 
     def value(self, x) -> SeriesValue:
         t = self.terms(x)
@@ -148,15 +152,14 @@ class TruncatedSeries:
         tail = float(np.max(np.abs(t[outer]))) if outer.any() else 0.0
         return SeriesValue(complex(t.sum()), tail, len(t))
 
-    def derivative(self, x, j_label: int) -> complex:
-        """d/dx_j of the truncated sum, j a 1-based off-base label."""
+    def derivative(self, x, j_label: int, powers=None) -> complex:
+        """d/dx_j of the truncated sum, j a 1-based off-base label (``powers``: ``_powers`` at x, j lowered)."""
         x = _invariant_point(self.spec.system, x)
         if j_label not in self.spec.system.base.J:
             raise InvalidInputError(f"label {j_label!r} is not an off-base label")
         col = self.spec.system.base.J.index(j_label)
-        m = self.exponents
-        p = self._powers(x, np.maximum(m - (np.arange(m.shape[1]) == col), 0))
-        return complex(np.sum(self.coeffs * m[:, col] * p))
+        p = self._powers(x, col)[0] if powers is None else powers
+        return complex(np.sum(self.coeffs * self.exponents[:, col] * p))
 
     def coefficient(self, m) -> complex:
         key = np.asarray(m)
@@ -167,10 +170,10 @@ class TruncatedSeries:
         return complex(self.raw_coeffs[idx[0]])
 
 
-def _product(columns):
-    """Product of ``columns``, elementwise and in order (1.0 for none); np.prod on a short row is slow."""
+def _product(columns, empty=1.0):
+    """Product of ``columns``, elementwise and in order (``empty`` for none); np.prod on a short row is slow."""
     columns = iter(columns)
-    product = np.array(next(columns, 1.0))
+    product = np.array(next(columns, empty))
     for column in columns:
         product *= column
     return product
@@ -291,11 +294,15 @@ def gg_series_eval(spec: SeriesSpec, beta, a) -> SeriesValue:
 
 def _gg_value(table: TruncatedSeries, a: np.ndarray) -> SeriesValue:
     """``gg_series_eval`` of ``table`` at a complex vector ``a`` nonzero on the base."""
-    system = table.spec.system
-    a_I = a[[i - 1 for i in system.base.I]]
-    prefactor = np.exp(np.sum(system.base.coords(table.beta) * np.log(a_I)))
-    val = table.value(system.x_from_a(a))
+    [prefactor] = _gg_prefactors(table, [a])
+    val = table.value(table.spec.system.x_from_a(a))
     return SeriesValue(complex(prefactor * val.value), abs(prefactor) * val.tail_estimate, val.terms_used)
+
+
+def _gg_prefactors(table: TruncatedSeries, a_rows) -> list:
+    """prod_i a_i^{beta_i} over the base positions, for each vector in ``a_rows``."""
+    coords, ipos = table.spec.system.base.coords(table.beta), [i - 1 for i in table.spec.system.base.I]
+    return [np.exp(np.sum(coords * np.log(a[ipos]))) for a in a_rows]
 
 
 def mixed_gamma_series_eval(spec: SeriesSpec, beta, x) -> SeriesValue:

@@ -11,16 +11,17 @@ stay positive so principal powers are unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import takewhile
+from itertools import cycle, takewhile
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
-from .model import VectorSet, ReducedSystem, _integers, _svd_rank, first_base, select_base
-from .series import SeriesSpec, _gg_value, gauss_coefficients, reduced_series_batch
+from .model import VectorSet, ReducedSystem, _integers, _invariant_point, _svd_rank, first_base, select_base
+from .series import SeriesSpec, _gg_prefactors, _gg_value, _shells, gauss_coefficients, reduced_series_batch
 
 DEFAULT_TOLERANCE = 1e-8
 _FLOOR = 1e-300
+_BLOCK_TERMS = 2**16  # the most terms a check tabulates in one batch, unless one sample needs more
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,46 @@ def _call(f, beta, a_or_x):
         ) from exc
 
 
-def _central_difference(f, beta, z, index) -> complex:
-    """d f(beta, z) / d z_index by central differences, step 1e-6 * max(|z_index|, 1)."""
-    h = 1e-6 * max(abs(z[index]), 1.0)
-    bump = np.zeros(len(z), dtype=np.complex128)
-    bump[index] = h
-    return (_call(f, beta, z + bump) - _call(f, beta, z - bump)) / (2 * h)
+def _bumps(z):
+    """Per coordinate i of z: the step h = 1e-6 * max(|z_i|, 1), z + h e_i and z - h e_i."""
+    return [(h, z + h * e, z - h * e) for h, e in zip((1e-6 * max(abs(v), 1.0) for v in z), np.eye(len(z)))]
+
+
+def _central_differences(f, beta, z) -> list[complex]:
+    """Every d f(beta, z) / d z_i by central differences."""
+    return [(_call(f, beta, plus) - _call(f, beta, minus)) / (2 * h) for h, plus, minus in _bumps(z)]
+
+
+def _sample_tables(specs, parameters):
+    """The tables of ``specs`` at each sample's parameters: one ``reduced_series_batch`` per block
+    of consecutive samples with at most ``_BLOCK_TERMS`` terms (or one sample), one at a time."""
+    step = max(1, _BLOCK_TERMS // sum(len(_shells(spec.system.r, spec.truncation)[0]) for spec in specs))
+    for start in range(0, len(parameters), step):
+        tables = reduced_series_batch(zip(cycle(specs), (b for sample in parameters[start:start + step] for b in sample)))
+        yield from (tables[i:i + len(specs)] for i in range(0, len(tables), len(specs)))
+        del tables  # before the next block is tabulated
+
+
+def _read(table, powers) -> complex:
+    """The sum of ``table`` at its first len(table) ``powers``, taken as ``TruncatedSeries.value``
+    takes it: numpy may reuse a new operand in place, swapped, which rounds differently."""
+    return complex((table.coeffs * powers[:len(table.coeffs)].copy()).sum())
+
+
+def _gg_sample_values(x_from_a, tables, at):
+    """``gg_series_eval`` of a sample's first table at its points ``at``, then of the others at at[0]."""
+    here, *shifted = tables
+    (powers,) = here._powers(np.array([x_from_a(z) for z in at]), None)
+    return [complex(p * _read(here, row)) for p, row in zip(_gg_prefactors(here, at), powers)] + [
+        complex(_gg_prefactors(T, at[:1])[0] * _read(T, powers[0])) for T in shifted]
+
+
+def _reduced_spec_values(system, xs, tables):
+    """Per sample, the value, r partials and n + r shifted values, from one power
+    row at x: tables of truncation M - 1 read its first columns (shells go by degree)."""
+    for x, (S, *shifted) in zip((_invariant_point(system, x) for x in xs), tables):
+        row, *lowered = S._powers(x, None, *range(system.r))
+        yield _read(S, row), [S.derivative(x, j, p) for j, p in zip(system.base.J, lowered)], [_read(T, row) for T in shifted]
 
 
 def check_gg_system(
@@ -130,17 +165,16 @@ def check_gg_system(
     """Residuals of the defining system for F: a reduced-mode ``SeriesSpec`` of
     a system of A, or an evaluator f(beta, a) on ``base`` (default the first).
 
-    One pass over the samples gives three reports.  First: every partial
-    derivative in a_j (central differences) matches the parameter shift by
-    -omega^j.  Second: the weighted sum of shifts reproduces beta times the
-    function, checked directly with no differentiation.  Third: the
-    derivative-weighted and shift-weighted forms of the system agree,
-    sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0, from the same
-    difference quotients and shifted values as the first report.  A spec
-    tabulates each sample's beta and N shifts in one ``reduced_series_batch``
-    and reads those tables as ``gg_series_eval`` would; an evaluator is only
-    called.  A nonzero ``perturbation`` (negative-control hook) adds
-    perturbation * a_1 to every value.
+    Each sample gives f at a and at a +- h_j e_j, and f(beta - omega^j) at a;
+    one loop reads them into three reports: every partial derivative in a_j
+    (central differences) matches the parameter shift by -omega^j; the
+    weighted sum of shifts reproduces beta times the function, with no
+    differentiation; and the derivative- and shift-weighted forms agree,
+    sum_j a_j (df/da_j - f(beta - omega^j)) omega^j = 0.  An evaluator is only
+    called.  A spec tabulates a block of samples' beta and N shifts in one
+    ``reduced_series_batch`` and reads them as ``gg_series_eval`` would, from
+    one power table over a sample's 2N + 1 points.  A nonzero ``perturbation``
+    (negative-control hook) adds perturbation * a_1 to every value.
     """
     rng = np.random.default_rng(seed)
     spec = F if isinstance(F, SeriesSpec) else None
@@ -154,28 +188,31 @@ def check_gg_system(
         raise InvalidInputError("a series spec brings its own base")
     system = ReducedSystem(chosen) if spec is None else spec.system
 
-    def f(point, a):  # point: a parameter for an evaluator, a table for a spec
-        value = F(point, a) if spec is None else _gg_value(point, a).value
-        return value + perturbation * complex(a[0]) if perturbation != 0 else value
-
     betas = sample_parameters(system, samples, rng)
     args = sample_arguments(system, samples, rng, x_bound)
+    parameters = [[beta, *(beta - A.row(j) for j in range(1, A.N + 1))] for beta in betas]
+    bumps = [_bumps(a) for a in args]
+    points = [[a, *(z for _, *pair in bumped for z in pair)] for a, bumped in zip(args, bumps)]
+    if spec is None:
+        values = ([_call(F, beta, z) for z in at] + [_call(F, b, at[0]) for b in shifted]
+                  for (beta, *shifted), at in zip(parameters, points))
+    else:
+        tables = _sample_tables([spec] * (1 + A.N), parameters)
+        values = (_gg_sample_values(system.x_from_a, sample, at) for sample, at in zip(tables, points))
     shift_res, weighted_res, forms_res, scales = [], [], [], []
-    for beta, a in zip(betas, args):
-        points = [beta] + [beta - A.row(j) for j in range(1, A.N + 1)]
-        here, *shifts = points if spec is None else reduced_series_batch((spec, b) for b in points)
-        f0 = _call(f, here, a)
+    # each sample's values: f at a, at a + h_j e_j and a - h_j e_j for each j, then f(beta - omega^j) at a
+    for beta, a, at, bumped, sample in zip(betas, args, points, bumps, values):
+        if perturbation != 0:
+            sample = [v + perturbation * complex(z[0]) for v, z in zip(sample, at + [a] * A.N)]
+        f0, pairs, shifted = sample[0], sample[1:2 * A.N + 1], sample[2 * A.N + 1:]
         scales.append(abs(f0))
         weighted = -np.asarray(beta, dtype=np.complex128) * f0
         forms = np.zeros(A.n, dtype=np.complex128)
-        # every quotient at beta before any shifted value, so that a series
-        # evaluator tabulates beta once per sample
-        fds = [_central_difference(f, here, a, j) for j in range(A.N)]
-        for j, (fd, shift) in enumerate(zip(fds, shifts), 1):
-            shifted = _call(f, shift, a)
-            shift_res.append(abs(fd - shifted))
-            weighted += a[j - 1] * shifted * A.row(j)
-            forms += a[j - 1] * (fd - shifted) * A.row(j)
+        for j, ((h, _, _), plus, minus, value) in enumerate(zip(bumped, pairs[::2], pairs[1::2], shifted), 1):
+            fd = (plus - minus) / (2 * h)
+            shift_res.append(abs(fd - value))
+            weighted += a[j - 1] * value * A.row(j)
+            forms += a[j - 1] * (fd - value) * A.row(j)
         weighted_res.append(float(np.max(np.abs(weighted))))
         forms_res.append(float(np.max(np.abs(forms))))
     return (
@@ -231,14 +268,12 @@ def check_def2_system(
         a = rng.uniform(0.5, 1.5, size=size).astype(np.complex128)
         f0 = _call(F, gamma, a)
         scales.append(abs(f0))
-        shifted = []
-        for i in range(size):
-            if derivative is not None:
-                d = complex(derivative(gamma, a, i + 1))
-            else:
-                d = _central_difference(F, gamma, a, i)
-            shifted.append(_call(F, gamma - eye[i], a))
-            deriv_res.append(abs(d - shifted[i]))
+        if derivative is not None:
+            partials = [complex(derivative(gamma, a, i + 1)) for i in range(size)]
+        else:
+            partials = _central_differences(F, gamma, a)
+        shifted = [_call(F, gamma - eye[i], a) for i in range(size)]
+        deriv_res += [abs(d - value) for d, value in zip(partials, shifted)]
         for shift in lattice_shifts:
             period_res.append(abs(_call(F, gamma + shift, a) - f0))
         for nu in annihilators:
@@ -267,7 +302,8 @@ def check_reduced_system(
     Each sample computes the value, the r partials and the n + r shifted
     values once, and both equations read them.  A spec of truncation M
     tabulates (beta, M), (beta - omega^i, M) for i in I and (beta - omega^j,
-    M - 1) for j in J in one ``reduced_series_batch``, so its residuals
+    M - 1) for j in J, for a block of samples in one ``reduced_series_batch``,
+    and reads a sample's values from one power row at x, so its residuals
     measure floating noise only.
 
     ``points`` overrides the sampler with explicit (beta, x) pairs, for
@@ -276,11 +312,8 @@ def check_reduced_system(
     rng = np.random.default_rng(seed)
     base = system.base
     A = base.parent
-    exact = isinstance(F, SeriesSpec)
-    if exact:
-        if F.system is not system:
-            raise InvalidInputError("the series spec belongs to another system")
-        specs = [F] * (1 + A.n) + [replace(F, truncation=F.truncation - 1)] * system.r
+    if isinstance(F, SeriesSpec) and F.system is not system:
+        raise InvalidInputError("the series spec belongs to another system")
     if points is not None:
         betas = [np.asarray(b, dtype=np.complex128) for b, _ in points]
         xs = [np.asarray(x, dtype=np.complex128) for _, x in points]
@@ -290,18 +323,15 @@ def check_reduced_system(
             np.asarray([_disk(rng, x_bound) for _ in range(system.r)])
             for _ in range(samples)
         ]
+    parameters = [[beta, *(beta - A.row(i) for i in (*base.I, *base.J))] for beta in betas]
+    if isinstance(F, SeriesSpec):
+        specs = [F] * (1 + A.n) + [replace(F, truncation=F.truncation - 1)] * system.r
+        values = _reduced_spec_values(system, xs, _sample_tables(specs, parameters))
+    else:
+        values = ((_call(F, beta, x), _central_differences(F, beta, x), [_call(F, b, x) for b in shifted])
+                  for (beta, *shifted), x in zip(parameters, xs))
     base_res, off_res, scales = [], [], []
-    for beta, x in zip(betas, xs):
-        shifts = [beta - A.row(i) for i in (*base.I, *base.J)]
-        if exact:
-            S, *tables = reduced_series_batch(zip(specs, (beta, *shifts)))
-            f0 = S.value(x).value
-            partials = [S.derivative(x, j) for j in base.J]
-            shifted = [T.value(x).value for T in tables]
-        else:
-            f0 = _call(F, beta, x)
-            partials = [_central_difference(F, beta, x, row) for row in range(system.r)]
-            shifted = [_call(F, b, x) for b in shifts]
+    for beta, x, (f0, partials, shifted) in zip(betas, xs, values):
         scales.append(abs(f0))
         beta_I = base.coords(beta)
         for pos, rhs in enumerate(shifted[:A.n]):

@@ -453,6 +453,14 @@ def test_settle_fails_closed_at_the_first_sum_that_is_not_finite():
     assert contour._settle(iter([(-big, 9), (big, 17)]), np.inf, 2, "sums") == (big, np.inf, 17)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [400.0, 1000.0])
+def test_loop_fails_closed_without_a_warning_where_its_arc_overflows(x):
+    # e^(x/t) passes the double range on the arc |t| = 1/2; its Jacobian too runs under g's errstate
+    with pytest.raises(ConvergenceError, match="^hankel-loop quadrature level sum is not finite$"):
+        hankel_integral(A1, 1, 0.5, [x], ContourSpec(tolerance=1e-10))
+
+
 def test_settle_reads_no_difference_at_the_first_level():
     # an underflowing complex exp leaves errno at ERANGE under glibc, and
     # Python's abs of a NaN complex then raises OverflowError; the first level

@@ -21,6 +21,7 @@ from ggsys.verify import (
     check_gg_system,
     check_reduced_system,
     residual_report,
+    sample_parameters,
     solution_family_rank,
 )
 
@@ -399,12 +400,17 @@ def _rgamma_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("perturbation", [0j, 1e-3])
-def test_a_gg_spec_costs_one_rgamma_call_per_sample(monkeypatch, perturbation):
+def test_a_gg_spec_costs_one_rgamma_call_per_block(monkeypatch, perturbation):
     spec = SeriesSpec(R_INT, (0, 0), 20)
     calls = _rgamma_calls(monkeypatch)
     batched = check_gg_system(spec, A_INT, samples=5, seed=4, perturbation=perturbation)
-    assert len(calls) == 5
+    assert len(calls) == 1  # 5 samples of 1 + N tables of 231 terms make one block
     assert all(rep.passed for rep in batched) == (perturbation == 0)
+
+
+# r = 4: tables of 20,475 terms at truncation 24, where numpy may reuse a temporary in place
+A_R4 = vector_set([(1, 0), (0, 1), (-1, -1), (-1, -2), (-2, -1), (-1, 0)])
+R_R4 = build_reduced_system(select_base(A_R4, (1, 2)))
 
 
 def test_a_gg_spec_reads_like_its_evaluator(monkeypatch):
@@ -414,22 +420,68 @@ def test_a_gg_spec_reads_like_its_evaluator(monkeypatch):
     assert len(calls) == 5 * (1 + A_INT.N)  # beta, then each shifted parameter on its own
     assert check_gg_system(spec, A_INT, samples=5, seed=4) == plain
     assert all(rep.passed for rep in plain)
+    # a twist, a perturbation, the gauss set and a large table read alike too
+    for A, I, k, perturbation, truncation, samples in [
+        (A_INT, (1, 2), (1, -1), 0j, 20, 5),
+        (A_INT, (1, 2), (0, 0), 1e-3, 20, 5),
+        (A_G, (1, 2, 3), (0, 1, -1), 0j, 25, 4),
+        (A_G, (1, 2, 4), (1, 0, 0), 2e-3j, 25, 4),
+        (A_R4, (1, 2), (0, 1), 0j, 24, 1),
+    ]:
+        f = _gg_evaluator(A, I, k, truncation)
+        reports = check_gg_system(_gg_spec(A, I, k, truncation), A, samples=samples, seed=9, perturbation=perturbation)
+        assert reports == check_gg_system(f, A, samples=samples, seed=9, base=I, perturbation=perturbation)
+        assert all(rep.passed for rep in reports) == (perturbation == 0)
 
 
-def test_a_spec_costs_one_rgamma_call_per_sample(monkeypatch):
+def test_a_spec_costs_one_rgamma_call_per_block(monkeypatch):
     calls = _rgamma_calls(monkeypatch)
     reports = check_reduced_system(SeriesSpec(R_INT, (0, 0), 20), R_INT, samples=5, seed=6)
-    assert len(calls) == 5
+    assert len(calls) == 1
     assert all(rep.passed for rep in reports)
 
 
-def test_family_members_cost_one_rgamma_call_per_sample(monkeypatch):
+def test_family_members_cost_one_rgamma_call_per_block(monkeypatch):
     family = [((1, 2, 3), (0, 0, 0)), ((1, 2, 4), (0, 0, 0))]
     calls = _rgamma_calls(monkeypatch)
     result = solution_family_rank(A_G, family, samples=4, seed=17)
     assert result.scale_used == 0.3  # one pass builds the rank matrix
-    # one batch of every member for the rank matrix, then one call per sample and member
-    assert len(calls) == 1 + len(family) * 4
+    # one batch of every member for the rank matrix, then one block per member's check
+    assert len(calls) == 1 + len(family)
+
+
+# at truncation 20 on the gauss set a sample holds 105 terms in the gg check and 104 in the
+# reduced one: a budget of 1 makes each sample a block, and 210 makes blocks of 2, 2 and 1
+@pytest.mark.parametrize("budget, blocks", [(1, 5), (210, 3)])
+def test_blocks_of_samples_give_the_reports_of_one_block(monkeypatch, budget, blocks):
+    import ggsys.verify
+
+    spec = _gg_spec(A_G, (1, 2, 3), (0, 1, 0), 20)
+    whole = check_gg_system(spec, A_G, samples=5, seed=2), check_reduced_system(spec, spec.system, samples=5, seed=3)
+    calls = _rgamma_calls(monkeypatch)
+    monkeypatch.setattr(ggsys.verify, "_BLOCK_TERMS", budget)
+    split = check_gg_system(spec, A_G, samples=5, seed=2), check_reduced_system(spec, spec.system, samples=5, seed=3)
+    assert len(calls) == 2 * blocks
+    assert split == whole
+
+
+@pytest.mark.parametrize("system, truncation, samples", [(R_G, 20, 4), (R_INT, 25, 4), (R_R4, 24, 1)],
+                         ids=["gauss", "integer", "large-tables"])
+def test_reduced_check_reads_its_tables_as_value_and_derivative_do(system, truncation, samples):
+    from ggsys.verify import _reduced_spec_values, _sample_tables
+
+    A, base = system.base.parent, system.base
+    spec = SeriesSpec(system, (1,) + (0,) * (A.n - 1), truncation)
+    specs = [spec] * (1 + A.n) + [replace(spec, truncation=truncation - 1)] * system.r
+    rng = np.random.default_rng(5)
+    betas = sample_parameters(system, samples, rng)
+    xs = [0.3 * (rng.uniform(-1, 1, system.r) + 1j * rng.uniform(-1, 1, system.r)) for _ in range(samples)]
+    parameters = [[beta, *(beta - A.row(i) for i in (*base.I, *base.J))] for beta in betas]
+    read = _reduced_spec_values(system, xs, _sample_tables(specs, parameters))
+    for x, (f0, partials, shifted), params in zip(xs, read, parameters):
+        S, *tables = (reduced_series(s, b) for s, b in zip(specs, params))
+        want = [S.value(x).value, *(S.derivative(x, j) for j in base.J), *(T.value(x).value for T in tables)]
+        assert np.array([f0, *partials, *shifted]).tobytes() == np.array(want).tobytes()
 
 
 def test_family_domain_search_halves_delta_until_the_member_settles():
