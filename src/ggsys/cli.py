@@ -534,7 +534,6 @@ _FIELDS = {
     "integral.cutoff": (_positive, None),
     "integral.tolerance": (_positive, None),
     "integral.max_refinements": (_count, None),
-    "integral.offset": (_positive, None),
     "integral.adaptive": (_as_bool, None),
     "distribution": (_as_object, _REQUIRED),
     "distribution.ell": (partial(_as_rows, row=_as_shift_row), _REQUIRED),
@@ -572,43 +571,49 @@ def _execute(config_path: str, overrides: dict) -> tuple[dict, int]:
     """Execute the task a config describes; return (report object, exit code).
 
     The overrides that are not None replace the config's fields before any
-    field is read, so the field table checks them like the rest.
+    field is read, so the field table checks them like the rest.  A library
+    error gives the error report, which keeps the task's floating-point events.
     """
-    path = _resolve_config_path(config_path)
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise _bad("--config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(cfg, dict):
-        raise _bad("--config", "top level must be a JSON object")
-    _as_object(cfg, "config")
-    cfg.update((key, value) for key, value in overrides.items() if value is not None)
-    task = _get(cfg, "task")
-    A = _vector_set_from(cfg)
-    params = {key: _get(cfg, key) for key in ("seed", "samples", "tolerance", "truncation")}
-
     log = io.StringIO()  # numpy floating-point events, underflow aside, go here, not to stderr
-    with np.errstate(over="log", divide="log", invalid="log", call=log):
-        results, reports = _TASK_FUNCS[task](cfg, A, params)
+    try:
+        path = _resolve_config_path(config_path)
+        try:
+            cfg = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise _bad("--config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        if not isinstance(cfg, dict):
+            raise _bad("--config", "top level must be a JSON object")
+        _as_object(cfg, "config")
+        cfg.update((key, value) for key, value in overrides.items() if value is not None)
+        task = _get(cfg, "task")
+        A = _vector_set_from(cfg)
+        params = {key: _get(cfg, key) for key in ("seed", "samples", "tolerance", "truncation")}
+        with np.errstate(over="log", divide="log", invalid="log", call=log):
+            results, reports = _TASK_FUNCS[task](cfg, A, params)
+    except (InvalidInputError, DomainError, ConvergenceError) as exc:
+        report = {"error": str(exc), "passed": False, "version": __version__}
+        code = 1 if isinstance(exc, ConvergenceError) else 2
+    else:
+        passed = all(rep.passed for rep in reports)
+        report = {
+            "task": task,
+            "problem": {
+                "n": A.n,
+                "N": A.N,
+                "omega": A.omega,
+                "shift_convention": _get(cfg, "shift_convention"),
+            },
+            "parameters": params,
+            "results": results,
+            "checks": reports,
+            "passed": passed,
+            "version": __version__,
+        }
+        code = 0 if passed else 1
     events = {line.removeprefix("Warning: ") for line in log.getvalue().splitlines()}
-    passed = all(rep.passed for rep in reports)
-    report = {
-        "task": task,
-        "problem": {
-            "n": A.n,
-            "N": A.N,
-            "omega": A.omega,
-            "shift_convention": _get(cfg, "shift_convention"),
-        },
-        "parameters": params,
-        "results": results,
-        "checks": reports,
-        "passed": passed,
-        "version": __version__,
-    }
     if events:
         report["numeric_events"] = sorted(events)
-    return report, 0 if passed else 1
+    return report, code
 
 
 def _jsonify(obj):
@@ -634,12 +639,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
     opts = parser.parse_args(argv)
 
-    overrides = {key: getattr(opts, key) for key in ("seed", "tolerance", "truncation")}
-    try:
-        report, code = _execute(opts.config, overrides)
-    except (InvalidInputError, DomainError, ConvergenceError) as exc:
-        report = {"error": str(exc), "passed": False, "version": __version__}
-        code = 1 if isinstance(exc, ConvergenceError) else 2
+    report, code = _execute(opts.config, {key: getattr(opts, key) for key in ("seed", "tolerance", "truncation")})
     text = _write(report) + "\n"
     if opts.out:
         Path(opts.out).write_text(text, encoding="utf-8")

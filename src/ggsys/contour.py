@@ -6,10 +6,10 @@ against that estimate rather than an absolute figure.
 
 One engine serves all three kinds: nested product trapezoid sums whose step
 halves per level, so each level evaluates only its new nodes, read until two
-levels agree.  Loop and segment pieces enter it after the standard
-double-exponential change of variable (which compresses endpoint behavior,
-so smooth arcs and integrable endpoint singularities alike converge); the
-plane integrand already decays double-exponentially and enters as it is.
+levels agree.  The loop enters it along a parabola through its saddle and the
+plane as it is, both on a window found by one search; the segment enters it
+after the double-exponential change of variable, which compresses its
+integrable endpoint singularities.
 """
 from __future__ import annotations
 
@@ -24,8 +24,7 @@ from .gammafn import rgamma
 from .model import ReducedSystem, VectorSet, _invariant_point, select_base
 
 _TINY = 1e-300
-_DECAY = 1e-18  # required endpoint suppression for open contours
-_BOUNDARY = 1e-16  # required boundary suppression for the plane quadrature
+_BOUNDARY = 1e-16  # required boundary suppression of a window
 _GRID_BLOCK = 2**14  # trapezoid grid points per integrand call
 _MAX_EVALUATIONS = 2**24  # integrand evaluations one integral may spend
 
@@ -34,30 +33,27 @@ _MAX_EVALUATIONS = 2**24  # integrand evaluations one integral may spend
 class ContourSpec:
     """Quadrature parameters; one spec serves all three integrals.
 
-    The loop reads ``cutoff`` (starting ray length), ``offset`` (distance of
-    the rays from the negative axis), ``tolerance`` and ``max_refinements``;
-    the plane reads ``nodes`` (starting nodes per dimension), ``cutoff``
+    The plane reads ``nodes`` (starting nodes per dimension), ``cutoff``
     (starting half-width of its domain), ``adaptive``, ``tolerance`` and
-    ``max_refinements``; the segment reads only ``tolerance`` and
-    ``max_refinements``.  Loop and segment pieces start from 9 nodes in the
-    substituted variable.  ``adaptive=False`` freezes nodes and cutoff: the
-    plane integrates on ``nodes`` points per axis (``nodes + 1`` when even,
-    the least grid holding a half-rate grid) and takes the error estimate
-    from that half-rate grid's sum, from the same evaluations.
+    ``max_refinements``; the loop and the segment read only ``tolerance`` and
+    ``max_refinements``, and start from 9 nodes in their own variable.
+    ``adaptive=False`` freezes nodes and cutoff: the plane integrates on
+    ``nodes`` points per axis (``nodes + 1`` when even, the least grid holding
+    a half-rate grid) and takes the error estimate from that half-rate grid's
+    sum, from the same evaluations.
     """
 
     nodes: int = 64
     cutoff: float = 40.0
     tolerance: float = 1e-9
     max_refinements: int = 12
-    offset: float = 0.5
     adaptive: bool = True
 
     def __post_init__(self):
         if self.nodes < 16:
             raise InvalidInputError("need at least 16 quadrature nodes")
-        if self.cutoff <= 0 or self.offset <= 0:
-            raise InvalidInputError("cutoffs must be positive")
+        if self.cutoff <= 0:
+            raise InvalidInputError("cutoff must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,32 +125,56 @@ def _settle(levels, tolerance: float, max_levels: int, what: str):
     raise ConvergenceError(f"{what} did not stabilize below {tolerance} in {limit}")
 
 
-def _tanh_sinh(f, a: float, b: float, spec: ContourSpec, what: str, endpoint_form: bool = False):
-    """Integrate a vectorized callable over [a, b]: trapezoid levels in tau
-    over [-4, 4] after s = center + half tanh(pi/2 sinh tau); returns (value,
-    last refinement difference, evaluations) or raises naming ``what``.
+def _window(F, W: float, n: int, grow: bool = True) -> float:
+    """The half-width of the cube [-W, W]^n to integrate ``F`` over: ``W``
+    doubled until |F| on the faces of a 33-per-axis grid is within _BOUNDARY
+    of its peak, at most 9 widths; ``grow=False`` keeps ``W`` if F is finite."""
+    coarse = np.linspace(-1.0, 1.0, 33)
+    for _ in range(9):
+        bulk = np.abs(F(np.ix_(*[W * coarse] * n)))
+        peak = float(bulk.max())
+        if not np.isfinite(peak):
+            raise DomainError("integrand overflows on the sampling grid")
+        faces = (np.take(bulk, side, axis=axis) for axis in range(n) for side in (0, -1))
+        boundary = max(float(face.max()) for face in faces)
+        if boundary <= _BOUNDARY * max(peak, _TINY) or not grow:
+            return W
+        W *= 2
+    raise DomainError("integrand does not decay on the truncation boundary")
 
-    With ``endpoint_form`` the callable receives the two endpoint distances
-    (s - a, b - s) instead of s itself; near the ends tanh rounds to +-1, so
-    integrable endpoint singularities need the distances computed from the
-    logistic form, not by subtraction.
+
+def _tanh_sinh(f, spec: ContourSpec, what: str):
+    """Integrate f(s, 1 - s) over s in [0, 1]: trapezoid levels in tau over
+    [-T, T] after s = (1 + tanh(pi/2 sinh tau)) / 2; returns (value, last
+    refinement difference, evaluations) or raises naming ``what``.
+
+    Near the ends tanh rounds to +-1, so both endpoint distances come from
+    the logistic form, not by subtraction.  T is the first of 4, 5 and 6 at
+    which the first level's two end values are within tolerance * max(1, |its
+    sum|), which bounds the mass past them too; past 6 the distances leave the
+    double range, so there the integral fails naming the endpoint.
     """
-    center, half = (a + b) / 2.0, (b - a) / 2.0
+    ends, used = [], 0
 
     def F(tau_cols):
-        taus = tau_cols[0]
-        inner = 0.5 * np.pi * np.sinh(taus)
-        weights = half * 0.5 * np.pi * np.cosh(taus) / np.cosh(inner) ** 2
-        if endpoint_form:
-            dist_a = half * 2.0 / (1.0 + np.exp(-2.0 * inner))
-            dist_b = half * 2.0 / (1.0 + np.exp(2.0 * inner))
-            vals = np.asarray(f(dist_a, dist_b), dtype=np.complex128)
-        else:
-            vals = np.asarray(f(center + half * np.tanh(inner)), dtype=np.complex128)
-        return vals * weights
+        inner = 0.5 * np.pi * np.sinh(tau_cols[0])
+        weights = 0.25 * np.pi * np.cosh(tau_cols[0]) / np.cosh(inner) ** 2
+        s = 1.0 / (1.0 + np.exp(-2.0 * inner))
+        out = np.asarray(f(s, 1.0 / (1.0 + np.exp(2.0 * inner))), dtype=np.complex128) * weights
+        if not ends:  # the first call for a T is its first level, one grid from -T to T
+            ends.extend((abs(out[0]), abs(out[-1])))
+        return out
 
-    levels = _trapezoid_levels(F, 4.0, 9, 1)
-    return _settle(levels, spec.tolerance, spec.max_refinements, what)
+    for T in (4.0, 5.0, 6.0):
+        ends.clear()
+        levels = _trapezoid_levels(F, T, 9, 1)
+        first = next(levels)
+        outside = [end for end, size in enumerate(ends) if size > spec.tolerance * max(1.0, _modulus(first[0]))]
+        if not outside:
+            value, err, points = _settle(itertools.chain([first], levels), spec.tolerance, spec.max_refinements, what)
+            return value, err, used + points
+        used += first[1]
+    raise ConvergenceError(f"{what} leaves integrand mass past tau = 6 at the s = {outside[0]} endpoint")
 
 
 def hankel_integral(
@@ -166,8 +186,12 @@ def hankel_integral(
     parameter with respect to the chosen base vector; ``x`` lists the
     invariant variables for the remaining labels in label order.  The
     integrand is exp(t + sum_j x_j t^(g_j)) t^(-beta-1) with g_j the
-    coordinate of omega^j, principal branch (the contour stays off the
-    negative real axis, between the rays).
+    coordinate of omega^j, principal branch, on the parabola t = mu (1 + iu)^2
+    of real u (Weideman and Trefethen, Math. Comp. 76, 2007).  It meets the
+    real axis only at t = mu, off the branch cut, and mu sits near the
+    saddle: the largest of 1, Re beta + 1 and, over Re g_j < 0 with x_j != 0,
+    |x_j|^(1/(1 - Re g_j)).  So no node dwarfs the value, and exp(t) decays
+    like exp(-mu u^2).
     """
     if A.n != 1:
         raise InvalidInputError("loop integral needs a one-dimensional configuration")
@@ -175,37 +199,21 @@ def hankel_integral(
     system = ReducedSystem(base)
     exponents = system.off_base_coords[:, 0]  # g_j = coordinate of omega^j
     if np.any(exponents.real > 1.0 + 1e-12):
-        raise DomainError(
-            "need every coordinate of omega_j relative to omega_i to have "
-            "real part <= 1"
-        )
+        raise DomainError("need every coordinate of omega_j relative to omega_i to have real part <= 1")
     x = _invariant_point(system, x)
     beta = complex(beta)
+    saddles = [abs(xj) ** (1.0 / (1.0 - g.real)) for xj, g in zip(x, exponents) if g.real < 0 and xj != 0]
+    mu = max(1.0, beta.real + 1.0, *saddles)
 
-    def g(t, jacobian=lambda value: value):  # the Jacobian is applied under the same errstate
-        t = np.asarray(t, dtype=np.complex128)
+    def F(u_cols):
+        root = 1.0 + 1j * u_cols[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            log_t = np.log(t)
-            inner = t + (x[None, :] * np.exp(np.outer(log_t, exponents))).sum(axis=1)
-            return jacobian(np.exp(inner + (-beta - 1.0) * log_t))
+            log_t = math.log(mu) + 2.0 * np.log(root)  # principal: |arg root| < pi/2
+            inner = mu * root**2 + (x * np.exp(np.outer(log_t, exponents))).sum(axis=1)
+            return np.exp(inner + (-beta - 1.0) * log_t) * (2j * mu * root)
 
-    delta = spec.offset
-    scale = float(abs(g(np.asarray([delta]))[0]))
-    R = spec.cutoff
-    for _ in range(13):
-        tail = float(np.abs(g(np.asarray([-R - 1j * delta, -R + 1j * delta]))).max())
-        if tail <= _DECAY * max(scale, _TINY):
-            break
-        R *= 2
-    else:
-        raise DomainError("integrand does not decay along the rays")
-
-    what = "hankel-loop quadrature"
-    lower, e1, n1 = _tanh_sinh(lambda u: g(u - 1j * delta), -R, 0.0, spec, what)
-    arc, e2, n2 = _tanh_sinh(lambda th: g(delta * np.exp(1j * th), lambda v: v * 1j * delta * np.exp(1j * th)),
-                             -np.pi / 2, np.pi / 2, spec, what)
-    upper, e3, n3 = _tanh_sinh(lambda u: g(u + 1j * delta), -R, 0.0, spec, what)
-    return IntegralValue(lower + arc - upper, e1 + e2 + e3, n1 + n2 + n3)
+    levels = _trapezoid_levels(F, _window(F, 1.0, 1), 9, 1)
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature"))
 
 
 def _plane_integrand(system, k, beta, x):
@@ -267,21 +275,7 @@ def shifted_plane_integral(
         raise DomainError("plane quadrature implemented for n <= 2 only")
     g = _plane_integrand(system, k, beta, x)
 
-    W = spec.cutoff
-    coarse = np.linspace(-1.0, 1.0, 33)
-    for _ in range(9):
-        bulk = np.abs(g(np.ix_(*[W * coarse] * n)))
-        peak = float(bulk.max())
-        if not np.isfinite(peak):
-            raise DomainError("integrand overflows on the sampling grid")
-        faces = (np.take(bulk, side, axis=axis) for axis in range(n) for side in (0, -1))
-        boundary = max(float(face.max()) for face in faces)
-        if boundary <= _BOUNDARY * max(peak, _TINY) or not spec.adaptive:
-            break  # fixed-parameter mode uses the cutoff as given
-        W *= 2
-    else:
-        raise DomainError("integrand does not decay on the truncation boundary")
-
+    W = _window(g, spec.cutoff, n, grow=spec.adaptive)  # fixed-parameter mode keeps the cutoff
     what = "shifted-plane quadrature"
     if not spec.adaptive:  # two levels: the half-rate grid, then the full one
         levels = _trapezoid_levels(g, W, spec.nodes // 2 + 1, n)
@@ -319,20 +313,14 @@ def euler_segment_integral(
     b_sum = complex(beta_I.sum())
 
     def f(s, one_minus_s):
-        s = np.asarray(s, dtype=np.complex128)
-        one_minus_s = np.asarray(one_minus_s, dtype=np.complex128)
         u = 1.0 + 0j
         for row in range(system.r):
             u = u + x[row] * s ** gamma[row, 0] * one_minus_s ** gamma[row, 1]
         on_cut = (u.real <= 0) & (np.abs(u.imag) <= 1e-14 * np.abs(u.real))
         if np.any(on_cut):
             raise DomainError("inner power crosses the branch cut on the segment")
-        return (
-            u**b_sum
-            * s ** (-beta_I[0] - 1.0)
-            * one_minus_s ** (-beta_I[1] - 1.0)
-        )
+        return u**b_sum * s ** (-beta_I[0] - 1.0) * one_minus_s ** (-beta_I[1] - 1.0)
 
-    value, err, used = _tanh_sinh(f, 0.0, 1.0, spec, "euler-segment quadrature", endpoint_form=True)
+    value, err, used = _tanh_sinh(f, spec, "euler-segment quadrature")
     front = complex(rgamma(b_sum + 1.0))
     return IntegralValue(front * value, abs(front) * err, used)

@@ -770,20 +770,32 @@ def test_an_overflowing_pairing_fails_by_name(tmp_path, capsys):
     cfg = {"task": "distribution", "omega": [[1]], "distribution": {"ell": [[1.0]], "x": [1e30]}}
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
-    assert _report(out)["error"] == "outer series is not decaying at the truncation (nan)"
+    report = _report(out)
+    assert run(_write(tmp_path, cfg)) == (report, 1)
+    assert report["error"] == "outer series is not decaying at the truncation (nan)"
+    # the error report keeps the floating-point events that led to the NaN
+    assert "overflow encountered in power" in report["numeric_events"]
+    assert report["numeric_events"] == sorted(set(report["numeric_events"]))
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("x", [400, 1000])
-def test_an_overflowing_loop_integral_fails_by_name(tmp_path, capsys, x):
-    # e^(x/t) reaches e^(2x) on the arc |t| = 1/2, past the double range, so the arc's
-    # first level sum is NaN: the run fails there, in the report, not on stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [300, 400, 1000])
+def test_a_loop_integral_at_large_x_settles_on_its_closed_form(tmp_path, capsys, x):
+    # e^(x/t) would pass the double range near |t| = 1/2; the loop stays at |t| >= sqrt(x)
+    sub = {"kind": "hankel-loop", "base": 1, "beta": 0.5, "x": [x], "tolerance": 1e-10}
+    result = _integral(tmp_path, sub, [[1], [-1]])
+    want = 2j * np.pi * x**-0.25 * sp.iv(0.5, 2 * math.sqrt(x))
+    assert abs(complex(*result["value"]) - want) <= 1e-10 * abs(want)
+    assert capsys.readouterr().err == ""
+
+
+def test_an_integral_offset_is_an_unknown_field(tmp_path):
     cfg = {"task": "integral", "omega": [[1], [-1]],
-           "integral": {"kind": "hankel-loop", "base": 1, "beta": 0.5, "x": [x], "tolerance": 1e-10}}
+           "integral": {"kind": "hankel-loop", "beta": 0.5, "x": [0.25], "offset": 0.5}}
     out = tmp_path / "report.json"
-    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
-    assert _report(out)["error"] == "hankel-loop quadrature level sum is not finite"
-    assert capsys.readouterr().err == ""
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"].startswith("integral: unknown field(s) ['offset']")
 
 
 def test_integral_domain_error_names_the_integral(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -33,8 +35,8 @@ def test_spec_validation():
         ContourSpec(nodes=8)
     with pytest.raises(InvalidInputError):
         ContourSpec(cutoff=-1.0)
-    with pytest.raises(InvalidInputError):
-        ContourSpec(offset=0.0)
+    with pytest.raises(TypeError):  # the loop takes its path from its inputs
+        ContourSpec(offset=0.5)
 
 
 def test_hankel_reciprocal_gamma_at_zero_argument():
@@ -401,12 +403,12 @@ def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(omega, beta
 def test_tanh_sinh_evaluates_each_node_once():
     seen = []
 
-    def f(dist_a, dist_b):
-        seen.append(np.stack([dist_a, dist_b]))
-        return dist_a**-0.5 * dist_b**-0.3
+    def f(s, one_minus_s):
+        seen.append(np.stack([s, one_minus_s]))
+        return s**-0.5 * one_minus_s**-0.3
 
     spec = ContourSpec(tolerance=1e-12, max_refinements=14)
-    value, err, used = contour._tanh_sinh(f, 0.0, 1.0, spec, "segment", endpoint_form=True)
+    value, err, used = contour._tanh_sinh(f, spec, "segment")
     points = np.concatenate(seen, axis=1)
     assert points.shape[1] == used == len(np.unique(points[0] + 1j * points[1]))
     assert abs(value - sp.beta(0.5, 0.7)) <= 1e-11 * sp.beta(0.5, 0.7)
@@ -455,10 +457,51 @@ def test_settle_fails_closed_at_the_first_sum_that_is_not_finite():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x", [400.0, 1000.0])
-def test_loop_fails_closed_without_a_warning_where_its_arc_overflows(x):
-    # e^(x/t) passes the double range on the arc |t| = 1/2; its Jacobian too runs under g's errstate
-    with pytest.raises(ConvergenceError, match="^hankel-loop quadrature level sum is not finite$"):
-        hankel_integral(A1, 1, 0.5, [x], ContourSpec(tolerance=1e-10))
+def test_loop_settles_without_a_warning_at_large_x(x):
+    # e^(x/t) would pass the double range near |t| = 1/2; on the parabola |t| >= sqrt(x)
+    got = hankel_integral(A1, 1, 0.5, [x], ContourSpec(tolerance=1e-10))
+    want = TWO_PI_I * x**-0.25 * sp.iv(0.5, 2 * np.sqrt(x))
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert got.error_estimate <= 1e-10 * abs(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [-0.5, 0.5, 2.3])
+def test_loop_matches_scipy_over_beta_and_x(beta):
+    spec = ContourSpec(tolerance=1e-10)
+    for x in (0.0, 0.25, 1.0, 10.0, 100.0, 300.0, 1000.0):
+        got = hankel_integral(A1, 1, beta, [x], spec)
+        want = TWO_PI_I * (sp.rgamma(beta + 1) if x == 0 else x ** (-beta / 2) * sp.iv(beta, 2 * np.sqrt(x)))
+        assert abs(got.value - want) <= 1e-12 * abs(want), x
+        assert got.nodes_used <= 257, x
+
+
+def _loop_series(beta, terms):
+    """2 pi i sum_m prod_j x_j^(m_j) / m_j! * rgamma(beta + 1 - sum_j g_j m_j) in mpmath, for
+    ``terms`` a list of (g_j, x_j): the loop integral expanded in its invariant variables."""
+    mp.mp.dps = 30
+    total, size = mp.mpf(0), 60
+    for ms in itertools.product(range(size), repeat=len(terms)):
+        term = mp.rgamma(beta + 1 - sum(mp.mpc(g) * m for (g, _), m in zip(terms, ms)))
+        for (_, x), m in zip(terms, ms):
+            term *= mp.mpf(x) ** m / mp.factorial(m)
+        total += term
+    return complex(2j * mp.pi * total)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega, beta, x", [
+    ([[1], [-2]], 0.3, [0.8]),
+    ([[1], [0.5]], 0.3, [0.7]),
+    ([[1], [-1 + 0.5j]], 0.4, [0.6]),
+    ([[1], [-1], [-2]], 0.7, [0.5, 0.3]),
+], ids=["g=-2", "g=1/2", "g=-1+0.5i", "two-variable"])
+def test_loop_matches_the_series_for_other_exponents(omega, beta, x):
+    A = vector_set(omega)
+    terms = list(zip(ReducedSystem(select_base(A, (1,))).off_base_coords[:, 0], x))
+    got = hankel_integral(A, 1, beta, x, ContourSpec(tolerance=1e-12)).value
+    want = _loop_series(beta, terms)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_settle_reads_no_difference_at_the_first_level():
@@ -536,6 +579,21 @@ def test_euler_branch_cut_detected():
         euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [-3.0], seg_spec())
 
 
+@pytest.mark.parametrize("b1", [-0.2, -0.1, -0.05])
+def test_euler_endpoint_mass_past_tau_4_is_integrated(b1):
+    # s^(-b1-1) puts mass s^a / a (a = -b1) past tau = -4, where s is about e^(-85.7)
+    spec = ContourSpec(tolerance=1e-10, max_refinements=14)
+    got = euler_segment_integral(AE, (1, 2), [b1, -0.6], [0.0], spec)
+    want = sp.beta(-b1, 0.6) * sp.rgamma(b1 + 0.4)
+    assert abs(got.value - want) <= 1e-10 * abs(want)
+
+
+def test_euler_endpoint_mass_past_tau_6_fails_by_name():
+    for beta, end in (([-0.01, -0.6], 0), ([-0.6, -0.01], 1)):
+        with pytest.raises(ConvergenceError, match=f"past tau = 6 at the s = {end} endpoint$"):
+            euler_segment_integral(AE, (1, 2), beta, [0.0], ContourSpec(tolerance=1e-10))
+
+
 def test_one_spec_serves_all_three_integrals():
     spec = ContourSpec(tolerance=1e-10, max_refinements=14)
     loop = hankel_integral(A1, 1, 0.3, [0.0], spec)
@@ -546,13 +604,13 @@ def test_one_spec_serves_all_three_integrals():
     segment = euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [0.0], spec)
     euler = sp.beta(0.5, 0.7) * sp.rgamma(-0.2)
     assert abs(segment.value - euler) <= 1e-8 * abs(euler)
-    # each integral reads only its own fields: the others leave it bit-identical
+    # the loop and the segment read only tolerance and max_refinements: the
+    # plane's fields leave them bit-identical
     unread = [
-        (loop, dict(nodes=257, adaptive=False), lambda s: hankel_integral(A1, 1, 0.3, [0.0], s)),
-        (plane, dict(offset=3.0), lambda s: shifted_plane_integral(A1, (1,), (0,), [0.7], [0.3], s)),
+        (loop, dict(nodes=257, cutoff=1.0, adaptive=False), lambda s: hankel_integral(A1, 1, 0.3, [0.0], s)),
         (
             segment,
-            dict(nodes=257, cutoff=1.0, offset=3.0, adaptive=False),
+            dict(nodes=257, cutoff=1.0, adaptive=False),
             lambda s: euler_segment_integral(AE, (1, 2), [-0.5, -0.7], [0.0], s),
         ),
     ]
