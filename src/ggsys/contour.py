@@ -59,7 +59,8 @@ class ContourSpec:
 @dataclass(frozen=True)
 class IntegralValue:
     """An integral, the difference between its last two refinement levels,
-    and the number of integrand evaluations behind it (each node once)."""
+    and the number of integrand evaluations behind it: each node once, and
+    the window search's points."""
 
     value: complex
     error_estimate: float
@@ -108,10 +109,11 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _settle(levels, tolerance: float, max_levels: int, what: str):
+def _settle(levels, tolerance: float, max_levels: int, what: str, spent: int = 0):
     """Read ``levels`` until two successive sums agree within
-    tolerance * max(1, |value|); return (value, difference, points).  A sum
-    whose modulus is not finite fails at once."""
+    tolerance * max(1, |value|); return (value, difference, points + spent),
+    ``spent`` the evaluations made before the levels.  A sum whose modulus is
+    not finite fails at once."""
     prev = read = 0
     for read, (value, points) in enumerate(itertools.islice(levels, max_levels), 1):
         size = _modulus(value)
@@ -119,26 +121,26 @@ def _settle(levels, tolerance: float, max_levels: int, what: str):
             raise ConvergenceError(f"{what} level sum is not finite")
         err = _modulus(value - prev) if read > 1 else math.nan  # the first level has nothing to agree with
         if err <= tolerance * max(1.0, size):
-            return value, err, points
+            return value, err, points + spent
         prev = value
     limit = f"{max_levels} levels" if read == max_levels else f"{_MAX_EVALUATIONS} evaluations"
     raise ConvergenceError(f"{what} did not stabilize below {tolerance} in {limit}")
 
 
-def _window(F, W: float, n: int, grow: bool = True) -> float:
-    """The half-width of the cube [-W, W]^n to integrate ``F`` over: ``W``
-    doubled until |F| on the faces of a 33-per-axis grid is within _BOUNDARY
-    of its peak, at most 9 widths; ``grow=False`` keeps ``W`` if F is finite."""
+def _window(F, W: float, n: int) -> tuple[float, int]:
+    """The half-width of the cube [-W, W]^n to integrate ``F`` over, and the
+    evaluations spent finding it: ``W`` doubled until |F| on the faces of a
+    33-per-axis grid is within _BOUNDARY of its peak, at most 9 widths."""
     coarse = np.linspace(-1.0, 1.0, 33)
-    for _ in range(9):
+    for tried in range(1, 10):
         bulk = np.abs(F(np.ix_(*[W * coarse] * n)))
         peak = float(bulk.max())
         if not np.isfinite(peak):
             raise DomainError("integrand overflows on the sampling grid")
         faces = (np.take(bulk, side, axis=axis) for axis in range(n) for side in (0, -1))
         boundary = max(float(face.max()) for face in faces)
-        if boundary <= _BOUNDARY * max(peak, _TINY) or not grow:
-            return W
+        if boundary <= _BOUNDARY * max(peak, _TINY):
+            return W, tried * 33**n
         W *= 2
     raise DomainError("integrand does not decay on the truncation boundary")
 
@@ -171,8 +173,7 @@ def _tanh_sinh(f, spec: ContourSpec, what: str):
         first = next(levels)
         outside = [end for end, size in enumerate(ends) if size > spec.tolerance * max(1.0, _modulus(first[0]))]
         if not outside:
-            value, err, points = _settle(itertools.chain([first], levels), spec.tolerance, spec.max_refinements, what)
-            return value, err, used + points
+            return _settle(itertools.chain([first], levels), spec.tolerance, spec.max_refinements, what, used)
         used += first[1]
     raise ConvergenceError(f"{what} leaves integrand mass past tau = 6 at the s = {outside[0]} endpoint")
 
@@ -212,8 +213,9 @@ def hankel_integral(
             inner = mu * root**2 + (x * np.exp(np.outer(log_t, exponents))).sum(axis=1)
             return np.exp(inner + (-beta - 1.0) * log_t) * (2j * mu * root)
 
-    levels = _trapezoid_levels(F, _window(F, 1.0, 1), 9, 1)
-    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature"))
+    W, spent = _window(F, 1.0, 1)
+    levels = _trapezoid_levels(F, W, 9, 1)
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature", spent))
 
 
 def _plane_integrand(system, k, beta, x):
@@ -275,13 +277,13 @@ def shifted_plane_integral(
         raise DomainError("plane quadrature implemented for n <= 2 only")
     g = _plane_integrand(system, k, beta, x)
 
-    W = _window(g, spec.cutoff, n, grow=spec.adaptive)  # fixed-parameter mode keeps the cutoff
     what = "shifted-plane quadrature"
-    if not spec.adaptive:  # two levels: the half-rate grid, then the full one
-        levels = _trapezoid_levels(g, W, spec.nodes // 2 + 1, n)
+    if not spec.adaptive:  # two levels on the cutoff: the half-rate grid, then the full one
+        levels = _trapezoid_levels(g, spec.cutoff, spec.nodes // 2 + 1, n)
         return IntegralValue(*_settle(levels, np.inf, 2, what))
+    W, spent = _window(g, spec.cutoff, n)
     levels = _trapezoid_levels(g, W, spec.nodes, n)
-    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, what))
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, what, spent))
 
 
 def euler_segment_integral(

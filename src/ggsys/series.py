@@ -144,7 +144,8 @@ class TruncatedSeries:
                 for c in lowered]
 
     def terms(self, x) -> np.ndarray:
-        return self.coeffs * self._powers(_invariant_point(self.spec.system, x), None)[0]
+        (powers,) = self._powers(_invariant_point(self.spec.system, x), None)
+        return np.multiply(self.coeffs, powers, out=powers)  # a bare coeffs * powers computes powers * coeffs past 256 KiB
 
     def value(self, x) -> SeriesValue:
         t = self.terms(x)

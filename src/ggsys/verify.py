@@ -131,9 +131,8 @@ def _sample_tables(specs, parameters):
 
 
 def _read(table, powers) -> complex:
-    """The sum of ``table`` at its first len(table) ``powers``, taken as ``TruncatedSeries.value``
-    takes it: numpy may reuse a new operand in place, swapped, which rounds differently."""
-    return complex((table.coeffs * powers[:len(table.coeffs)].copy()).sum())
+    """The sum of ``table`` at its first len(table) ``powers``, taken as ``TruncatedSeries.value`` takes it."""
+    return complex((table.coeffs * powers[:len(table.coeffs)]).sum())
 
 
 def _gg_sample_values(x_from_a, tables, at):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from ggsys.cli import _write as write_report
 from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
 from ggsys.distributions import TestFunction, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
-from ggsys.model import build_reduced_system, select_base, vector_set
+from ggsys.model import build_reduced_system, enumerate_bases, select_base, vector_set
 from ggsys.resonance import analyze_vector, decompose_structure
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
 from ggsys.verify import FamilyRankResult, residual_report
@@ -412,18 +413,6 @@ def test_eval_without_parameters_exits_2(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
     assert _report(out)["error"] == "beta: expected a non-empty array"
-
-
-def test_run_module_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ggsys", "--config", "two-points-lattice.json"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    rep = json.loads(proc.stdout)
-    assert rep["results"]["quotient"]["order"] == 2
-    assert rep["version"] == ggsys.__version__
 
 
 def _reads_numbers(reader, path):
@@ -949,18 +938,88 @@ def test_a_plane_cutoff_search_that_fails_names_the_integral(tmp_path):
     assert _report(out)["error"] == "integral: integrand does not decay on the truncation boundary"
 
 
-@pytest.mark.parametrize("argv", [
-    *(["--config", path.name] for path in sorted(CONFIG_DIR.glob("*.json"))),
-    ["--config", "gauss.json", "--truncation", "149"],
-], ids=lambda argv: " ".join(argv[1:]))
-def test_report_layout_and_stdout(tmp_path, capsys, argv):
-    # the layout of json.dumps(sort_keys=True, indent=2, ensure_ascii=False),
-    # and the same text on stdout as in --out
+def test_a_fixed_plane_grid_that_overflows_names_its_level_sum(tmp_path):
+    # at x = 0 nothing damps e^(-beta sigma); the fixed grid samples no window, so its level sum overflows
+    sub = {"kind": "shifted-plane", "base": [1], "beta": [0.5], "x": [0], "cutoff": 1500, "adaptive": False}
+    cfg = {"task": "integral", "omega": [[1], [-1]], "integral": sub}
     out = tmp_path / "report.json"
-    main([*argv, "--out", str(out)])
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 1
+    assert _report(out)["error"] == "shifted-plane quadrature level sum is not finite"
+
+
+# -- the program: `python -m ggsys` from this checkout, case by case -----------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+G24 = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+       [1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]]
+
+
+def _g24_bases(rep):
+    # G(2,4) has 32 bases; scaled by 1e160 ||M||_F overflows, so base enumeration
+    # sends every subset to the SVD rule, and must still find the same 32
+    want = [list(base.I) for base in enumerate_bases(vector_set(G24))]
+    return rep["results"]["base_count"] == 32 and rep["results"]["bases"] == want
+
+
+def _loop_at(x):
+    # e^(x/t) would leave the double range near |t| = 1/2, but the loop's parabola keeps |t| >= sqrt(x)
+    sub = {"kind": "hankel-loop", "base": 1, "beta": 0.5, "x": [x], "tolerance": 1e-10}
+    return {"task": "integral", "omega": [[1], [-1]], "integral": sub}
+
+
+def _is_bessel_loop(x):
+    # within 1e-10 of 2 pi i x^(-beta/2) I_beta(2 sqrt x), beta = 1/2
+    want = 2j * np.pi * x**-0.25 * sp.iv(0.5, 2 * np.sqrt(x))
+    return lambda rep: abs(complex(*rep["results"]["value"]) - want) <= 1e-10 * abs(want)
+
+
+# (config name and flags, the config to write there or None for a bundled one, exit code, what the report holds)
+PROGRAM_CASES = [
+    ("bessel-hankel.json", None, 0, None),
+    ("gauss.json", None, 0, None),
+    ("gauss-perturbed.json", None, 1, None),
+    ("two-points-lattice.json", None, 0, lambda rep: rep["results"]["quotient"]["order"] == 2),
+    # an overflowing run names its cause in the report, not on stderr
+    ("gauss.json --truncation 149", None, 1, lambda rep: "double range" in rep["error"]),
+    ("g24.json", {"task": "bases", "omega": G24}, 0, _g24_bases),
+    ("g24-scaled.json", {"task": "bases", "omega": (1e160 * np.array(G24)).tolist()}, 0, _g24_bases),
+    # x^m/m! overflows at x = 1e30, so the pairing's outer series must fail closed
+    ("pairing-overflow.json", {"task": "distribution", "omega": [[1]], "distribution": {"ell": [[1.0]], "x": [1e30]}}, 1, None),
+    *((f"hankel-large-x-{x}.json", _loop_at(x), 0, _is_bessel_loop(x)) for x in (300, 400, 1000)),
+    # 40 samples of seven 1,771-term tables: the verify checks tabulate them in several blocks
+    ("verify-blocks.json", {
+        "task": "verify", "omega": [[-1, -2, -1], [0, 1, 0], [1, 0, 0], [-1, -2, 0], [1, -2, -2], [0, 0, 1]],
+        "base": [2, 3, 6], "k": [0, -1, -1], "seed": 332, "samples": 40, "truncation": 20,
+    }, 0, None),
+]
+
+
+def test_every_bundled_config_is_a_program_case():
+    assert {path.name for path in CONFIG_DIR.glob("*.json")} <= {case[0] for case in PROGRAM_CASES}
+
+
+@pytest.mark.parametrize("argv, cfg, code, holds", PROGRAM_CASES, ids=[case[0] for case in PROGRAM_CASES])
+def test_report_layout_and_stdout(tmp_path, argv, cfg, code, holds):
+    # the exit code, nothing on stderr, the same text on stdout as in --out, and the
+    # layout of json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
+    name, *flags = argv.split()
+    if cfg is not None:
+        name = _write(tmp_path, cfg, name)
+    out = tmp_path / "report.json"
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggsys", "--config", name, *flags, "--out", str(out)],
+        capture_output=True, cwd=tmp_path, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
     text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    assert capsys.readouterr().out == text
+    assert proc.stdout == text
+    rep = json.loads(text)
+    assert text == json.dumps(rep, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert rep["version"] == ggsys.__version__
+    assert holds is None or holds(rep)
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))

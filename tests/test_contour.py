@@ -236,6 +236,9 @@ def test_plane_cutoff_search():
     # doubles the cutoff until the grid overflows
     with pytest.raises(DomainError, match="overflows on the sampling grid"):
         shifted_plane_integral(A1, (1,), (0,), [0.5], [0.0], plane_spec())
+    # a fixed grid keeps its cutoff, samples no window and fails at its first level sum
+    with pytest.raises(ConvergenceError, match="^shifted-plane quadrature level sum is not finite$"):
+        shifted_plane_integral(A1, (1,), (0,), [0.5], [0.0], plane_spec(cutoff=1500.0, adaptive=False))
 
 
 def test_plane_preconditions():
@@ -314,8 +317,10 @@ def test_nested_levels_call_in_blocks_of_rows(n, nodes):
 @pytest.mark.parametrize(
     "A, beta, x, spec, used",
     [
-        (A1, [0.7], [0.3], plane_spec(tolerance=1e-10), None),
-        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10), None),
+        # the adaptive plane samples one 33^n window grid, then reads levels up to 505 points per axis
+        (A1, [0.7], [0.3], plane_spec(tolerance=1e-10), 505 + 33),
+        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10), 505**2 + 33**2),
+        # 591,361 points, not 769^2 plus the 385^2 half-rate grid, and no window grid
         (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(nodes=769, cutoff=32.0, adaptive=False), 769**2),
     ],
     ids=["1d-adaptive", "2d-adaptive", "2d-fixed-769"],
@@ -337,12 +342,12 @@ def test_plane_evaluates_each_grid_point_once(monkeypatch, A, beta, x, spec, use
     monkeypatch.setattr(contour, "_plane_integrand", counting)
     n = A.n
     got = shifted_plane_integral(A, tuple(range(1, n + 1)), (0,) * n, beta, x, spec)
-    assert calls[0].shape == (n,) + (33,) * n  # the one boundary-sampling grid
-    points = np.concatenate([c.reshape(n, -1) for c in calls[1:]], axis=1)
+    probes = 1 if spec.adaptive else 0  # the fixed grid keeps its cutoff
+    assert all(c.shape == (n,) + (33,) * n for c in calls[:probes])  # the window's sampling grid
+    points = np.concatenate([c.reshape(n, -1) for c in calls[probes:]], axis=1)
     keys = points[0] + 1j * points[-1] if n == 2 else points[0]
-    assert points.shape[1] == got.nodes_used == len(np.unique(keys))
-    if used is not None:  # 591,361 points, not 769^2 plus the 385^2 half-rate grid
-        assert got.nodes_used == used
+    assert points.shape[1] == len(np.unique(keys))
+    assert got.nodes_used == points.shape[1] + probes * 33**n == used
 
 
 def _stacked_plane_integrand(system, k, beta, x):
@@ -465,15 +470,53 @@ def test_loop_settles_without_a_warning_at_large_x(x):
     assert got.error_estimate <= 1e-10 * abs(want)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Points handed to the integrand by each of its two callers, the window search and the levels."""
+    counts = {"_window": 0, "_trapezoid_levels": 0}
+
+    def counting(name, original):
+        def call(F, *args):
+            def counted(cols):
+                counts[name] += math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
+                return F(cols)
+
+            return original(counted, *args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(contour, name, counting(name, getattr(contour, name)))
+    return counts
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("beta", [-0.5, 0.5, 2.3])
-def test_loop_matches_scipy_over_beta_and_x(beta):
+@pytest.mark.parametrize("beta, totals", [
+    (-0.5, (197, 389, 389, 356, 195, 323, 162)),
+    (0.5, (389, 389, 389, 356, 195, 323, 162)),
+    (2.3, (228, 228, 228, 356, 195, 323, 162)),
+], ids=["-0.5", "0.5", "2.3"])
+def test_loop_matches_scipy_over_beta_and_x(evaluations, beta, totals):
+    # each total: at most 257 trapezoid nodes, and 33 window points per width tried
     spec = ContourSpec(tolerance=1e-10)
-    for x in (0.0, 0.25, 1.0, 10.0, 100.0, 300.0, 1000.0):
+    for x, total in zip((0.0, 0.25, 1.0, 10.0, 100.0, 300.0, 1000.0), totals):
+        evaluations.update(dict.fromkeys(evaluations, 0))
         got = hankel_integral(A1, 1, beta, [x], spec)
         want = TWO_PI_I * (sp.rgamma(beta + 1) if x == 0 else x ** (-beta / 2) * sp.iv(beta, 2 * np.sqrt(x)))
         assert abs(got.value - want) <= 1e-12 * abs(want), x
-        assert got.nodes_used <= 257, x
+        assert evaluations["_trapezoid_levels"] <= 257 and evaluations["_window"] % 33 == 0, x
+        assert got.nodes_used == sum(evaluations.values()) == total, x
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: hankel_integral(A1, 1, 0.5, [0.0], ContourSpec(tolerance=1e-10)),
+    lambda: shifted_plane_integral(A1, (1,), (0,), [0.5], [0.25], plane_spec(cutoff=2.0)),
+    lambda: shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], plane_spec()),
+    lambda: shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], plane_spec(adaptive=False)),
+    lambda: euler_segment_integral(AE, (1, 2), [-0.1, -0.6], [0.0], seg_spec()),
+], ids=["loop", "1d-plane-widened", "2d-plane", "2d-plane-fixed", "segment-past-tau-4"])
+def test_nodes_used_counts_every_integrand_evaluation(evaluations, integrate):
+    assert integrate().nodes_used == sum(evaluations.values()) > evaluations["_window"]
 
 
 def _loop_series(beta, terms):

@@ -29,6 +29,7 @@ from ggsys.series import (
     reduced_series_eval,
     twist_scaling,
 )
+from ggsys.verify import _read
 
 A_G = vector_set([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
 R_G = build_reduced_system(select_base(A_G, (1, 2, 3)))
@@ -757,3 +758,17 @@ def test_coefficient_names_a_multi_index_outside_the_table(m, shown):
 def test_derivative_names_a_label_that_is_not_off_base(label):
     with pytest.raises(InvalidInputError, match=f"label {label} is not an off-base label"):
         _ORDER_5.derivative([0.1, 0.2], label)
+
+
+def test_a_large_table_multiplies_coefficients_first():
+    # past 16,384 terms (256 KiB) numpy reuses a fresh operand of `a * b` in place and computes
+    # b * a, whose complex product rounds differently; terms fixes the order at every size
+    A = vector_set([(1,), (-1,), (2,), (-2,), (3,)])
+    spec = SeriesSpec(build_reduced_system(select_base(A, (1,))), (0,), 24)
+    rng = np.random.default_rng(7)
+    size = math.comb(24 + 4, 4)  # 20,475 terms
+    table = TruncatedSeries(spec, [0.3], rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    x = rng.uniform(0.2, 0.5, 4) * np.exp(1j * rng.uniform(-3, 3, 4))
+    (row,) = table._powers(x, None)
+    assert table.terms(x).tobytes() == np.multiply(table.coeffs, row).tobytes()
+    assert _read(table, row) == table.value(x).value
