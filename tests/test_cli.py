@@ -415,6 +415,19 @@ def test_eval_without_parameters_exits_2(tmp_path):
     assert _report(out)["error"] == "beta: expected a non-empty array"
 
 
+def test_run_module_entrypoint():
+    # without --out the report goes to stdout alone
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggsys", "--config", "two-points-lattice.json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert rep["results"]["quotient"]["order"] == 2
+    assert rep["version"] == ggsys.__version__
+
+
 def _reads_numbers(reader, path):
     try:
         reader(100, path)
