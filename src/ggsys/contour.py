@@ -6,10 +6,10 @@ against that estimate rather than an absolute figure.
 
 One engine serves all three kinds: nested product trapezoid sums whose step
 halves per level, so each level evaluates only its new nodes, read until two
-levels agree.  The loop enters it along a parabola through its saddle and the
-plane as it is, both on a window found by one search; the segment enters it
-after the double-exponential change of variable, which compresses its
-integrable endpoint singularities.
+levels agree relative to their sum, on a half-width read off first levels.
+The loop enters it along a parabola through its saddle and the plane as it
+is; the segment after the double-exponential change of variable, which
+compresses its integrable endpoint singularities.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ class ContourSpec:
     ``adaptive=False`` freezes nodes and cutoff: the plane integrates on
     ``nodes`` points per axis (``nodes + 1`` when even, the least grid holding
     a half-rate grid) and takes the error estimate from that half-rate grid's
-    sum, from the same evaluations.
+    sum, from the same evaluations.  ``cutoff``, ``tolerance`` and
+    ``max_refinements`` must be finite and positive.
     """
 
     nodes: int = 64
@@ -52,51 +53,74 @@ class ContourSpec:
     def __post_init__(self):
         if self.nodes < 16:
             raise InvalidInputError("need at least 16 quadrature nodes")
-        if self.cutoff <= 0:
-            raise InvalidInputError("cutoff must be positive")
+        for name in ("cutoff", "tolerance", "max_refinements"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise InvalidInputError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
 class IntegralValue:
     """An integral, the difference between its last two refinement levels,
-    and the number of integrand evaluations behind it: each node once, and
-    the window search's points."""
+    and the number of integrand evaluations behind it: each node once, the
+    first levels of the half-widths its window search rejected included."""
 
     value: complex
     error_estimate: float
     nodes_used: int
 
 
-def _trapezoid_levels(F, W: float, nodes: int, n: int):
+def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
     """Yield (sum, points evaluated) for product trapezoid sums of ``F`` over
-    [-W, W]^n on grids of nodes, 2 nodes - 1, 4 nodes - 3, ... points per axis.
+    [-W, W]^n on grids of nodes, 2 nodes - 1, 4 nodes - 3, ... points per axis,
+    until a level would pass _MAX_EVALUATIONS points.
+
+    W is the first of ``widths`` whose first level passes ``refuse(faces, peak,
+    sum)``, if given: from the largest |F| on each face (low, then high end of
+    each axis), anywhere, and the level sum, it returns None or the error to
+    raise when no width is left.  A |F| there that is not finite raises before
+    its weighted sum is taken; a rejected level's points count in the totals.
 
     Halving the step keeps the old grid as the even-index points, so each
     later level evaluates only the points with an odd index on some axis, as
     n product sets: axis k takes its odd nodes, the axes before it their even
     nodes and the axes after it all of theirs.  ``F`` takes the open grid of a
     block, n per-axis arrays as np.ix_ gives them, and returns values that
-    broadcast to the block; it sees whole first-axis rows, about _GRID_BLOCK
-    points a call.  The levels end before one that would pass
-    _MAX_EVALUATIONS points.
+    broadcast to the block (of its shape where ``refuse`` judges); it sees
+    whole first-axis rows, about _GRID_BLOCK points a call.
     """
-    count, total, points = nodes, 0j, 0
-    while count**n <= _MAX_EVALUATIONS:
-        grid = np.linspace(-W, W, count)
-        ends = np.ones(count)
-        ends[[0, -1]] = 0.5
-        full, even, odd = (grid, ends), (grid[::2], ends[::2]), (grid[1::2], ends[1::2])
-        sets = ([[even] * k + [odd] + [full] * (n - 1 - k) for k in range(n)]
-                if points else [[full] * n])
-        for axes, weights in (zip(*factors) for factors in sets):
-            step = max(1, _GRID_BLOCK // math.prod(map(len, axes[1:])))
-            for i in range(0, len(axes[0]), step):
-                rows = slice(i, i + step)
-                block = np.ix_(axes[0][rows], *axes[1:])
-                total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * F(block))
-            points += math.prod(map(len, axes))
-        yield complex((2 * W / (count - 1)) ** n * total), points
-        count = 2 * count - 1
+    points = 0
+    for W in widths:
+        count, total, faces, peak = nodes, 0j, np.zeros(2 * n), 0.0
+        while count**n <= _MAX_EVALUATIONS:
+            grid = np.linspace(-W, W, count)
+            ends = np.ones(count)
+            ends[[0, -1]] = 0.5
+            full, even, odd = (grid, ends), (grid[::2], ends[::2]), (grid[1::2], ends[1::2])
+            first = count == nodes
+            sets = [[full] * n] if first else [[even] * k + [odd] + [full] * (n - 1 - k) for k in range(n)]
+            for axes, weights in (zip(*factors) for factors in sets):
+                step = max(1, _GRID_BLOCK // math.prod(map(len, axes[1:])))
+                for i in range(0, len(axes[0]), step):
+                    rows = slice(i, i + step)
+                    block = np.ix_(axes[0][rows], *axes[1:])
+                    values = F(block)
+                    if first and refuse:
+                        size = np.abs(values)
+                        if not (top := size.max()) < math.inf:  # numpy's max keeps a NaN
+                            raise DomainError("integrand overflows on the sampling grid")
+                        peak = max(peak, top)
+                        faces = np.maximum(faces, [size.max(where=b == e, initial=0.0) for b in block for e in (-W, W)])
+                    total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * values)
+                    del values  # free the block before F allocates the next: held, it cost 2-D planes ~8% on a 2-CPU Xeon
+                points += math.prod(map(len, axes))
+            value = complex((2 * W / (count - 1)) ** n * total)
+            if first and refuse and (refusal := refuse(faces, peak, value)):
+                break
+            yield value, points
+            count = 2 * count - 1
+        else:
+            return  # the evaluation cap ends the levels
+    raise refusal
 
 
 def _modulus(z: complex) -> float:
@@ -109,40 +133,27 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _settle(levels, tolerance: float, max_levels: int, what: str, spent: int = 0):
-    """Read ``levels`` until two successive sums agree within
-    tolerance * max(1, |value|); return (value, difference, points + spent),
-    ``spent`` the evaluations made before the levels.  A sum whose modulus is
-    not finite fails at once."""
+def _settle(levels, tolerance: float, max_levels: int, what: str):
+    """Read ``levels`` until two successive sums agree within tolerance *
+    |value|; return (value, difference, points).  A sum whose modulus is not
+    finite fails at once; a value of exactly 0 fails with "did not stabilize"."""
     prev = read = 0
     for read, (value, points) in enumerate(itertools.islice(levels, max_levels), 1):
         size = _modulus(value)
         if not math.isfinite(size):
             raise ConvergenceError(f"{what} level sum is not finite")
         err = _modulus(value - prev) if read > 1 else math.nan  # the first level has nothing to agree with
-        if err <= tolerance * max(1.0, size):
-            return value, err, points + spent
+        if size and err <= tolerance * size:
+            return value, err, points
         prev = value
     limit = f"{max_levels} levels" if read == max_levels else f"{_MAX_EVALUATIONS} evaluations"
     raise ConvergenceError(f"{what} did not stabilize below {tolerance} in {limit}")
 
 
-def _window(F, W: float, n: int) -> tuple[float, int]:
-    """The half-width of the cube [-W, W]^n to integrate ``F`` over, and the
-    evaluations spent finding it: ``W`` doubled until |F| on the faces of a
-    33-per-axis grid is within _BOUNDARY of its peak, at most 9 widths."""
-    coarse = np.linspace(-1.0, 1.0, 33)
-    for tried in range(1, 10):
-        bulk = np.abs(F(np.ix_(*[W * coarse] * n)))
-        peak = float(bulk.max())
-        if not np.isfinite(peak):
-            raise DomainError("integrand overflows on the sampling grid")
-        faces = (np.take(bulk, side, axis=axis) for axis in range(n) for side in (0, -1))
-        boundary = max(float(face.max()) for face in faces)
-        if boundary <= _BOUNDARY * max(peak, _TINY):
-            return W, tried * 33**n
-        W *= 2
-    raise DomainError("integrand does not decay on the truncation boundary")
+def _undecayed(faces, peak, value):
+    """The window rule of the loop and the adaptive plane: |F| on every face within _BOUNDARY of its peak."""
+    if np.max(faces) > _BOUNDARY * max(peak, _TINY):
+        return DomainError("integrand does not decay on the truncation boundary")
 
 
 def _tanh_sinh(f, spec: ContourSpec, what: str):
@@ -156,26 +167,19 @@ def _tanh_sinh(f, spec: ContourSpec, what: str):
     sum|), which bounds the mass past them too; past 6 the distances leave the
     double range, so there the integral fails naming the endpoint.
     """
-    ends, used = [], 0
 
     def F(tau_cols):
         inner = 0.5 * np.pi * np.sinh(tau_cols[0])
         weights = 0.25 * np.pi * np.cosh(tau_cols[0]) / np.cosh(inner) ** 2
         s = 1.0 / (1.0 + np.exp(-2.0 * inner))
-        out = np.asarray(f(s, 1.0 / (1.0 + np.exp(2.0 * inner))), dtype=np.complex128) * weights
-        if not ends:  # the first call for a T is its first level, one grid from -T to T
-            ends.extend((abs(out[0]), abs(out[-1])))
-        return out
+        return np.asarray(f(s, 1.0 / (1.0 + np.exp(2.0 * inner))), dtype=np.complex128) * weights
 
-    for T in (4.0, 5.0, 6.0):
-        ends.clear()
-        levels = _trapezoid_levels(F, T, 9, 1)
-        first = next(levels)
-        outside = [end for end, size in enumerate(ends) if size > spec.tolerance * max(1.0, _modulus(first[0]))]
-        if not outside:
-            return _settle(itertools.chain([first], levels), spec.tolerance, spec.max_refinements, what, used)
-        used += first[1]
-    raise ConvergenceError(f"{what} leaves integrand mass past tau = 6 at the s = {outside[0]} endpoint")
+    def refuse(ends, peak, value):  # raised only at the last T, 6
+        outside = np.flatnonzero(ends > spec.tolerance * max(1.0, _modulus(value)))
+        if outside.size:
+            return ConvergenceError(f"{what} leaves integrand mass past tau = 6 at the s = {outside[0]} endpoint")
+
+    return _settle(_trapezoid_levels(F, (4.0, 5.0, 6.0), 9, 1, refuse), spec.tolerance, spec.max_refinements, what)
 
 
 def hankel_integral(
@@ -213,9 +217,8 @@ def hankel_integral(
             inner = mu * root**2 + (x * np.exp(np.outer(log_t, exponents))).sum(axis=1)
             return np.exp(inner + (-beta - 1.0) * log_t) * (2j * mu * root)
 
-    W, spent = _window(F, 1.0, 1)
-    levels = _trapezoid_levels(F, W, 9, 1)
-    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature", spent))
+    levels = _trapezoid_levels(F, [2.0**j for j in range(9)], 9, 1, _undecayed)
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature"))
 
 
 def _plane_integrand(system, k, beta, x):
@@ -276,14 +279,11 @@ def shifted_plane_integral(
     if n > 2:
         raise DomainError("plane quadrature implemented for n <= 2 only")
     g = _plane_integrand(system, k, beta, x)
-
     what = "shifted-plane quadrature"
     if not spec.adaptive:  # two levels on the cutoff: the half-rate grid, then the full one
-        levels = _trapezoid_levels(g, spec.cutoff, spec.nodes // 2 + 1, n)
-        return IntegralValue(*_settle(levels, np.inf, 2, what))
-    W, spent = _window(g, spec.cutoff, n)
-    levels = _trapezoid_levels(g, W, spec.nodes, n)
-    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, what, spent))
+        return IntegralValue(*_settle(_trapezoid_levels(g, [spec.cutoff], spec.nodes // 2 + 1, n), np.inf, 2, what))
+    levels = _trapezoid_levels(g, [spec.cutoff * 2**j for j in range(9)], spec.nodes, n, _undecayed)
+    return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, what))
 
 
 def euler_segment_integral(

@@ -987,6 +987,15 @@ def _is_bessel_loop(x):
     return lambda rep: abs(complex(*rep["results"]["value"]) - want) <= 1e-10 * abs(want)
 
 
+def _is_bessel_plane(beta, x):
+    # within 1e-12 of 2 x^(-beta/2) K_beta(2 sqrt x) e^(-i pi beta), the plane on +-e_1 at branch 0
+    want = 2 * x ** (-beta / 2) * sp.kv(beta, 2 * np.sqrt(x)) * np.exp(-1j * np.pi * beta)
+    return lambda rep: abs(complex(*rep["results"]["value"]) - want) <= 1e-12 * abs(want)
+
+
+_PLANE_AT_300 = {"task": "integral", "omega": [[1], [-1]], "integral": {
+    "kind": "shifted-plane", "base": [1], "branch": [0], "beta": [0.5], "x": [300], "tolerance": 1e-10}}
+
 # (config name and flags, the config to write there or None for a bundled one, exit code, what the report holds)
 PROGRAM_CASES = [
     ("bessel-hankel.json", None, 0, None),
@@ -1000,6 +1009,8 @@ PROGRAM_CASES = [
     # x^m/m! overflows at x = 1e30, so the pairing's outer series must fail closed
     ("pairing-overflow.json", {"task": "distribution", "omega": [[1]], "distribution": {"ell": [[1.0]], "x": [1e30]}}, 1, None),
     *((f"hankel-large-x-{x}.json", _loop_at(x), 0, _is_bessel_loop(x)) for x in (300, 400, 1000)),
+    # a value near 1e-16 settles relative to itself, not against an absolute 1e-10
+    ("plane-large-x-300.json", _PLANE_AT_300, 0, _is_bessel_plane(0.5, 300.0)),
     # 40 samples of seven 1,771-term tables: the verify checks tabulate them in several blocks
     ("verify-blocks.json", {
         "task": "verify", "omega": [[-1, -2, -1], [0, 1, 0], [1, 0, 0], [-1, -2, 0], [1, -2, -2], [0, 0, 1]],

@@ -35,6 +35,14 @@ def test_spec_validation():
         ContourSpec(nodes=8)
     with pytest.raises(InvalidInputError):
         ContourSpec(cutoff=-1.0)
+    # tolerance=inf used to settle the loop at beta = 1/2, x = 1/4 on 9.004i in place
+    # of 8.332i, and cutoff=inf to let an invalid-multiply warning escape the plane
+    for field, bad in itertools.product(("cutoff", "tolerance"), (0.0, -1e-9, math.inf, math.nan)):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be finite and positive$"):
+            ContourSpec(**{field: bad})
+    for bad in (0, -1):
+        with pytest.raises(InvalidInputError, match="^max_refinements must be finite and positive$"):
+            ContourSpec(max_refinements=bad)
     with pytest.raises(TypeError):  # the loop takes its path from its inputs
         ContourSpec(offset=0.5)
 
@@ -291,7 +299,7 @@ def _assert_open_grid(points):
 @pytest.mark.parametrize("nodes", [9, 10])
 def test_nested_levels_equal_full_grid_sums(n, nodes):
     count = nodes
-    for _, (value, points) in zip(range(5), contour._trapezoid_levels(_skewed, 3.0, nodes, n)):
+    for _, (value, points) in zip(range(5), contour._trapezoid_levels(_skewed, [3.0], nodes, n)):
         want = _full_grid_sum(_skewed, 3.0, count, n)
         assert abs(value - want) <= 1e-14 * abs(want)
         assert points == count**n
@@ -308,7 +316,7 @@ def test_nested_levels_call_in_blocks_of_rows(n, nodes):
         sizes.append((math.prod(shape), shape[-1]))
         return 1.0  # anything that broadcasts to the block
 
-    for _ in zip(range(3), contour._trapezoid_levels(F, 1.0, nodes, n)):
+    for _ in zip(range(3), contour._trapezoid_levels(F, [1.0], nodes, n)):
         pass
     assert max(size - row for size, row in sizes) <= _GRID_BLOCK
     assert len(sizes) > 3
@@ -317,10 +325,10 @@ def test_nested_levels_call_in_blocks_of_rows(n, nodes):
 @pytest.mark.parametrize(
     "A, beta, x, spec, used",
     [
-        # the adaptive plane samples one 33^n window grid, then reads levels up to 505 points per axis
-        (A1, [0.7], [0.3], plane_spec(tolerance=1e-10), 505 + 33),
-        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10), 505**2 + 33**2),
-        # 591,361 points, not 769^2 plus the 385^2 half-rate grid, and no window grid
+        # the adaptive plane keeps its cutoff's first level as its window and reads levels up to 505 points per axis
+        (A1, [0.7], [0.3], plane_spec(tolerance=1e-10), 505),
+        (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10), 505**2),
+        # 591,361 points, not 769^2 plus the 385^2 half-rate grid
         (A_SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(nodes=769, cutoff=32.0, adaptive=False), 769**2),
     ],
     ids=["1d-adaptive", "2d-adaptive", "2d-fixed-769"],
@@ -342,12 +350,35 @@ def test_plane_evaluates_each_grid_point_once(monkeypatch, A, beta, x, spec, use
     monkeypatch.setattr(contour, "_plane_integrand", counting)
     n = A.n
     got = shifted_plane_integral(A, tuple(range(1, n + 1)), (0,) * n, beta, x, spec)
-    probes = 1 if spec.adaptive else 0  # the fixed grid keeps its cutoff
-    assert all(c.shape == (n,) + (33,) * n for c in calls[:probes])  # the window's sampling grid
-    points = np.concatenate([c.reshape(n, -1) for c in calls[probes:]], axis=1)
+    points = np.concatenate([c.reshape(n, -1) for c in calls], axis=1)
     keys = points[0] + 1j * points[-1] if n == 2 else points[0]
     assert points.shape[1] == len(np.unique(keys))
-    assert got.nodes_used == points.shape[1] + probes * 33**n == used
+    assert got.nodes_used == points.shape[1] == used
+
+
+def test_a_short_cutoff_is_widened_and_its_rejected_first_levels_count(evaluations):
+    # cutoff 2 and 4 leave |g| on the boundary above 1e-16 of its peak; each
+    # costs its 64-point first level, and the window is cutoff 8's first level
+    spec = plane_spec(cutoff=2.0)
+    got = shifted_plane_integral(A1, (1,), (0,), [0.5], [0.25], spec)
+    assert [c.shape[1] for c in evaluations] == [64, 64, 64, 63]
+    assert [np.abs(c).max() for c in evaluations[:3]] == [2.0, 4.0, 8.0]
+    kept = np.concatenate(evaluations[2:], axis=1)[0]
+    assert kept.size == len(np.unique(kept))
+    assert got.nodes_used == 2 * 64 + kept.size == 255
+    want = _bessel_plane(0.5, 0.25)
+    assert abs(got.value - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("x", [30.0, 300.0])
+@pytest.mark.parametrize("beta", [0.5, 1.5, 5.0])
+def test_plane_settles_relative_to_a_small_value(x, beta):
+    # at x = 300 the value is about 1e-16; a test against tolerance * max(1, |value|)
+    # accepted the second level, 48%, 43% and 5.5% off at these beta
+    got = shifted_plane_integral(A1, (1,), (0,), [beta], [x], plane_spec(tolerance=1e-10))
+    want = _bessel_plane(beta, x)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert got.error_estimate <= 1e-10 * abs(got.value)
 
 
 def _stacked_plane_integrand(system, k, beta, x):
@@ -447,6 +478,15 @@ def test_nonconvergence_names_kind_and_levels():
     assert contour._settle(iter(levels), 1e-9, 3, "sums") == (2.0, 0.0, 33)
 
 
+def test_settle_is_relative_to_the_value():
+    # two sums 1e-17 apart agree absolutely, not relatively to a value of 2e-17
+    small = [(1e-17, 9), (2e-17, 17), (2e-17, 33)]
+    assert contour._settle(iter(small), 1e-9, 3, "sums") == (2e-17, 0.0, 33)
+    # an exact 0 is within no relative tolerance of itself, so it fails closed
+    with pytest.raises(ConvergenceError, match="^sums did not stabilize below 1e-09 in 3 levels$"):
+        contour._settle(iter([(0j, 9), (0j, 17), (0j, 33)]), 1e-9, 3, "sums")
+
+
 def test_settle_fails_closed_at_the_first_sum_that_is_not_finite():
     def levels(*sums):
         yield from ((value, 9 * 2**i) for i, value in enumerate(sums))
@@ -472,40 +512,42 @@ def test_loop_settles_without_a_warning_at_large_x(x):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Points handed to the integrand by each of its two callers, the window search and the levels."""
-    counts = {"_window": 0, "_trapezoid_levels": 0}
+    """The points handed to the integrand call by call, as (n, k) arrays; the
+    trapezoid levels are its one caller, window search included."""
+    calls = []
+    original = contour._trapezoid_levels
 
-    def counting(name, original):
-        def call(F, *args):
-            def counted(cols):
-                counts[name] += math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
-                return F(cols)
+    def levels(F, *args):
+        def recorded(cols):
+            calls.append(np.stack(np.broadcast_arrays(*cols)).reshape(len(cols), -1))
+            return F(cols)
 
-            return original(counted, *args)
+        return original(recorded, *args)
 
-        return call
-
-    for name in counts:
-        monkeypatch.setattr(contour, name, counting(name, getattr(contour, name)))
-    return counts
+    monkeypatch.setattr(contour, "_trapezoid_levels", levels)
+    return calls
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta, totals", [
-    (-0.5, (197, 389, 389, 356, 195, 323, 162)),
-    (0.5, (389, 389, 389, 356, 195, 323, 162)),
-    (2.3, (228, 228, 228, 356, 195, 323, 162)),
+    (-0.5, (92, 284, 284, 275, 138, 266, 129)),
+    (0.5, (284, 284, 284, 275, 138, 266, 129)),
+    (2.3, (147, 147, 147, 275, 138, 266, 129)),
 ], ids=["-0.5", "0.5", "2.3"])
 def test_loop_matches_scipy_over_beta_and_x(evaluations, beta, totals):
-    # each total: at most 257 trapezoid nodes, and 33 window points per width tried
+    # each total: the 9-point first level of every half-width 1, 2, 4, ... the window
+    # search tried, and at most 257 nodes, each evaluated once, on the last of them
     spec = ContourSpec(tolerance=1e-10)
     for x, total in zip((0.0, 0.25, 1.0, 10.0, 100.0, 300.0, 1000.0), totals):
-        evaluations.update(dict.fromkeys(evaluations, 0))
+        evaluations.clear()
         got = hankel_integral(A1, 1, beta, [x], spec)
         want = TWO_PI_I * (sp.rgamma(beta + 1) if x == 0 else x ** (-beta / 2) * sp.iv(beta, 2 * np.sqrt(x)))
         assert abs(got.value - want) <= 1e-12 * abs(want), x
-        assert evaluations["_trapezoid_levels"] <= 257 and evaluations["_window"] % 33 == 0, x
-        assert got.nodes_used == sum(evaluations.values()) == total, x
+        firsts = [i for i, u in enumerate(evaluations) if u.shape[1] == 9]  # later levels add 8, 16, ...
+        assert [evaluations[i].max() for i in firsts] == [2.0**j for j in range(len(firsts))], x
+        kept = np.concatenate(evaluations[firsts[-1]:], axis=1)[0]
+        assert kept.size == len(np.unique(kept)) <= 257, x
+        assert got.nodes_used == 9 * (len(firsts) - 1) + kept.size == total, x
 
 
 @pytest.mark.parametrize("integrate", [
@@ -516,7 +558,7 @@ def test_loop_matches_scipy_over_beta_and_x(evaluations, beta, totals):
     lambda: euler_segment_integral(AE, (1, 2), [-0.1, -0.6], [0.0], seg_spec()),
 ], ids=["loop", "1d-plane-widened", "2d-plane", "2d-plane-fixed", "segment-past-tau-4"])
 def test_nodes_used_counts_every_integrand_evaluation(evaluations, integrate):
-    assert integrate().nodes_used == sum(evaluations.values()) > evaluations["_window"]
+    assert integrate().nodes_used == sum(u.shape[1] for u in evaluations)
 
 
 def _loop_series(beta, terms):
@@ -562,7 +604,7 @@ def test_settle_reads_no_difference_at_the_first_level():
 
 def test_levels_stop_before_the_evaluation_cap(monkeypatch):
     monkeypatch.setattr(contour, "_MAX_EVALUATIONS", 10**4)
-    counts = [points for _, points in contour._trapezoid_levels(lambda p: 1.0, 1.0, 16, 2)]
+    counts = [points for _, points in contour._trapezoid_levels(lambda p: 1.0, [1.0], 16, 2)]
     assert counts == [16**2, 31**2, 61**2]  # 121^2 would pass the cap
     spec = plane_spec(nodes=16, tolerance=1e-30)
     with pytest.raises(ConvergenceError) as info:
