@@ -51,6 +51,9 @@ class ContourSpec:
     adaptive: bool = True
 
     def __post_init__(self):
+        for name in ("nodes", "max_refinements"):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
+                raise InvalidInputError(f"{name} must be an integer")
         if self.nodes < 16:
             raise InvalidInputError("need at least 16 quadrature nodes")
         for name in ("cutoff", "tolerance", "max_refinements"):
@@ -61,8 +64,9 @@ class ContourSpec:
 @dataclass(frozen=True)
 class IntegralValue:
     """An integral, the difference between its last two refinement levels,
-    and the number of integrand evaluations behind it: each node once, the
-    first levels of the half-widths its window search rejected included."""
+    and the number of grid nodes behind it: each node once, the first levels
+    of the half-widths its window search rejected included, and the plane's
+    nodes proven zero without evaluating the integrand included too."""
 
     value: complex
     error_estimate: float
@@ -85,8 +89,9 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
     n product sets: axis k takes its odd nodes, the axes before it their even
     nodes and the axes after it all of theirs.  ``F`` takes the open grid of a
     block, n per-axis arrays as np.ix_ gives them, and returns values that
-    broadcast to the block (of its shape where ``refuse`` judges); it sees
-    whole first-axis rows, about _GRID_BLOCK points a call.
+    broadcast to the block (of its shape where ``refuse`` judges) or a 0-d
+    zero, which skips the block's weighted sum and face and peak reads but not
+    its points; it sees whole first-axis rows, about _GRID_BLOCK points a call.
     """
     points = 0
     for W in widths:
@@ -104,6 +109,8 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
                     rows = slice(i, i + step)
                     block = np.ix_(axes[0][rows], *axes[1:])
                     values = F(block)
+                    if not (np.ndim(values) or values):
+                        continue  # a 0-d zero adds nothing to the sum, the faces or the peak
                     if first and refuse:
                         size = np.abs(values)
                         if not (top := size.max()) < math.inf:  # numpy's max keeps a NaN
@@ -111,7 +118,6 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
                         peak = max(peak, top)
                         faces = np.maximum(faces, [size.max(where=b == e, initial=0.0) for b in block for e in (-W, W)])
                     total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * values)
-                    del values  # free the block before F allocates the next: held, it cost 2-D planes ~8% on a 2-CPU Xeon
                 points += math.prod(map(len, axes))
             value = complex((2 * W / (count - 1)) ** n * total)
             if first and refuse and (refusal := refuse(faces, peak, value)):
@@ -221,11 +227,30 @@ def hankel_integral(
     return IntegralValue(*_settle(levels, spec.tolerance, spec.max_refinements, "hankel-loop quadrature"))
 
 
+def _plane_formula(sigma, beta_I, gamma, w, phase):
+    """phase e^total on an open grid, total = -sum e^sigma_i - <beta, sigma> +
+    sum_r w_r e^<gamma_r, sigma>; the complex exp is taken only where Re total
+    >= -746 or Im total is not finite, and the value is 0 elsewhere."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = -sum(np.exp(s) for s in sigma) - sum(b * s for b, s in zip(beta_I, sigma))
+        for row in range(len(w)):
+            total += w[row] * np.exp(sum(c * s for c, s in zip(gamma[row], sigma)))
+        live = ~((total.real < -746.0) & np.isfinite(total.imag))
+        out = np.zeros(total.shape, np.complex128)
+        out[live] = phase * np.exp(total[live])
+        return out
+
+
 def _plane_integrand(system, k, beta, x):
-    """The plane integrand g(sigma), after checking its preconditions.  g takes
-    an open grid (n per-axis arrays, as np.ix_ gives them), broadcasts over it
-    and takes the complex exp only where it can be nonzero: below -746 in the
-    real part, with a finite imaginary part, exp is exactly 0."""
+    """The plane integrand g(sigma) on an open grid, after checking its
+    preconditions.  g runs _plane_formula on the box of nodes whose bound on
+    Re total reaches -746, and is 0 elsewhere (a 0-d zero for an empty box).
+    The bound sums rho_i = -e^sigma_i - Re beta_i sigma_i + sum Re(w_r)
+    e^(gamma_ri sigma_i) over rows on axis i alone: any other row adds Re(w_r)
+    e^<gamma_r, sigma> <= 0 (Re w_r < 0 or x_r = 0, checked below), rounding is
+    monotone, and a 1e-12 relative slack covers both sides' rounding.  A rho_i
+    that is not finite, or a |w_r| e^<gamma_r, sigma> or |beta_i sigma_i| that
+    could overflow, makes the box the whole block, keeping NaN and overflow."""
     base = system.base
     n = base.parent.n
     if np.max(np.abs(base.parent.omega.imag)) > 1e-12:
@@ -249,16 +274,26 @@ def _plane_integrand(system, k, beta, x):
                 f"|arg(x_{j} e^(i pi <omega^{j}, 2k+1>))| > pi/2 fails"
             )
     phase = np.exp(-1j * np.sum(beta_I * shift))
+    alone = np.count_nonzero(gamma, axis=1) == 1
+    decays = [(np.r_[1.0, gamma[on, i]], np.r_[1.0, -w.real[on]]) for i, on in enumerate(alone & (gamma.T != 0))]
+    room = 700.0 - np.log(np.maximum(np.abs(w), 1.0))
 
     def g(sigma):
+        axes = [s.ravel() for s in sigma]
         with np.errstate(over="ignore", invalid="ignore"):
-            total = -sum(np.exp(s) for s in sigma) - sum(b * s for b, s in zip(beta_I, sigma))
-            for row in range(system.r):
-                total += w[row] * np.exp(sum(c * s for c, s in zip(gamma[row], sigma)))
-            live = ~((total.real < -746.0) & np.isfinite(total.imag))
-            out = np.zeros(total.shape, np.complex128)
-            out[live] = phase * np.exp(total[live])
-            return out
+            rho, reach, span = [], 0.0, 0.0
+            for (rates, sizes), b, c, s in zip(decays, beta_I, gamma.T, axes):
+                decay, linear = sizes @ np.exp(np.outer(rates, s)), b.real * s
+                rho.append((1e-12 - 1.0) * decay + (1e-12 * np.abs(linear) - linear))
+                reach, span = reach + np.outer(c, s).max(axis=1), span + abs(b) * np.abs(s).max()
+            whole = not (np.all(reach <= room) and span < 1e300 and all(np.isfinite(bound.min()) for bound in rho))
+            keep = [whole | (bound + sum(other.max() for other in rho if other is not bound) >= -746.0) for bound in rho]
+        if not all(kept.any() for kept in keep):
+            return np.zeros((), np.complex128)
+        box = tuple(slice(kept.argmax(), kept.size - kept[::-1].argmax()) for kept in keep)
+        out = np.zeros(tuple(s.size for s in axes), np.complex128)
+        out[box] = _plane_formula(np.ix_(*(s[part] for s, part in zip(axes, box))), beta_I, gamma, w, phase)
+        return out
 
     return g
 

@@ -45,6 +45,11 @@ def test_spec_validation():
             ContourSpec(max_refinements=bad)
     with pytest.raises(TypeError):  # the loop takes its path from its inputs
         ContourSpec(offset=0.5)
+    # nodes=64.5 used to reach the plane and fail there with a bare TypeError, and
+    # max_refinements=2.5 to end in islice's ValueError
+    for field, bad in itertools.product(("nodes", "max_refinements"), (64.5, 12.0, True, "64", None)):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer$"):
+            ContourSpec(**{field: bad})
 
 
 def test_hankel_reciprocal_gamma_at_zero_argument():
@@ -265,7 +270,9 @@ def test_plane_preconditions():
         )
 
 
-A_SEP = vector_set([(1, 0), (0, 1), (-1, 0), (0, -1)])
+SEP = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+COUPLED = SEP + [(-1, -2)]
+A_SEP = vector_set(SEP)
 
 
 def _full_grid_sum(F, W, nodes, n):
@@ -408,32 +415,103 @@ _EDGE_1D = np.concatenate([np.linspace(-40, 40, 161), 6.6 + np.linspace(-0.01, 0
                            np.linspace(-1420.0, -1416.0, 81), [-800.0, -710.0, 710.0, 800.0, np.nan]])
 
 
+@pytest.fixture
+def formula_sizes(monkeypatch):
+    """The number of nodes of each box the plane integrand hands its formula."""
+    sizes = []
+    formula = contour._plane_formula
+
+    def counted(sigma, *args):
+        sizes.append(math.prod(np.broadcast_shapes(*(s.shape for s in sigma))))
+        return formula(sigma, *args)
+
+    monkeypatch.setattr(contour, "_plane_formula", counted)
+    return sizes
+
+
 @pytest.mark.parametrize(
-    "omega, beta, x, axes, kind",
+    "omega, beta, x, axes, box, kind",
     [
-        ([(1,), (-1,)], [0.7], [0.3], [_EDGE_1D], "edges"),
-        ([(1,), (-0.5,)], [0.7], [-10 * np.exp(0.01j)], [_EDGE_1D], "edges"),
-        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -2)], [0.6, 0.9], [0.3, 0.8, 0.05],
-         [np.r_[np.linspace(-30, 30, 61), -800.0, np.nan], np.r_[np.linspace(-30, 30, 41), -710.0, 6.6]], None),
-        ([(1, 0), (0, 1), (-1, 0), (0, -1)], [0.6, 1.2], [0.3, 0.8],
-         [np.linspace(50.0, 60.0, 7), np.linspace(-5.0, 5.0, 9)], "underflow"),
+        ([(1,), (-1,)], [0.7], [0.3], [_EDGE_1D], "whole", "edges"),
+        ([(1,), (-0.5,)], [0.7], [-10 * np.exp(0.01j)], [_EDGE_1D], "whole", "edges"),
+        (COUPLED, [0.6, 0.9], [0.3, 0.8, 0.05],
+         [np.r_[np.linspace(-30, 30, 61), -800.0, np.nan], np.r_[np.linspace(-30, 30, 41), -710.0, 6.6]], "whole", None),
+        (SEP, [0.6, 1.2], [0.3, 0.8], [np.linspace(50.0, 60.0, 7), np.linspace(-5.0, 5.0, 9)], "none", "underflow"),
+        # the formula runs on the rows and columns near the peak only
+        ([(1,), (-1,)], [0.7], [0.3], [_EDGE_1D[:2162]], "part", "subnormal"),
+        (COUPLED, [0.6, 0.9], [0.3, 0.8, 0.05], [np.linspace(-40, 40, 81), np.linspace(-30, 30, 61)], "part", None),
+        # Re of the bound crosses -746 along both axes, and the nodes just above it are subnormal
+        (SEP, [0.6, 1.2], [0.3, 0.8], [np.linspace(6.0, 6.7, 141), np.linspace(5.0, 6.0, 101)], "part", "subnormal"),
+        # e^(-sigma_1 - 2 sigma_2) reaches e^687 to e^689 at sigma_2 = -344, below e^700 but not below e^700 / |w_3|:
+        # w_3 e^688 is finite in its real part, so the bound alone would prune those nodes, and infinite in its
+        # imaginary part, so exp is NaN
+        (COUPLED, [0.6, 0.9], [0.3, 0.8, 0.1 - 1e10j], [np.linspace(-1, 1, 5), np.r_[np.linspace(-30, 30, 13), -344.0]],
+         "whole", "nan"),
+        # Im beta sigma overflows at sigma = 700, where Re of the bound is about -1e304, and the phase is 0
+        ([(1,), (-1,)], [0.7 - 1e306j], [0.3], [np.r_[np.linspace(-40, 40, 161), 700.0]], "whole", "nan"),
+        # x = 0 on a row of one axis adds nothing to the bound; on the coupled row, 0 e^720 is NaN
+        (SEP, [0.6, 1.2], [0.0, 0.8], [np.linspace(-40, 40, 81), np.linspace(-30, 30, 61)], "part", None),
+        (COUPLED, [0.6, 1.2], [0.3, 0.8, 0.0], [np.linspace(-5, 5, 11), np.r_[np.linspace(-30, 30, 61), -360.0]],
+         "whole", "nan"),
     ],
-    ids=["1d-edges", "1d-imaginary-overflow", "2d-coupled-edges", "2d-all-underflow"],
+    ids=["1d-edges", "1d-imaginary-overflow", "2d-coupled-edges", "2d-all-underflow", "1d-partly-live",
+         "2d-partly-live", "2d-straddles-746", "2d-coupled-row-past-the-overflow-guard", "1d-imaginary-beta-overflows",
+         "2d-zero-x-row", "2d-zero-x-row-overflows"],
 )
-def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(omega, beta, x, axes, kind):
+def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(formula_sizes, omega, beta, x, axes, box, kind):
     system = ReducedSystem(select_base(vector_set(omega), tuple(range(1, len(axes) + 1))))
     k = (0,) * len(axes)
     grid = np.ix_(*axes)
     with np.errstate(all="ignore"):
         want = _stacked_plane_integrand(system, k, beta, x)(np.stack(np.broadcast_arrays(*grid)))
         got = contour._plane_integrand(system, k, beta, x)(grid)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
+    assert got.shape == (() if box == "none" else want.shape)  # an empty box gives a 0-d zero
+    assert np.array_equal(np.broadcast_to(got, want.shape), want, equal_nan=True)
+    if box == "part":
+        assert len(formula_sizes) == 1 and 0 < formula_sizes[0] < want.size
+    else:
+        assert formula_sizes == ([want.size] if box == "whole" else [])
     if kind == "edges":  # the grid reaches the cases it is there for
         assert np.isnan(want).any() and (want == 0).any()
+    if kind in ("edges", "subnormal"):
         assert ((want != 0) & (np.abs(want) < 1e-320)).any()  # a subnormal at Re about -745
+    if kind == "nan":
+        assert np.isnan(want).any()
     if kind == "underflow":
         assert not want.any()
+
+
+@pytest.mark.parametrize("omega, beta, x, spec", [
+    (SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(nodes=257, cutoff=32.0, adaptive=False)),
+    (SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(nodes=769, cutoff=32.0, adaptive=False)),
+    (SEP, [0.6, 1.2], [0.3, 0.8], plane_spec(tolerance=1e-10)),
+    (COUPLED, [0.6, 1.2], [0.3, 0.8, 0.1], plane_spec()),
+], ids=["fixed-257", "fixed-769", "adaptive", "coupled"])
+def test_plane_integral_is_bit_identical_to_the_unpruned_formula(monkeypatch, omega, beta, x, spec):
+    args = (vector_set(omega), (1, 2), (0, 0), beta, x, spec)
+    got = shifted_plane_integral(*args)
+
+    def unpruned(system, k, beta, x):
+        formula = _stacked_plane_integrand(system, k, beta, x)
+        return lambda sigma: formula(np.stack(np.broadcast_arrays(*sigma)))
+
+    monkeypatch.setattr(contour, "_plane_integrand", unpruned)
+    with np.errstate(all="ignore"):
+        want = shifted_plane_integral(*args)
+    assert repr(got) == repr(want)  # value, error estimate and nodes_used, to the bit
+
+
+def test_the_fixed_769_plane_runs_its_formula_on_few_nodes(formula_sizes):
+    # 27,082 of its 591,361 nodes are not an exact 0; nodes_used still counts them all
+    spec = plane_spec(nodes=769, cutoff=32.0, adaptive=False)
+    got = shifted_plane_integral(A_SEP, (1, 2), (0, 0), [0.6, 1.2], [0.3, 0.8], spec)
+    assert got.nodes_used == 769**2
+    assert 0 < sum(formula_sizes) < 0.1 * got.nodes_used
+
+
+def test_the_equality_tests_pass_with_numpy_simd_dispatch_off(rerun_without_simd):
+    # pruning takes numpy's elementwise ops to give a node the same bits on a box as on its whole block
+    rerun_without_simd(__file__, "-k", "stacked_formula or unpruned_formula or few_nodes")
 
 
 def test_tanh_sinh_evaluates_each_node_once():

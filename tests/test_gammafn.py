@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -226,30 +222,6 @@ def test_a_far_point_leaves_the_rest_of_its_block_as_it_was():
     assert rgamma(mixed)[keep].tobytes() == rgamma(z)[keep].tobytes()
 
 
-# the AVX2/FMA-and-up dispatch targets under the names of numpy 2.4 (X86_V3 ...) and of earlier
-# 2.x releases (AVX2 ...); an unknown name is at most a warning, so the re-run first checks that
-# no such target is left on
-SIMD_OFF = ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR FMA3 AVX2 AVX512F AVX512CD "
-            "AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL")
-LEFT_ON = """
-from numpy._core import _multiarray_umath as m
-below = {"SSSE3", "SSE41", "POPCNT", "SSE42", "AVX", "F16C"}  # no AVX2, no FMA
-print(*(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f) and f not in below))
-"""
-
-
-def test_this_file_passes_with_numpy_simd_dispatch_off():
+def test_this_file_passes_with_numpy_simd_dispatch_off(rerun_without_simd):
     # the mpmath band bounds keep about 36% headroom on numpy's AVX2/FMA loops, 9-27% without them
-    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
-        pytest.skip("this is the re-run")
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    if "AVX2" not in umath.__cpu_features__ or {"AVX2", "FMA3", "X86_V3"} & set(umath.__cpu_baseline__):
-        pytest.skip("numpy cannot turn its AVX2/FMA dispatch off here")
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": SIMD_OFF, "PYTHONPATH": path}
-    left = subprocess.run([sys.executable, "-c", LEFT_ON], capture_output=True, text=True, env=env, check=True)
-    assert left.stdout.split() == [], "dispatch targets from AVX2 and FMA up left on"
-    rerun = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
-    proc = subprocess.run(rerun, capture_output=True, text=True, env=env, cwd=root)
-    assert proc.returncode == 0, proc.stdout[-3000:]
+    rerun_without_simd(__file__)
