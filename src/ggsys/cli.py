@@ -407,7 +407,7 @@ def _task_resonance(cfg: dict, A: VectorSet, params: dict):
 def _phi_from(sub: dict, n: int) -> TestFunction:
     kind = _get(sub, "distribution.phi.kind")
     if kind == "constant":
-        return TestFunction(lambda s: 1.0)
+        return TestFunction(lambda s: np.ones(len(s)))
     if n != 1:
         raise _bad("distribution.phi.kind", "only 'constant' is available when n > 1")
     if kind == "power":

@@ -8,8 +8,9 @@ One engine serves all three kinds: nested product trapezoid sums whose step
 halves per level, so each level evaluates only its new nodes, read until two
 levels agree relative to their sum, on a half-width read off first levels.
 The loop enters it along a parabola through its saddle and the plane as it
-is; the segment after the double-exponential change of variable, which
-compresses its integrable endpoint singularities.
+is, with a box per product set outside which its integrand is exactly 0, so
+the engine sums only inside it; the segment after the double-exponential
+change of variable, which compresses its integrable endpoint singularities.
 """
 from __future__ import annotations
 
@@ -89,11 +90,13 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
     n product sets: axis k takes its odd nodes, the axes before it their even
     nodes and the axes after it all of theirs.  ``F`` takes the open grid of a
     block, n per-axis arrays as np.ix_ gives them, and returns values that
-    broadcast to the block (of its shape where ``refuse`` judges) or a 0-d
-    zero, which skips the block's weighted sum and face and peak reads but not
-    its points; it sees whole first-axis rows, about _GRID_BLOCK points a call.
+    broadcast to the block (of its shape where ``refuse`` judges); it sees
+    whole first-axis rows, about _GRID_BLOCK points a call.  ``F.box(axes)``,
+    if present, takes a product set's n 1-D axes and returns per-axis slices
+    outside which F is exactly 0, or None for all of it; the blocks then cover
+    only the box, and the other points count in the totals unevaluated.
     """
-    points = 0
+    points, box = 0, getattr(F, "box", lambda axes: [slice(None)] * n)
     for W in widths:
         count, total, faces, peak = nodes, 0j, np.zeros(2 * n), 0.0
         while count**n <= _MAX_EVALUATIONS:
@@ -104,13 +107,15 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
             first = count == nodes
             sets = [[full] * n] if first else [[even] * k + [odd] + [full] * (n - 1 - k) for k in range(n)]
             for axes, weights in (zip(*factors) for factors in sets):
+                points += math.prod(map(len, axes))
+                if (cut := box(axes)) is None:
+                    continue  # nothing to add to the sum, the faces or the peak
+                axes, weights = [a[c] for a, c in zip(axes, cut)], [v[c] for v, c in zip(weights, cut)]
                 step = max(1, _GRID_BLOCK // math.prod(map(len, axes[1:])))
                 for i in range(0, len(axes[0]), step):
                     rows = slice(i, i + step)
                     block = np.ix_(axes[0][rows], *axes[1:])
                     values = F(block)
-                    if not (np.ndim(values) or values):
-                        continue  # a 0-d zero adds nothing to the sum, the faces or the peak
                     if first and refuse:
                         size = np.abs(values)
                         if not (top := size.max()) < math.inf:  # numpy's max keeps a NaN
@@ -118,7 +123,6 @@ def _trapezoid_levels(F, widths, nodes: int, n: int, refuse=None):
                         peak = max(peak, top)
                         faces = np.maximum(faces, [size.max(where=b == e, initial=0.0) for b in block for e in (-W, W)])
                     total += np.sum(math.prod(np.ix_(weights[0][rows], *weights[1:])) * values)
-                points += math.prod(map(len, axes))
             value = complex((2 * W / (count - 1)) ** n * total)
             if first and refuse and (refusal := refuse(faces, peak, value)):
                 break
@@ -242,15 +246,15 @@ def _plane_formula(sigma, beta_I, gamma, w, phase):
 
 
 def _plane_integrand(system, k, beta, x):
-    """The plane integrand g(sigma) on an open grid, after checking its
-    preconditions.  g runs _plane_formula on the box of nodes whose bound on
-    Re total reaches -746, and is 0 elsewhere (a 0-d zero for an empty box).
-    The bound sums rho_i = -e^sigma_i - Re beta_i sigma_i + sum Re(w_r)
-    e^(gamma_ri sigma_i) over rows on axis i alone: any other row adds Re(w_r)
+    """The plane integrand g(sigma) = _plane_formula on an open grid, after
+    checking its preconditions, with the box hook of _trapezoid_levels: the
+    nodes of a product set whose bound on Re total reaches -746.  The bound
+    sums rho_i = -e^sigma_i - Re beta_i sigma_i + sum Re(w_r) e^(gamma_ri
+    sigma_i) over rows on axis i alone: any other row adds Re(w_r)
     e^<gamma_r, sigma> <= 0 (Re w_r < 0 or x_r = 0, checked below), rounding is
     monotone, and a 1e-12 relative slack covers both sides' rounding.  A rho_i
     that is not finite, or a |w_r| e^<gamma_r, sigma> or |beta_i sigma_i| that
-    could overflow, makes the box the whole block, keeping NaN and overflow."""
+    could overflow, makes the box the whole set, keeping NaN and overflow."""
     base = system.base
     n = base.parent.n
     if np.max(np.abs(base.parent.omega.imag)) > 1e-12:
@@ -279,7 +283,9 @@ def _plane_integrand(system, k, beta, x):
     room = 700.0 - np.log(np.maximum(np.abs(w), 1.0))
 
     def g(sigma):
-        axes = [s.ravel() for s in sigma]
+        return _plane_formula(sigma, beta_I, gamma, w, phase)
+
+    def box(axes):
         with np.errstate(over="ignore", invalid="ignore"):
             rho, reach, span = [], 0.0, 0.0
             for (rates, sizes), b, c, s in zip(decays, beta_I, gamma.T, axes):
@@ -288,13 +294,10 @@ def _plane_integrand(system, k, beta, x):
                 reach, span = reach + np.outer(c, s).max(axis=1), span + abs(b) * np.abs(s).max()
             whole = not (np.all(reach <= room) and span < 1e300 and all(np.isfinite(bound.min()) for bound in rho))
             keep = [whole | (bound + sum(other.max() for other in rho if other is not bound) >= -746.0) for bound in rho]
-        if not all(kept.any() for kept in keep):
-            return np.zeros((), np.complex128)
-        box = tuple(slice(kept.argmax(), kept.size - kept[::-1].argmax()) for kept in keep)
-        out = np.zeros(tuple(s.size for s in axes), np.complex128)
-        out[box] = _plane_formula(np.ix_(*(s[part] for s, part in zip(axes, box))), beta_I, gamma, w, phase)
-        return out
+        if all(kept.any() for kept in keep):
+            return tuple(slice(kept.argmax(), kept.size - kept[::-1].argmax()) for kept in keep)
 
+    g.box = box
     return g
 
 

@@ -23,9 +23,11 @@ _BLOCK_POINTS = 2**17  # support points per block: bounds the double sum's memor
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Entire test function.  The pairings probe it once per distinct support
-    point of a block, in no promised order: with a complex scalar when the
-    shift vectors are one-dimensional, a float row otherwise."""
+    """Entire test function on arrays of points.  The pairings call it once
+    per block on the block's distinct support points, in no promised order: a
+    (P,) complex array for one-dimensional shift vectors, else a (P, n) float
+    array; it returns values that broadcast to (P,).  A plain callable is
+    probed point by point instead, with a complex scalar or a float row."""
 
     __test__ = False  # keep pytest collection away from the Test- prefix
 
@@ -43,8 +45,11 @@ class PairingResult:
     tail_estimate: float
 
 
-def _as_callable(phi):
-    return phi.fn if isinstance(phi, TestFunction) else phi
+def _on_arrays(phi):
+    """phi as a function of a block's points: a TestFunction as it is, a plain callable one point at a time."""
+    if isinstance(phi, TestFunction):
+        return phi.fn
+    return lambda points: np.asarray([phi(complex(p)) if points.ndim == 1 else phi(p) for p in points], np.complex128)
 
 
 def _truncation(value, name: str) -> int:
@@ -68,15 +73,15 @@ def _unit_comb(fn, truncation: int, what: str) -> PairingResult:
 
 def gamma_plus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the alternating comb on the nonpositive integers:
-    sum of (-1)^m phi(-m)/m!.  Scalar probes complex(-m), m an int."""
-    fn = _as_callable(phi)
-    return _unit_comb(lambda z: (-1) ** round(z.real) * fn(complex(-round(z.real))),
+    sum of (-1)^m phi(-m)/m!, probed at -m with +0.0 at m = 0."""
+    fn = _on_arrays(phi)
+    return _unit_comb(lambda z: np.where(z.real % 2, -1.0, 1.0) * fn((0.0 - z.real).astype(np.complex128)),
                       truncation, "gamma-plus pairing")
 
 
 def gamma_minus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the comb on the nonnegative integers: sum of phi(m)/m!."""
-    return _unit_comb(_as_callable(phi), truncation, "gamma-minus pairing")
+    return _unit_comb(_on_arrays(phi), truncation, "gamma-minus pairing")
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -100,8 +105,8 @@ def _comb_sums(ell: np.ndarray, ms: np.ndarray, fn, R: int, what: str = "inner c
     # the points of one m are distinct by construction: one probe each
     flat = points.reshape(-1, n)
     distinct, inverse = _distinct_rows(flat) if len(ms) > 1 else (flat, np.arange(len(flat)))
-    probes = [fn(complex(p[0])) if n == 1 else fn(p) for p in distinct]
-    terms = np.asarray(probes, dtype=np.complex128)[inverse.reshape(points.shape[:2])]
+    probes = np.asarray(fn(distinct[:, 0].astype(np.complex128) if n == 1 else distinct), np.complex128)
+    terms = np.broadcast_to(probes, len(distinct))[inverse.reshape(points.shape[:2])]
     # a probe past the double range gives non-finite sums, which _not_decaying judges
     with np.errstate(invalid="ignore", over="ignore"):
         terms /= mfact
@@ -124,15 +129,15 @@ def _ell_matrix(ell) -> np.ndarray:
 
 def cm_pair(ell, m, phi, R: int = 40) -> complex:
     """Inner comb coefficient: the pairing of one outer term's support comb
-    with the test function.  ``ell`` has one shift vector per row; probes are
-    scalars when the vectors are one-dimensional, arrays otherwise."""
+    with the test function.  ``ell`` has one shift vector per row; phi sees
+    the points as TestFunction says."""
     mat = _ell_matrix(ell)
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mat.shape[0],):
         raise InvalidInputError("multi-index length must match the row count")
     if np.any(m != np.round(m)) or np.any(m < 0):
         raise InvalidInputError("multi-index entries must be nonnegative integers")
-    values, _ = _comb_sums(mat, m[None, :], _as_callable(phi), _truncation(R, "R"))
+    values, _ = _comb_sums(mat, m[None, :], _on_arrays(phi), _truncation(R, "R"))
     return complex(values[0])
 
 
@@ -150,7 +155,7 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
     if x.shape != (q,):
         raise InvalidInputError("x must list one value per shift vector")
     M, R = _truncation(M, "M"), _truncation(R, "R")
-    fn = _as_callable(phi)
+    fn = _on_arrays(phi)
     outer, degrees, mfact = _shells(q, M)
     weights = np.prod(x**outer, axis=1) / mfact
     rows = max(1, _BLOCK_POINTS // len(_shells(mat.shape[1], R)[0]))
@@ -168,13 +173,15 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
 
 
 def smooth_bump(half_width: float = 3.0):
-    """Gaussian-windowed bump supported on [-half_width, half_width]."""
+    """Gaussian-windowed bump supported on [-half_width, half_width], taken
+    elementwise on an array and as a float on a scalar."""
 
-    def psi(xi: float) -> float:
-        t = xi / half_width
-        if abs(t) >= 1.0:
-            return 0.0
-        return float(np.exp(-(xi**2) / 2.0) * np.exp(-1.0 / (1.0 - t * t)))
+    def psi(xi):
+        xi = np.asarray(xi, dtype=np.float64)
+        t = np.minimum(np.abs(xi / half_width), 1.0)  # exp(-1/0) = 0 from |t| = 1 on
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.exp(-(xi**2) / 2.0) * np.exp(-1.0 / (1.0 - t * t))
+        return out if out.ndim else float(out)
 
     return psi
 
@@ -195,8 +202,9 @@ def fourier_consistency_check(
 
     Compares 2*pi times the integral of exp(e^(i xi) + x e^(i ell xi))
     psi(-xi) against the comb pairing of the transform
-    phi(z) = 2*pi * integral of psi(xi) e^(-i z xi).  ``perturbation`` is
-    added to ell on the integral side only (negative-control hook).
+    phi(z) = 2*pi * integral of psi(xi) e^(-i z xi).  ``psi`` takes the
+    array of quadrature nodes.  ``perturbation`` is added to ell on the
+    integral side only (negative-control hook).
     """
     if nodes < 64:
         raise InvalidInputError("need at least 64 quadrature nodes")
@@ -204,17 +212,20 @@ def fourier_consistency_check(
     h = xi[1] - xi[0]
     weights = np.full(nodes, h)
     weights[0] = weights[-1] = h / 2.0
-    psi_vals = np.asarray([psi(float(t)) for t in xi], dtype=np.complex128)
+    psi_vals = np.asarray(psi(xi), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         kernel = np.exp(np.exp(1j * xi) + x * np.exp(1j * (ell + perturbation) * xi))
         lhs = _TWO_PI * np.sum(weights * kernel * psi_vals[::-1])
     if not np.isfinite(lhs):
         raise ConvergenceError(f"oscillatory quadrature overflowed (support={support}, x={x})")
 
-    def transform(z: complex) -> complex:
-        return _TWO_PI * complex(np.sum(weights * psi_vals * np.exp(-1j * z * xi)))
+    weighted, chunk = weights * psi_vals, max(1, _BLOCK_POINTS // nodes)
 
-    rhs = gg_distribution_pair([[ell]], [x], transform, M, R)
+    def transform(z):  # one sum over the nodes per point, as (chunk x nodes) products
+        return np.concatenate([_TWO_PI * np.sum(weighted * np.exp((-1j * z[i:i + chunk])[:, None] * xi), axis=1)
+                               for i in range(0, len(z), chunk)])
+
+    rhs = gg_distribution_pair([[ell]], [x], TestFunction(transform), M, R)
     return residual_report(
         "fourier-consistency", [abs(lhs - rhs.value)], [abs(lhs), abs(rhs.value)], tolerance
     )

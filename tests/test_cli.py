@@ -22,7 +22,7 @@ import ggsys
 from ggsys.cli import _FIELDS, _OMITTED, main, run
 from ggsys.cli import _write as write_report
 from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
-from ggsys.distributions import TestFunction, gg_distribution_pair
+from ggsys.distributions import gamma_minus_pair, gamma_plus_pair, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, enumerate_bases, select_base, vector_set
 from ggsys.resonance import analyze_vector, decompose_structure
@@ -913,17 +913,28 @@ def test_plane_adaptive_flag_is_read(tmp_path, adaptive):
     assert results["contour"]["adaptive"] is adaptive
 
 
-@pytest.mark.parametrize("phi, probe", [
-    ({"kind": "power", "degree": 2}, lambda s: s**2),
-    ({"kind": "exponential", "rate": [0.5, 0.0]}, lambda s: np.exp(0.5 * s)),
-], ids=["power", "exponential"])
-def test_distribution_phi_kinds(tmp_path, phi, probe):
-    cfg = {"task": "distribution", "omega": [[1]], "distribution": {"ell": [1], "x": [0.3], "phi": phi}}
+@pytest.mark.parametrize("phi, probe, ell, x", [
+    ({"kind": "power", "degree": 2}, lambda s: s**2, [1], [0.3]),
+    ({"kind": "exponential", "rate": [0.5, 0.0]}, lambda s: np.exp(0.5 * s), [1], [0.3]),
+    ({"kind": "constant"}, lambda s: 1.0, [1], [0.3]),
+    ({"kind": "poly-exp", "degree": 3, "rate": [-0.4, 0.2]}, lambda s: s**3 * np.exp((-0.4 + 0.2j) * s), [0.7], [-0.2]),
+    ({"kind": "constant"}, lambda s: 1.0, [[1.0], [0.37]], [0.3, -0.25]),
+    ({"kind": "constant"}, lambda s: 1.0, [[1.0, 0.0], [0.5, 1.0]], [0.3, -0.25]),
+], ids=["power", "exponential", "constant", "poly-exp", "constant-q2", "constant-q2-n2"])
+def test_distribution_phi_kinds(tmp_path, phi, probe, ell, x):
+    # each kind takes a block's points as one array; the plain callable, probed point by point, gives the same bits
+    rows = np.atleast_2d(ell).tolist()
+    omega = np.eye(len(rows[0]), dtype=int).tolist()
+    cfg = {"task": "distribution", "omega": omega, "distribution": {"ell": ell, "x": x, "phi": phi}}
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
-    pairing = _report(out)["results"]["pairing"]
-    want = gg_distribution_pair([[1]], [0.3], TestFunction(probe))
-    assert complex(*pairing["value"]) == want.value
+    results = _report(out)["results"]
+    want = gg_distribution_pair(rows, x, probe)
+    assert complex(*results["pairing"]["value"]) == want.value
+    assert results["pairing"]["tail_estimate"] == want.tail_estimate
+    if len(omega) == 1:
+        for name, pair in (("gamma_plus", gamma_plus_pair), ("gamma_minus", gamma_minus_pair)):
+            assert complex(*results[name]["value"]) == pair(probe).value, name
 
 
 def test_distribution_phi_past_one_dimension_must_be_constant(tmp_path):

@@ -459,14 +459,18 @@ def formula_sizes(monkeypatch):
          "2d-zero-x-row", "2d-zero-x-row-overflows"],
 )
 def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(formula_sizes, omega, beta, x, axes, box, kind):
+    # the formula on the box of the axes, scattered into zeros, is the stacked formula on the whole grid, to the bit
     system = ReducedSystem(select_base(vector_set(omega), tuple(range(1, len(axes) + 1))))
     k = (0,) * len(axes)
-    grid = np.ix_(*axes)
     with np.errstate(all="ignore"):
-        want = _stacked_plane_integrand(system, k, beta, x)(np.stack(np.broadcast_arrays(*grid)))
-        got = contour._plane_integrand(system, k, beta, x)(grid)
-    assert got.shape == (() if box == "none" else want.shape)  # an empty box gives a 0-d zero
-    assert np.array_equal(np.broadcast_to(got, want.shape), want, equal_nan=True)
+        want = _stacked_plane_integrand(system, k, beta, x)(np.stack(np.broadcast_arrays(*np.ix_(*axes))))
+        g = contour._plane_integrand(system, k, beta, x)
+        cut = g.box(axes)
+        got = np.zeros(want.shape, np.complex128)
+        if cut is not None:
+            got[cut] = g(np.ix_(*(a[c] for a, c in zip(axes, cut))))
+    assert (cut is None) == (box == "none")  # None: no node of the grid can be nonzero
+    assert np.array_equal(got, want, equal_nan=True)
     if box == "part":
         assert len(formula_sizes) == 1 and 0 < formula_sizes[0] < want.size
     else:
@@ -490,15 +494,33 @@ def test_plane_integrand_on_an_open_grid_matches_the_stacked_formula(formula_siz
 def test_plane_integral_is_bit_identical_to_the_unpruned_formula(monkeypatch, omega, beta, x, spec):
     args = (vector_set(omega), (1, 2), (0, 0), beta, x, spec)
     got = shifted_plane_integral(*args)
+    build, sets = contour._plane_integrand, []
 
     def unpruned(system, k, beta, x):
-        formula = _stacked_plane_integrand(system, k, beta, x)
-        return lambda sigma: formula(np.stack(np.broadcast_arrays(*sigma)))
+        formula, box = _stacked_plane_integrand(system, k, beta, x), build(system, k, beta, x).box
+
+        def g(sigma):
+            return formula(np.stack(np.broadcast_arrays(*sigma)))
+
+        def recorded(axes):
+            sets.append((formula, axes, box(axes)))
+            return sets[-1][-1]
+
+        g.box = recorded
+        return g
 
     monkeypatch.setattr(contour, "_plane_integrand", unpruned)
     with np.errstate(all="ignore"):
         want = shifted_plane_integral(*args)
-    assert repr(got) == repr(want)  # value, error estimate and nodes_used, to the bit
+        outside = [formula(np.stack(np.meshgrid(*axes, indexing="ij"))) for formula, axes, _ in sets]
+    # the stacked formula summed over the same boxes: value, error estimate and nodes_used, to the bit
+    assert repr(got) == repr(want)
+    # on every product set the engine visited, the unpruned formula is exactly 0 outside the box
+    for values, (_, _, cut) in zip(outside, sets):
+        if cut is not None:
+            values[cut] = 0
+        assert not np.any(values != 0)  # a NaN fails too
+    assert any(cut is not None and values[cut].size < values.size for values, (_, _, cut) in zip(outside, sets))
 
 
 def test_the_fixed_769_plane_runs_its_formula_on_few_nodes(formula_sizes):

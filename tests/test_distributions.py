@@ -206,6 +206,35 @@ def test_gg_pair_memory_is_bounded_by_the_block():
     assert calls[0] <= support // 100
 
 
+def test_a_test_function_sees_one_array_per_block():
+    # a (P,) complex array of distinct points when the shift vectors are 1-D, a (P, n) float array
+    # otherwise, once per block; the values are those of the same function probed point by point
+    calls = []
+
+    def phi(z):
+        calls.append((z.shape, z.dtype, len({tuple(np.atleast_1d(p).tolist()) for p in z})))
+        return np.exp(-0.3 * (z if z.ndim == 1 else z.sum(axis=1)))
+
+    one = lambda z: np.exp(-0.3 * np.sum(z))
+    cases = [
+        (lambda f: gamma_plus_pair(f, 30), [((31,), np.complex128, 31)]),
+        (lambda f: gamma_minus_pair(f, 30), [((31,), np.complex128, 31)]),
+        (lambda f: cm_pair([[1.0, 0.5], [0.3, 2.0]], [2, 1], f, 20), [((231,), np.float64, 231)]),
+        (lambda f: gg_distribution_pair([[1.0]], [0.5], f), [((66,), np.complex128, 66)]),
+    ]
+    for pairing, want in cases:
+        calls.clear()
+        got = pairing(TestFunction(phi))
+        assert [(shape[:1], dtype, count) for shape, dtype, count in calls] == want
+        assert calls[0][0] == want[0][0] + ((2,) if want[0][1] == np.float64 else ())
+        assert repr(got) == repr(pairing(one))
+    # 39,711 outer indices at 3,196 per block (41 inner shells each): 13 blocks, 13 calls
+    calls.clear()
+    gg_distribution_pair([[1.0], [0.5], [0.25]], [0.3, -0.2, 0.1], TestFunction(phi), M=60, R=40)
+    assert len(calls) == -(-math.comb(63, 3) // (_BLOCK_POINTS // 41)) == 13
+    assert all(len(shape) == 1 and dtype == np.complex128 and count == shape[0] for shape, dtype, count in calls)
+
+
 def test_gg_pair_double_exponential():
     # constant test function: sum x^m/m! times sum 1/r! = e^(x+1)
     for x in (1.0, 0.3, -0.2 + 0.1j):
@@ -281,6 +310,46 @@ def test_fourier_two_resolutions_agree():
     a = fourier_consistency_check(1.0, 0.3, smooth_bump(), nodes=1025)
     b = fourier_consistency_check(1.0, 0.3, smooth_bump(), nodes=2049)
     assert abs(a.max_rel_residual - b.max_rel_residual) <= 1e-5
+
+
+def test_fourier_transform_is_summed_row_by_row(monkeypatch):
+    # the transform at a block's distinct points is one (points x nodes) product per chunk of points,
+    # summed along the nodes: the same bits as the transform taken point by point
+    xi = np.linspace(-3.0, 3.0, 2049)
+    weights = np.full(2049, xi[1] - xi[0])
+    weights[[0, -1]] /= 2.0
+    psi = smooth_bump()
+    psi_vals = np.asarray([psi(float(t)) for t in xi], dtype=np.complex128)
+    per_point = lambda z: 2.0 * np.pi * complex(np.sum(weights * psi_vals * np.exp(-1j * z * xi)))
+    pair, seen = distributions.gg_distribution_pair, []
+
+    def recording(ell, x, phi, M, R):
+        sizes = []
+        got = pair(ell, x, TestFunction(lambda z: sizes.append(len(z)) or phi(z)), M, R)
+        seen.append((sizes, got, pair(ell, x, per_point, M, R)))
+        return got
+
+    monkeypatch.setattr(distributions, "gg_distribution_pair", recording)
+    fourier_consistency_check(1.0, 0.3, psi)
+    fourier_consistency_check(0.37, 0.3, psi)  # about 1,000 distinct points, in chunks of 63
+    assert [sizes for sizes, _, _ in seen] == [[66], [1066]]
+    assert all(repr(got) == repr(want) for _, got, want in seen)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_smooth_bump_takes_arrays_and_scalars():
+    psi = smooth_bump(2.5)
+    assert type(psi(0.5)) is float and psi(0.5) == np.exp(-0.125) * np.exp(-1.0 / (1.0 - 0.2 * 0.2))
+    assert psi(2.5) == psi(-3.0) == 0.0
+    points = np.r_[np.linspace(-3.0, 3.0, 241), -2.5, 2.5, 2.45]
+    got = psi(points)
+    assert got.shape == points.shape and got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [psi(float(v)).hex() for v in points]
+    for v in points.tolist():  # the per-point form, in Python floats
+        t = v / 2.5
+        assert psi(v) == (0.0 if abs(t) >= 1.0 else float(np.exp(-(v**2) / 2.0) * np.exp(-1.0 / (1.0 - t * t))))
+    assert psi(np.inf) == psi(1e200) == 0.0 and np.isnan(psi(np.nan))
+    assert got[-1] > 0 and not got[np.abs(points) >= 2.5].any()
 
 
 def test_fourier_node_floor():
