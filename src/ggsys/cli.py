@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -216,6 +217,14 @@ def _vector_set_from(cfg: dict) -> VectorSet:
 # these (a family's report is listed under "checks").
 _OMITTED = {FamilyRankResult: ("report",), ResonanceAnalysis: ("span_basis",)}
 _encode = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
+_enumerate_bases = _blame("omega")(enumerate_bases)  # a set past the subset cap is an invalid omega
+# a leaf's text, given the pad that starts its own line (a bool is not an int here)
+_LEAF = {
+    float: lambda v, pad: float.__repr__(v) if math.isfinite(v) else "null",
+    complex: lambda v, pad: f"[{pad}  {_LEAF[float](v.real, pad)},{pad}  {_LEAF[float](v.imag, pad)}{pad}]",
+    int: lambda v, pad: int.__repr__(v),
+    str: lambda v, pad: _encode(v),
+}
 
 
 def _fields(obj) -> dict:
@@ -229,25 +238,25 @@ def _write(obj, pad: str = "\n") -> str:
     starts each line of ``obj``'s own level."""
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        # a flat integer row (a base, a representative) is joined in one step
-        flat = all(type(v) is int for v in obj)
-        items = map(int.__repr__, obj) if flat else [_write(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
+        # a table of equal int rows (bases, representatives) is one %-format,
+        # and a list of leaves of one type (a row of floats) one comprehension
+        kinds = {*map(type, obj)}
+        cells = [*itertools.chain.from_iterable(obj)] if kinds <= {list, tuple} and len({*map(len, obj)}) == 1 else ()
+        if cells and {*map(type, cells)} == {int}:
+            row = "[" + inner + "  " + ("%d," + inner + "  ") * (len(obj[0]) - 1) + "%d" + inner + "]"
+            return ("[" + inner + ("," + inner).join([row] * len(obj)) + pad + "]") % tuple(cells)
+        leaf = _LEAF.get(kinds.pop(), _write) if len(kinds) == 1 else _write
+        return "[" + inner + ("," + inner).join([leaf(v, inner) for v in obj]) + pad + "]" if obj else "[]"
     if isinstance(obj, dict):
         items = [f"{_encode(k)}: {_write(v, inner)}" for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if obj else "{}"
-    if isinstance(obj, float):  # a numpy float64 too
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return _write(obj.tolist(), pad)
-    if isinstance(obj, complex):
-        return _write([obj.real, obj.imag], pad)
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _encode(obj)
+    for kind, leaf in _LEAF.items():  # a numpy float64 or complex128 too
+        if isinstance(obj, kind):
+            return leaf(obj, pad)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _write(obj.tolist(), pad)
     if is_dataclass(obj):
         return _write(_fields(obj), pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -270,7 +279,7 @@ def _base_or_default(cfg: dict, A: VectorSet):
 
 
 def _task_bases(cfg: dict, A: VectorSet, params: dict):
-    bases = enumerate_bases(A)
+    bases = _enumerate_bases(A)
     results = {
         "bases": [list(b.I) for b in bases],
         "base_count": len(bases),
@@ -459,7 +468,7 @@ def _task_family(cfg: dict, A: VectorSet, params: dict):
     if params["truncation"] < 1:
         raise _bad("truncation", "must be >= 1 for the family task")
     sv_threshold = _get(cfg, "sv_threshold")
-    bases = _get(cfg, "bases", N=A.N) or [b.I for b in enumerate_bases(A)]
+    bases = _get(cfg, "bases", N=A.N) or [b.I for b in _enumerate_bases(A)]
     with _blame("bases"):
         family = candidate_family(A, bases)
     # only the convergence-domain failure belongs to the bases; a truncation

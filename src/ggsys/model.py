@@ -8,6 +8,7 @@ numpy arrays are addressed 0-based internally, converted at the boundary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +21,10 @@ from .errors import InvalidInputError
 _RANK_TOL = 1e-10
 # membership and equal-vector tolerance of reducibility_check
 _REDUCIBILITY_TOL = 1e-9
-# most n-subsets _iter_bases tests with one batched QR
-_BASE_BLOCK = 256
+# most n-subsets _iter_bases tests with one batched LU
+_BASE_BLOCK = 2048
+# most n-subsets enumerate_bases will test
+_MAX_SUBSETS = 2**20
 
 
 def _rank_count(s: np.ndarray) -> np.ndarray:
@@ -155,28 +158,30 @@ def select_base(A: VectorSet, labels) -> BaseSelection:
 
 def _full_rank(cols: np.ndarray) -> np.ndarray:
     """``_rank_count(np.linalg.svd(cols, compute_uv=False)) == n`` for a stack
-    of n x n matrices M, most of them decided by one batched QR.
+    of n x n matrices M, most of them decided by one batched LU (slogdet).
 
-    The computed R is the exact R of M + E, ||E|| <= slack = 1e-12 ||M||_F
-    (Householder QR's backward error is about n^2 eps ||M||: Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 19.4).  R has the singular
-    values of M + E, and ||M||_F / sqrt(n) <= sigma_max <= ||M||_F.  So M is
-    - dependent if min|r_ii| + slack <= 1e-10 max(1, ||M||_F / sqrt(n)), as
-      sigma_min <= min|r_ii|;
-    - independent if prod|r_ii| / ||R||_F^(n-1) - slack > 1e-10 max(1,
-      ||M||_F), as sigma_min >= |det R| / sigma_max^(n-1);
-    and the rule decides it the same with nearly all the slack to spare.  A
-    bound that is not finite decides nothing; the rest go through the SVD.
+    Partial pivoting gives LU = PM + E, |E| <= gamma_n |L||U| (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 9.3), |l_ij| <= l = 1 (sqrt 2 if
+    complex: LAPACK pivots on |Re| + |Im|), |u_ij| <= (1 + l)^(n-1) max|m_ij|, so
+    ||E|| <= slack = g F, g = (n+2) eps l n(n+1)/2 (1+l)^(n-1), F = max(||M||_F,
+    1e-10) (a smaller ||M||_F may have underflowed, and the rule reads M dependent).
+    M is dependent if a pivot is exactly 0 (sigma_min <= slack) and slack <= 1e-10
+    max(1, F / sqrt(n)) <= 1e-10 max(1, sigma_max); independent if |det| / (F +
+    slack)^(n-1) - slack > 1e-10 max(1, F), as sigma_min(LU) >= |det| /
+    sigma_max(LU)^(n-1) (the ratio taken in logs).  Growth far below its bound
+    leaves the verdict room to spare.  No bound decides once g >= 1e-10 (n >= 11
+    real, 9 complex) or when not finite; the rest go through the SVD.
     """
-    n = cols.shape[-1]
-    with np.errstate(all="ignore"):
-        R = np.linalg.qr(cols if np.any(cols.imag) else cols.real, mode="r")
-        r = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-        size, fro = np.linalg.norm(R, axis=(-2, -1)), np.linalg.norm(cols, axis=(-2, -1))
-        low = r.min(axis=-1) + 1e-12 * fro
-        high = np.prod(r / size[:, None], axis=-1) * size - 1e-12 * fro
-        dependent = np.isfinite(fro) & (low <= _RANK_TOL * np.maximum(1.0, fro / np.sqrt(n)))
-        full = high > _RANK_TOL * np.maximum(1.0, fro)
+    n, l = cols.shape[-1], 2**0.5 if np.any(cols.imag) else 1.0
+    M = cols.real if l == 1 else cols
+    g = (n + 2) * np.finfo(float).eps * l * n * (n + 1) / 2 * (1 + l) ** (n - 1)
+    full, dependent = np.zeros((2, len(cols)), dtype=bool)
+    if g < _RANK_TOL:
+        with np.errstate(all="ignore"):
+            sign, logdet = np.linalg.slogdet(M)
+            F = np.maximum(np.linalg.norm(M, axis=(-2, -1)), _RANK_TOL)
+            dependent = (sign == 0) & np.isfinite(F) & (g * F <= _RANK_TOL * np.maximum(1.0, F / np.sqrt(n)))
+            full = np.exp(logdet - (n - 1) * np.log(F + g * F)) - g * F > _RANK_TOL * np.maximum(1.0, F)
     undecided = ~(dependent | full)
     if undecided.any():
         full[undecided] = _rank_count(np.linalg.svd(cols[undecided], compute_uv=False)) == n
@@ -186,22 +191,23 @@ def _full_rank(cols: np.ndarray) -> np.ndarray:
 def _iter_bases(A: VectorSet):
     """Bases one at a time, in lexicographic label order.
 
-    The n-subsets are tested in blocks, each through ``_full_rank``; the
-    blocks double in size up to _BASE_BLOCK, so the first base costs one
-    factorization when the first subset is independent.
+    The n-subsets are tested in blocks of index rows, each through
+    ``_full_rank``; the blocks double in size up to _BASE_BLOCK, so the first
+    base costs one LU when the first subset is independent.
     """
-    subsets = itertools.combinations(range(1, A.N + 1), A.n)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(A.N), A.n))
     size = 1
-    while block := list(itertools.islice(subsets, size)):
-        cols = np.swapaxes(A.omega[np.asarray(block) - 1], 1, 2)
-        independent = _full_rank(cols)
-        for I in itertools.compress(block, independent):
-            yield BaseSelection(A, I)
+    while len(block := np.fromiter(itertools.islice(subsets, size * A.n), dtype=np.intp).reshape(-1, A.n)):
+        for I in (block[_full_rank(np.swapaxes(A.omega[block], 1, 2))] + 1).tolist():
+            yield BaseSelection(A, tuple(I))
         size = min(2 * size, _BASE_BLOCK)
 
 
 def enumerate_bases(A: VectorSet) -> list[BaseSelection]:
-    """All bases, in lexicographic label order (exhaustive; desk scale)."""
+    """All bases, in lexicographic label order; a set with more than
+    _MAX_SUBSETS n-subsets is refused before any is tested."""
+    if (count := math.comb(A.N, A.n)) > _MAX_SUBSETS:
+        raise InvalidInputError(f"{count} subsets of {A.n} vectors to test, above the {_MAX_SUBSETS} cap")
     return list(_iter_bases(A))
 
 

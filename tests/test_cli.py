@@ -1,6 +1,7 @@
 """End-to-end tests for the JSON config / report front-end."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, 
 from ggsys.distributions import gamma_minus_pair, gamma_plus_pair, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, enumerate_bases, select_base, vector_set
-from ggsys.resonance import analyze_vector, decompose_structure
+from ggsys.resonance import analyze_vector, decompose_structure, grassmannian_set
 from ggsys.series import SeriesSpec, gg_series_eval, mixed_gamma_series_eval, reduced_series_eval
 from ggsys.verify import FamilyRankResult, residual_report
 
@@ -660,6 +661,17 @@ def test_a_resonance_sweep_refusal_names_omega(tmp_path, monkeypatch):
     assert _report(out)["error"] == "omega: chain tops overlap; direction is not consistent"
 
 
+@pytest.mark.parametrize("task", ["bases", "family"])
+def test_a_set_past_the_subset_cap_names_omega(tmp_path, task):
+    # 24 vectors in dimension 12: C(24, 12) = 2,704,156 12-subsets, above 2**20
+    omega = np.vstack([np.eye(12, dtype=int), np.random.default_rng(0).integers(-3, 4, size=(12, 12))])
+    out = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    assert main(["--config", _write(tmp_path, {"task": task, "omega": omega.tolist()}), "--quiet", "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert _report(out)["error"] == "omega: 2704156 subsets of 12 vectors to test, above the 1048576 cap"
+
+
 def test_mixed_eval_overflow_exits_1_with_its_cause(tmp_path, capsys):
     # the numerator factor Gamma(180.3 - m) is past the double range
     cfg = _MIXED | {"beta": [[-180.3, 0.7]]}
@@ -1109,8 +1121,12 @@ _LEAVES = st.one_of(
     st.builds(np.bool_, st.booleans()), st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
     st.builds(np.float64, _FLOATS), st.builds(np.complex128, _COMPLEX), _ARRAYS,
 )
+# rectangular tables of int rows (bases, quotient representatives), lists or tuples
+_INT_TABLES = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(st.integers(-(10**20), 10**20), min_size=width, max_size=width), max_size=5)
+).flatmap(lambda rows: st.sampled_from([rows, [tuple(r) for r in rows], tuple(rows)]))
 _TREES = st.recursive(
-    _LEAVES,
+    _LEAVES | _INT_TABLES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_STRINGS | st.integers(-9, 9), inner, max_size=4),
@@ -1120,9 +1136,37 @@ _TREES = st.recursive(
 
 @given(_TREES)
 @example({"b": [-0.0, math.nan, (1, 2)], "a": {}, 10: [], 9: np.array([[1 + 2j]])})
+@example([[3], [-1], [10**30]])  # width 1
+@example([(1, 2), (3, 4)])  # tuple rows
+@example([[1, True], [3, 4]])  # a bool is no int cell
+@example([[1, np.int64(2)], [3, 4]])  # nor a numpy int
+@example([[1, 2], [3]])  # ragged
+@example([[1, 2], [3, 4, 5], [6]])  # ragged, cell count a multiple of the first row
+@example([[], []])  # empty rows
+@example({"bases": [[1, 2, 3], [1, 2, 4]], "x": [[0.5, math.inf]], "z": [1 + 2j, complex(math.nan, -0.0)]})
+@example([[1.5, -0.0], [math.nan, 2.0], [1j, 2]])  # rows of floats, a mixed row
+@example(["a", "\u2028"])
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_the_pair_it_replaced(obj):
     assert write_report(obj) == _dumps(obj)
+
+
+# A G(3,5) bases report (2,025 bases) and a lattice report with a 14-point
+# quotient: integers and small exact floats only, so their bytes are the same
+# under every numpy build, and these hashes pin the writer.
+_PINNED_REPORTS = [
+    ({"task": "bases", "omega": grassmannian_set(3, 5).vectors.omega.real.astype(int).tolist()},
+     "6cfb0a0b59c2e34f33375503db13e9027f99359638f2d93626e15d5ec5458cef"),
+    ({"task": "lattice", "omega": [[3, 1], [-2, 4], [1, 0], [0, 1]], "base": [1, 2]},
+     "5536f1a50b7bf406b37230c142dff88b58291f54935b923813f797c7059eb71c"),
+]
+
+
+@pytest.mark.parametrize("cfg, sha256", _PINNED_REPORTS, ids=["bases G(3,5)", "lattice quotient"])
+def test_integer_reports_keep_their_bytes(tmp_path, cfg, sha256):
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_writer_applies_the_omitted_rule():

@@ -242,6 +242,10 @@ def _svd_subsets_vs_rule(A, monkeypatch):
     return sum(sent)
 
 
+_DEPENDENT_ROWS = np.random.default_rng(5).normal(size=(5, 3))
+_DEPENDENT_ROWS[4] = 0.3 * _DEPENDENT_ROWS[0] + 0.7 * _DEPENDENT_ROWS[1]
+
+
 @pytest.mark.parametrize(
     "rows,bases,svd_subsets",
     [
@@ -257,13 +261,84 @@ def _svd_subsets_vs_rule(A, monkeypatch):
         # sigma_min = 1.2e-10 of (1, 2, 3) clears the floor 1e-10 * sigma_max,
         # though not 1e-10 * ||M||_F; the screen leaves it to the SVD
         ([(1, 0, 0), (0, 1, 0), (0, 0, 1.2e-10), (0, 0, 1)], 2, 1),
+        # the fifth vector is 0.3 a + 0.7 b in floating point: the LU of (a, b, e)
+        # meets a tiny pivot, not an exact 0, so the SVD reads it as dependent
+        (_DEPENDENT_ROWS, 9, 1),
+        # complex integers pivot exactly, as real integers do
+        (grassmannian_set(2, 5).vectors.omega * (1 + 1j), 80, 0),
+        # n = 10, where the slack is 7.5e-11 ||M||_F: it keeps the 9 exact zero
+        # pivots (||M||_F = 3) from reading as dependent, and the subset with
+        # sigma_min = 8e-6 from passing on |det| / ||M||_F^9 = 4.1e-10 alone
+        (np.vstack([np.eye(10), 8e-6 * np.eye(10)[9]]), 2, 10),
+        # |det| of (1, 2, 3) is 1e439, past the double range: the screen reads the
+        # ratio |det| / ||M||_F^2 = 5e138 in logs and leaves it to the SVD
+        (np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1e-11), (0, 0, 1)]) * 1e150, 1, 1),
+        # n = 12: the growth bound passes the rule's tolerance, so the screen decides nothing
+        (np.random.default_rng(12).normal(size=(13, 12)), 13, 13),
     ],
-    ids=["G(2,5)", "G(3,5)", "complex 4x10", "G(2,4)*1e160", "zero vector", "zero 1x1", "near the floor"],
+    ids=[
+        "G(2,5)", "G(3,5)", "complex 4x10", "G(2,4)*1e160", "zero vector", "zero 1x1", "near the floor",
+        "0.3a+0.7b", "G(2,5)*(1+i)", "n=10 slack", "det past the range", "random n=12",
+    ],
 )
 def test_full_rank_screen_matches_the_svd_rule(rows, bases, svd_subsets, monkeypatch):
     A = vector_set(rows)
     assert _svd_subsets_vs_rule(A, monkeypatch) == svd_subsets
     assert len(enumerate_bases(A)) == bases
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+def test_full_rank_screen_on_a_tiny_set(scale, monkeypatch):
+    # every subset is dependent by the rule (sigma_max < 1e-10), which no
+    # vector set admits; the exact zero pivots are read off the LU, and the 32
+    # nonsingular subsets go to the SVD (at 1e-300 ||M||_F underflows to 0)
+    A = grassmannian_set(2, 4).vectors
+    cols = np.swapaxes(A.omega[list(itertools.combinations(range(A.N), A.n))], 1, 2) * scale
+    svd, sent = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sent.append(len(a)) or svd(a, **kw))
+    assert not model._full_rank(cols).any()
+    assert sent == [32]
+
+
+_KINDS = ("real", "complex", "integer", "near-dependent")
+
+
+@given(st.sampled_from(_KINDS), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150]), st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-6]))
+@settings(max_examples=200, deadline=None)
+def test_full_rank_matches_the_svd_rule_on_random_stacks(kind, n, seed, scale, eps):
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(16, n, n)) + (1j * rng.normal(size=(16, n, n)) if kind == "complex" else 0)
+    if kind == "integer":
+        cols = rng.integers(-2, 3, size=(16, n, n)).astype(float)
+    if kind == "near-dependent" and n > 1:
+        # the last column is a combination of the others plus eps-sized noise
+        cols[..., -1] = (cols[..., :-1] @ rng.normal(size=(16, n - 1, 1)))[..., 0] + eps * rng.normal(size=(16, n))
+    cols = np.asarray(cols * scale, dtype=np.complex128)  # as _iter_bases passes them
+    rule = model._rank_count(np.linalg.svd(cols, compute_uv=False)) == n
+    assert np.array_equal(model._full_rank(cols), rule)
+
+
+def test_first_base_factors_one_lu_per_doubled_block(monkeypatch):
+    slogdet, blocks = np.linalg.slogdet, []
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: blocks.append(len(a)) or slogdet(a))
+    A = grassmannian_set(3, 5).vectors
+    # the first base of G(3,5) is its fifth 7-subset, in the third block
+    assert first_base(A).I == (1, 2, 3, 4, 5, 6, 11)
+    assert blocks == [1, 2, 4]
+    # led by that base, the set costs one LU of one subset
+    blocks.clear()
+    led = vector_set(A.omega[[0, 1, 2, 3, 4, 5, 10, 6, 7, 8, 9, 11, 12, 13, 14]])
+    assert first_base(led).I == tuple(range(1, 8))
+    assert blocks == [1]
+
+
+def test_enumerate_bases_refuses_a_set_past_the_subset_cap():
+    # C(24, 12) = 2,704,156 subsets, refused before any is tested
+    A = vector_set(np.vstack([np.eye(12), np.random.default_rng(0).integers(-3, 4, size=(12, 12))]))
+    with pytest.raises(InvalidInputError, match=r"2704156 subsets of 12 vectors to test, above the 1048576 cap"):
+        enumerate_bases(A)
+    assert first_base(A).I == tuple(range(1, 13))  # lazy and uncapped
 
 
 def test_full_rank_screen_sends_the_near_threshold_subsets_to_the_svd(monkeypatch):
