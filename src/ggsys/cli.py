@@ -419,13 +419,9 @@ def _phi_from(sub: dict, n: int) -> TestFunction:
         return TestFunction(lambda s: np.ones(len(s)))
     if n != 1:
         raise _bad("distribution.phi.kind", "only 'constant' is available when n > 1")
-    if kind == "power":
-        degree = _get(sub, "distribution.phi.degree")
-        return TestFunction(lambda s: s**degree)
-    rate = _get(sub, "distribution.phi.rate")
-    if kind == "exponential":
-        return TestFunction(lambda s: np.exp(rate * s))
-    degree = _get(sub, "distribution.phi.degree")
+    # s^degree e^(rate s): "power" has rate 0, "exponential" degree 0
+    degree = 0 if kind == "exponential" else _get(sub, "distribution.phi.degree")
+    rate = 0 if kind == "power" else _get(sub, "distribution.phi.rate")
     return TestFunction(lambda s: s**degree * np.exp(rate * s))
 
 
@@ -636,17 +632,19 @@ def run(config_path: str) -> tuple[dict, int]:
     return _jsonify(report), code
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="ggsys",
+    description="Run a task described by a JSON config and emit a JSON report.",
+)
+_PARSER.add_argument("--config", required=True, help="config path, or the name of a bundled config")
+_PARSER.add_argument("--out", help="also write the report to this path")
+for _key, _kind in (("seed", int), ("tolerance", float), ("truncation", int)):
+    _PARSER.add_argument(f"--{_key}", type=_kind, help=f"override the config {_key}")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ggsys",
-        description="Run a task described by a JSON config and emit a JSON report.",
-    )
-    parser.add_argument("--config", required=True, help="config path, or the name of a bundled config")
-    parser.add_argument("--out", help="also write the report to this path")
-    for key, kind in (("seed", int), ("tolerance", float), ("truncation", int)):
-        parser.add_argument(f"--{key}", type=kind, help=f"override the config {key}")
-    parser.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
-    opts = parser.parse_args(argv)
+    opts = _PARSER.parse_args(argv)
 
     report, code = _execute(opts.config, {key: getattr(opts, key) for key in ("seed", "tolerance", "truncation")})
     text = _write(report) + "\n"

@@ -42,7 +42,7 @@ class ContourSpec:
     ``nodes`` points per axis (``nodes + 1`` when even, the least grid holding
     a half-rate grid) and takes the error estimate from that half-rate grid's
     sum, from the same evaluations.  ``cutoff``, ``tolerance`` and
-    ``max_refinements`` must be finite and positive.
+    ``max_refinements`` must be finite and positive, and ``adaptive`` a bool.
     """
 
     nodes: int = 64
@@ -55,6 +55,8 @@ class ContourSpec:
         for name in ("nodes", "max_refinements"):
             if type(getattr(self, name)) is not int:  # a bool is refused too
                 raise InvalidInputError(f"{name} must be an integer")
+        if type(self.adaptive) is not bool:
+            raise InvalidInputError("adaptive must be true or false")
         if self.nodes < 16:
             raise InvalidInputError("need at least 16 quadrature nodes")
         for name in ("cutoff", "tolerance", "max_refinements"):

@@ -23,11 +23,11 @@ _BLOCK_POINTS = 2**17  # support points per block: bounds the double sum's memor
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Entire test function on arrays of points.  The pairings call it once
-    per block on the block's distinct support points, in no promised order: a
-    (P,) complex array for one-dimensional shift vectors, else a (P, n) float
-    array; it returns values that broadcast to (P,).  A plain callable is
-    probed point by point instead, with a complex scalar or a float row."""
+    """A named entire test function.  The pairings call any phi, this or a
+    plain callable alike, once per block on the block's distinct support
+    points, in no promised order: a (P,) complex array for one-dimensional
+    shift vectors, else a (P, n) float array; it returns values that
+    broadcast to (P,)."""
 
     __test__ = False  # keep pytest collection away from the Test- prefix
 
@@ -43,13 +43,6 @@ class PairingResult:
     inner_truncation: int
     outer_truncation: int
     tail_estimate: float
-
-
-def _on_arrays(phi):
-    """phi as a function of a block's points: a TestFunction as it is, a plain callable one point at a time."""
-    if isinstance(phi, TestFunction):
-        return phi.fn
-    return lambda points: np.asarray([phi(complex(p)) if points.ndim == 1 else phi(p) for p in points], np.complex128)
 
 
 def _truncation(value, name: str) -> int:
@@ -74,14 +67,13 @@ def _unit_comb(fn, truncation: int, what: str) -> PairingResult:
 def gamma_plus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the alternating comb on the nonpositive integers:
     sum of (-1)^m phi(-m)/m!, probed at -m with +0.0 at m = 0."""
-    fn = _on_arrays(phi)
-    return _unit_comb(lambda z: np.where(z.real % 2, -1.0, 1.0) * fn((0.0 - z.real).astype(np.complex128)),
+    return _unit_comb(lambda z: np.where(z.real % 2, -1.0, 1.0) * phi((0.0 - z.real).astype(np.complex128)),
                       truncation, "gamma-plus pairing")
 
 
 def gamma_minus_pair(phi, truncation: int = 40) -> PairingResult:
     """Pairing with the comb on the nonnegative integers: sum of phi(m)/m!."""
-    return _unit_comb(_on_arrays(phi), truncation, "gamma-minus pairing")
+    return _unit_comb(phi, truncation, "gamma-minus pairing")
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -137,7 +129,7 @@ def cm_pair(ell, m, phi, R: int = 40) -> complex:
         raise InvalidInputError("multi-index length must match the row count")
     if np.any(m != np.round(m)) or np.any(m < 0):
         raise InvalidInputError("multi-index entries must be nonnegative integers")
-    values, _ = _comb_sums(mat, m[None, :], _on_arrays(phi), _truncation(R, "R"))
+    values, _ = _comb_sums(mat, m[None, :], phi, _truncation(R, "R"))
     return complex(values[0])
 
 
@@ -155,11 +147,10 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
     if x.shape != (q,):
         raise InvalidInputError("x must list one value per shift vector")
     M, R = _truncation(M, "M"), _truncation(R, "R")
-    fn = _on_arrays(phi)
     outer, degrees, mfact = _shells(q, M)
     weights = np.prod(x**outer, axis=1) / mfact
     rows = max(1, _BLOCK_POINTS // len(_shells(mat.shape[1], R)[0]))
-    blocks = [_comb_sums(mat, outer[i:i + rows], fn, R) for i in range(0, len(outer), rows)]
+    blocks = [_comb_sums(mat, outer[i:i + rows], phi, R) for i in range(0, len(outer), rows)]
     inner, inner_last = (np.concatenate(parts) for parts in zip(*blocks))
     terms = inner * weights
     value = complex(terms.sum())
@@ -225,7 +216,7 @@ def fourier_consistency_check(
         return np.concatenate([_TWO_PI * np.sum(weighted * np.exp((-1j * z[i:i + chunk])[:, None] * xi), axis=1)
                                for i in range(0, len(z), chunk)])
 
-    rhs = gg_distribution_pair([[ell]], [x], TestFunction(transform), M, R)
+    rhs = gg_distribution_pair([[ell]], [x], transform, M, R)
     return residual_report(
         "fourier-consistency", [abs(lhs - rhs.value)], [abs(lhs), abs(rhs.value)], tolerance
     )

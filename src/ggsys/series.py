@@ -57,6 +57,8 @@ class SeriesSpec:
     def __post_init__(self):
         if self.mode not in ("reduced", "mixed"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
+        if type(self.truncation) is not int:  # a bool is refused too
+            raise InvalidInputError("truncation must be an integer")
         if self.truncation < 0:
             raise InvalidInputError("truncation must be nonnegative")
         base = self.system.base

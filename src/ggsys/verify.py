@@ -299,7 +299,7 @@ def check_reduced_system(
     F is a ``SeriesSpec`` of ``system``, differentiated term by term, or an
     evaluator (beta, x) -> complex, differentiated by central differences.
     Each sample computes the value, the r partials and the n + r shifted
-    values once, and both equations read them.  A spec of truncation M
+    values once, and both equations read them.  A spec of truncation M >= 1
     tabulates (beta, M), (beta - omega^i, M) for i in I and (beta - omega^j,
     M - 1) for j in J, for a block of samples in one ``reduced_series_batch``,
     and reads a sample's values from one power row at x, so its residuals
@@ -313,6 +313,8 @@ def check_reduced_system(
     A = base.parent
     if isinstance(F, SeriesSpec) and F.system is not system:
         raise InvalidInputError("the series spec belongs to another system")
+    if isinstance(F, SeriesSpec) and F.truncation < 1:
+        raise InvalidInputError("truncation must be >= 1: the off-base equation reads the series one order shorter")
     if points is not None:
         betas = [np.asarray(b, dtype=np.complex128) for b, _ in points]
         xs = [np.asarray(x, dtype=np.complex128) for _, x in points]
@@ -459,11 +461,13 @@ def solution_family_rank(
     one batch.  A common evaluation domain is found by shrinking the
     off-base argument coordinates until every member's series value is
     finite, with a finite and negligible tail, at every sample; failure to
-    find one raises DomainError.
+    find one raises DomainError.  ``truncation`` must be at least 1.
     """
     family = [(tuple(I), tuple(k)) for I, k in family]
     if not family:
         raise InvalidInputError("empty candidate family")
+    if truncation < 1:
+        raise InvalidInputError("truncation must be >= 1: a truncation-0 sum is its first term, whose tail never settles")
     rng = np.random.default_rng(seed)
     systems = {I: ReducedSystem(select_base(A, I)) for I, _ in family}
     first = systems[family[0][0]]

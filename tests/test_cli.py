@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ggsys
-from ggsys.cli import _FIELDS, _OMITTED, main, run
+from ggsys.cli import _FIELDS, _OMITTED, _phi_from, main, run
 from ggsys.cli import _write as write_report
 from ggsys.contour import ContourSpec, euler_segment_integral, hankel_integral, shifted_plane_integral
-from ggsys.distributions import gamma_minus_pair, gamma_plus_pair, gg_distribution_pair
+from ggsys.distributions import TestFunction, gamma_minus_pair, gamma_plus_pair, gg_distribution_pair
 from ggsys.errors import DomainError, InvalidInputError
 from ggsys.model import build_reduced_system, enumerate_bases, select_base, vector_set
 from ggsys.resonance import analyze_vector, decompose_structure, grassmannian_set
@@ -88,6 +89,18 @@ def test_seed_override_is_echoed(tmp_path):
     code = main(["--config", "gauss.json", "--quiet", "--out", str(out), "--seed", "5"])
     assert code == 0
     assert _report(out)["parameters"]["seed"] == 5
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    # the parser is built once, at import; a second call reads its flags afresh
+    monkeypatch.setattr(ggsys.cli.argparse, "ArgumentParser", None)
+    for seed in (5, 7):
+        out = tmp_path / f"report-{seed}.json"
+        assert main(["--config", "gauss.json", "--quiet", "--out", str(out), "--seed", str(seed)]) == 0
+        assert _report(out)["parameters"]["seed"] == seed
+    out = tmp_path / "report.json"
+    assert main(["--config", "gauss.json", "--quiet", "--out", str(out)]) == 0
+    assert _report(out)["parameters"]["seed"] == 0
 
 
 def test_malformed_omega_exits_2(tmp_path):
@@ -934,19 +947,45 @@ def test_plane_adaptive_flag_is_read(tmp_path, adaptive):
     ({"kind": "constant"}, lambda s: 1.0, [[1.0, 0.0], [0.5, 1.0]], [0.3, -0.25]),
 ], ids=["power", "exponential", "constant", "poly-exp", "constant-q2", "constant-q2-n2"])
 def test_distribution_phi_kinds(tmp_path, phi, probe, ell, x):
-    # each kind takes a block's points as one array; the plain callable, probed point by point, gives the same bits
+    # each kind takes a block's points as one array; probe, called point by point, gives the same bits
+    per_point = lambda z: np.asarray([probe(complex(p)) if z.ndim == 1 else probe(p) for p in z], np.complex128)
     rows = np.atleast_2d(ell).tolist()
     omega = np.eye(len(rows[0]), dtype=int).tolist()
     cfg = {"task": "distribution", "omega": omega, "distribution": {"ell": ell, "x": x, "phi": phi}}
     out = tmp_path / "report.json"
     assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 0
     results = _report(out)["results"]
-    want = gg_distribution_pair(rows, x, probe)
+    want = gg_distribution_pair(rows, x, per_point)
     assert complex(*results["pairing"]["value"]) == want.value
     assert results["pairing"]["tail_estimate"] == want.tail_estimate
     if len(omega) == 1:
         for name, pair in (("gamma_plus", gamma_plus_pair), ("gamma_minus", gamma_minus_pair)):
-            assert complex(*results[name]["value"]) == pair(probe).value, name
+            assert complex(*results[name]["value"]) == pair(per_point).value, name
+
+
+def test_each_phi_kind_keeps_the_bits_of_its_own_closure():
+    # "power", "exponential" and "poly-exp" share s^degree e^(rate s), with rate 0 and
+    # degree 0 standing in; at finite complex points each gives the bits of the closure
+    # the kind had of its own.  The factor standing in is 1 + 0j, so a zero part of the
+    # other factor may change sign (here "exponential" at rate 0, the constant 1), and
+    # an overflowed inf part reads nan (inf * 0), which no pairing can sum either way
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=64) * 8 + 1j * rng.normal(size=64) * 8
+    bits = lambda values: [v.hex() for v in np.asarray(values, np.complex128).view(np.float64).tolist()]
+    for degree, rate in itertools.product((0, 1, 2, 3, 5), (1 + 0j, 0.5 + 0j, -0.4 + 0.2j, 0.3j, -2 + 0j, 0j)):
+        own = {
+            "constant": lambda s: np.ones(len(s)),
+            "power": lambda s: s**degree,
+            "exponential": lambda s: np.exp(rate * s),
+            "poly-exp": lambda s: s**degree * np.exp(rate * s),
+        }
+        for kind, closure in own.items():
+            phi = _phi_from({"kind": kind, "degree": degree, "rate": [rate.real, rate.imag]}, 1)
+            assert isinstance(phi, TestFunction)
+            if kind == "exponential" and rate == 0:
+                assert np.array_equal(phi(s), closure(s)) and np.all(phi(s) == 1)
+            else:
+                assert bits(phi(s)) == bits(closure(s)), (kind, degree, rate)
 
 
 def test_distribution_phi_past_one_dimension_must_be_constant(tmp_path):

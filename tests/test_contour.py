@@ -50,6 +50,10 @@ def test_spec_validation():
     for field, bad in itertools.product(("nodes", "max_refinements"), (64.5, 12.0, True, "64", None)):
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer$"):
             ContourSpec(**{field: bad})
+    # adaptive="no" used to run the adaptive plane
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(InvalidInputError, match="^adaptive must be true or false$"):
+            ContourSpec(adaptive=bad)
 
 
 def test_hankel_reciprocal_gamma_at_zero_argument():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -23,6 +24,12 @@ from ggsys.distributions import (
 from ggsys.errors import ConvergenceError, InvalidInputError
 
 E = math.e
+
+
+def _per_point(f):
+    """f probed one point at a time, as a function of a block's points: a
+    complex scalar for one-dimensional shift vectors, else a float row."""
+    return lambda z: np.asarray([f(complex(p)) if z.ndim == 1 else f(p) for p in z], np.complex128)
 
 
 def test_gamma_minus_constant_gives_e():
@@ -66,17 +73,18 @@ def test_gamma_pairing_rejects_growth():
 
 
 def test_one_sided_pairings_probe_the_unit_comb():
-    # each probes complex(+-m), m = 0..R, with a +0.0 imaginary part (and real
-    # part at m = 0); the minus pairing is the comb pairing at m = 0, bit for bit
+    # each probes complex(+-m), m = 0..R, in one complex array, with a +0.0 imaginary
+    # part (and real part at m = 0); the minus pairing is the comb pairing at m = 0,
+    # bit for bit, for a function on arrays and for one probed point by point
     bits = lambda z: (z.real.hex(), z.imag.hex())
     for pair, sign in ((gamma_plus_pair, -1), (gamma_minus_pair, 1)):
-        probes = []
-        pair(lambda s: probes.append(s) or 1.0, 30)
-        probes.sort(key=lambda z: sign * z.real)
+        blocks = []
+        pair(lambda s: blocks.append(s) or 1.0, 30)
+        assert len(blocks) == 1 and blocks[0].dtype == np.complex128
+        probes = sorted(blocks[0].tolist(), key=lambda z: sign * z.real)
         assert [bits(z) for z in probes] == [bits(complex(sign * m)) for m in range(31)]
-        assert all(type(z) is complex for z in probes)
-    for phi in (lambda s: 1.0, lambda s: np.exp(0.4 * s), lambda s: s**3 * np.exp(-0.8j * s)):
-        for R in (30, 40):
+    for f in (lambda s: 1.0, lambda s: np.exp(0.4 * s), lambda s: s**3 * np.exp(-0.8j * s)):
+        for phi, R in itertools.product((f, _per_point(f)), (30, 40)):
             assert bits(gamma_minus_pair(phi, R).value) == bits(cm_pair([[1.0]], [0], phi, R))
 
 
@@ -168,20 +176,27 @@ def test_gg_pair_probes_each_support_point_once():
     ell = np.array([[1.0, -1.0], [0.0, 1.0]])
     x = np.array([0.3, -0.2 + 0.1j])
     c = np.array([0.1, -0.2])
-    calls = {}
+    calls, blocks = {}, []
 
-    def phi(z):
+    def f(z):  # one point
         key = tuple(z.tolist())
         calls[key] = calls.get(key, 0) + 1
         return np.exp(c @ z) * (1 + 0.5j * z[0])
 
-    got = gg_distribution_pair(ell, x, phi, M=20, R=30).value
+    def phi(z):  # a block's (P, 2) points
+        blocks.append(len({tuple(p) for p in z.tolist()}) == len(z) == 1926)
+        return np.exp(z @ c) * (1 + 0.5j * z[:, 0])
+
+    got = gg_distribution_pair(ell, x, _per_point(f), M=20, R=30).value
     assert sum(calls.values()) == 1926 and max(calls.values()) == 1
+    on_arrays = gg_distribution_pair(ell, x, phi, M=20, R=30).value
+    assert blocks == [True]
     e = np.exp(ell @ c)
     want = np.exp(x @ e + np.exp(c).sum()) * (1 + 0.5j * (x @ (ell[:, 0] * e) + np.exp(c[0])))
-    assert abs(got - want) <= 1e-14 * abs(want)
-    # the value the per-probe summation gave
-    assert abs(got - (8.148202293810591 + 7.271560364019235j)) <= 1e-14 * abs(want)
+    for value in (got, on_arrays):
+        assert abs(value - want) <= 1e-14 * abs(want)
+        # the value the per-probe summation gave
+        assert abs(value - (8.148202293810591 + 7.271560364019235j)) <= 1e-14 * abs(want)
 
 
 def test_gg_pair_memory_is_bounded_by_the_block():
@@ -208,23 +223,24 @@ def test_gg_pair_memory_is_bounded_by_the_block():
 
 def test_a_test_function_sees_one_array_per_block():
     # a (P,) complex array of distinct points when the shift vectors are 1-D, a (P, n) float array
-    # otherwise, once per block; the values are those of the same function probed point by point
+    # otherwise, once per block, whether or not it is a TestFunction; the values are those of the
+    # same function probed point by point
     calls = []
 
     def phi(z):
         calls.append((z.shape, z.dtype, len({tuple(np.atleast_1d(p).tolist()) for p in z})))
         return np.exp(-0.3 * (z if z.ndim == 1 else z.sum(axis=1)))
 
-    one = lambda z: np.exp(-0.3 * np.sum(z))
+    one = _per_point(lambda p: np.exp(-0.3 * np.sum(p)))
     cases = [
         (lambda f: gamma_plus_pair(f, 30), [((31,), np.complex128, 31)]),
         (lambda f: gamma_minus_pair(f, 30), [((31,), np.complex128, 31)]),
         (lambda f: cm_pair([[1.0, 0.5], [0.3, 2.0]], [2, 1], f, 20), [((231,), np.float64, 231)]),
         (lambda f: gg_distribution_pair([[1.0]], [0.5], f), [((66,), np.complex128, 66)]),
     ]
-    for pairing, want in cases:
+    for (pairing, want), form in itertools.product(cases, (TestFunction, lambda f: f)):
         calls.clear()
-        got = pairing(TestFunction(phi))
+        got = pairing(form(phi))
         assert [(shape[:1], dtype, count) for shape, dtype, count in calls] == want
         assert calls[0][0] == want[0][0] + ((2,) if want[0][1] == np.float64 else ())
         assert repr(got) == repr(pairing(one))
@@ -274,7 +290,8 @@ def test_cm_matches_multinomial_expansion():
     # y1^i y2^j z^k probes the test function at frequency (i+k, j+k)
     ell = [(1.0, 1.0)]
     x = 0.3
-    phi = lambda z: np.exp(0.2 * z[0] - 0.1 * z[1]) * (z[0] + 1)
+    f = lambda z: np.exp(0.2 * z[0] - 0.1 * z[1]) * (z[0] + 1)  # at one point
+    phi = lambda z: f(z.T)  # at a block's (P, 2) points
     brute = 0.0 + 0j
     top = 30
     for i in range(top + 1):
@@ -284,7 +301,7 @@ def test_cm_matches_multinomial_expansion():
                 brute += (
                     x**k
                     / (math.factorial(i) * math.factorial(j) * math.factorial(k))
-                    * phi(freq)
+                    * f(freq)
                 )
     got = gg_distribution_pair(ell, [x], phi, M=30, R=45)
     assert abs(got.value - brute) <= 1e-10 * abs(brute)
@@ -326,7 +343,7 @@ def test_fourier_transform_is_summed_row_by_row(monkeypatch):
     def recording(ell, x, phi, M, R):
         sizes = []
         got = pair(ell, x, TestFunction(lambda z: sizes.append(len(z)) or phi(z)), M, R)
-        seen.append((sizes, got, pair(ell, x, per_point, M, R)))
+        seen.append((sizes, got, pair(ell, x, _per_point(per_point), M, R)))
         return got
 
     monkeypatch.setattr(distributions, "gg_distribution_pair", recording)

@@ -148,6 +148,10 @@ def test_spec_validation():
         SeriesSpec(R_G, (0, 0, 0.5), 10)  # non-integer twist
     with pytest.raises(InvalidInputError):
         SeriesSpec(R_G, (0, 0, 0), -1)
+    # 2.5 used to fail in _shells with a bare TypeError, and True to tabulate order 1
+    for bad in (2.5, 10.0, True, "10", None):
+        with pytest.raises(InvalidInputError, match="^truncation must be an integer$"):
+            SeriesSpec(R_G, (0, 0, 0), bad)
     with pytest.raises(InvalidInputError):
         SeriesSpec(R_G, (0, 0, 0), 10, "mixed")  # partition missing
     with pytest.raises(InvalidInputError):

@@ -255,6 +255,15 @@ def test_reduced_exact_mode_rejects_a_spec_of_another_system():
         check_reduced_system(SeriesSpec(other, (0, 0, 0), 20), R_G)
 
 
+def test_reduced_exact_mode_needs_truncation_one():
+    # the off-base equation reads the table of truncation M - 1; M = 0 used to fail
+    # with "truncation must be nonnegative" from that table's spec
+    with pytest.raises(InvalidInputError, match="^truncation must be >= 1: the off-base equation reads"):
+        check_reduced_system(SeriesSpec(R_G, (0, 0, 0), 0), R_G, samples=2)
+    r1, r2 = check_reduced_system(SeriesSpec(R_G, (0, 0, 0), 1), R_G, samples=2)
+    assert r1.sample_points and r2.sample_points
+
+
 def test_reduced_fd_error_shrinks_with_step():
     # quantify the finite-difference contribution by comparing fd mode with
     # exact mode on the same seed
@@ -345,6 +354,13 @@ def test_gauss_ode_at_origin():
 def test_gauss_ode_negative_control():
     rep = check_gauss_ode(1, 1, 2, samples=30, seed=1, perturbation=0.1)
     assert not rep.passed
+
+
+def test_family_rank_needs_truncation_one():
+    # truncation 0 used to search every delta and end in "no common convergence domain"
+    family = [((1, 2, 3), (0, 0, 0)), ((1, 2, 4), (0, 0, 0))]
+    with pytest.raises(InvalidInputError, match="^truncation must be >= 1: a truncation-0 sum is its first term"):
+        solution_family_rank(A_G, family, samples=2, truncation=0)
 
 
 def test_family_rank_two_bases():
