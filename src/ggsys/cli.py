@@ -274,7 +274,7 @@ def _base_or_default(cfg: dict, A: VectorSet):
             return select_base(A, labels)
     base = first_base(A)
     if base is None:
-        raise _bad("omega", "the set has no base (vectors do not span)")
+        raise _bad("omega", f"the set has no base: no {A.n}-subset passes the rank rule")
     return base
 
 

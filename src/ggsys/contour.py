@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .gammafn import rgamma
-from .model import ReducedSystem, VectorSet, _invariant_point, select_base
+from .model import ReducedSystem, VectorSet, _int_arg, _invariant_point, select_base
 
 _TINY = 1e-300
 _BOUNDARY = 1e-16  # required boundary suppression of a window
@@ -52,13 +52,10 @@ class ContourSpec:
     adaptive: bool = True
 
     def __post_init__(self):
-        for name in ("nodes", "max_refinements"):
-            if type(getattr(self, name)) is not int:  # a bool is refused too
-                raise InvalidInputError(f"{name} must be an integer")
+        object.__setattr__(self, "nodes", _int_arg(self.nodes, "nodes", 16))
+        object.__setattr__(self, "max_refinements", _int_arg(self.max_refinements, "max_refinements"))
         if type(self.adaptive) is not bool:
             raise InvalidInputError("adaptive must be true or false")
-        if self.nodes < 16:
-            raise InvalidInputError("need at least 16 quadrature nodes")
         for name in ("cutoff", "tolerance", "max_refinements"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise InvalidInputError(f"{name} must be finite and positive")
@@ -267,9 +264,9 @@ def _plane_integrand(system, k, beta, x):
             "need Re beta_i > 0 at every base position for the plane to "
             "carry a convergent integral"
         )
-    k = np.asarray(k, dtype=np.float64)
-    if k.shape != (n,) or np.any(k != np.round(k)):
+    if np.shape(k) != (n,):
         raise InvalidInputError("k must be an integer vector of length n")
+    k = np.array([_int_arg(v, "k entry") for v in k], dtype=np.float64)
     x = _invariant_point(system, x)
     gamma = system.off_base_coords.real  # (r, n), real by the check above
     shift = np.pi * (2 * k + 1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
+from .model import _int_arg
 from .series import _shells
 from .verify import ResidualReport, residual_report
 
@@ -45,12 +46,6 @@ class PairingResult:
     tail_estimate: float
 
 
-def _truncation(value, name: str) -> int:
-    if not float(value).is_integer() or value < 0:
-        raise InvalidInputError(f"{name} must be a nonnegative integer")
-    return int(value)
-
-
 def _not_decaying(last, value):
     """The last shell is not negligible against the sum it ends, or either is not finite."""
     settled = (last < _DECAY * np.maximum(np.abs(value), _TINY)) | (last <= _TINY)
@@ -59,7 +54,7 @@ def _not_decaying(last, value):
 
 def _unit_comb(fn, truncation: int, what: str) -> PairingResult:
     """sum over m <= truncation of fn(m)/m!: the comb of ell = 1 at m = 0."""
-    truncation = _truncation(truncation, "truncation")
+    truncation = _int_arg(truncation, "truncation", 0)
     values, last = _comb_sums(np.ones((1, 1)), np.zeros((1, 1)), fn, truncation, what)
     return PairingResult(complex(values[0]), truncation, 0, float(last[0]))
 
@@ -124,12 +119,10 @@ def cm_pair(ell, m, phi, R: int = 40) -> complex:
     with the test function.  ``ell`` has one shift vector per row; phi sees
     the points as TestFunction says."""
     mat = _ell_matrix(ell)
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (mat.shape[0],):
+    if np.shape(m) != (mat.shape[0],):
         raise InvalidInputError("multi-index length must match the row count")
-    if np.any(m != np.round(m)) or np.any(m < 0):
-        raise InvalidInputError("multi-index entries must be nonnegative integers")
-    values, _ = _comb_sums(mat, m[None, :], phi, _truncation(R, "R"))
+    m = np.array([[_int_arg(v, "m entry", 0) for v in m]])
+    values, _ = _comb_sums(mat, m, phi, _int_arg(R, "R", 0))
     return complex(values[0])
 
 
@@ -146,7 +139,7 @@ def gg_distribution_pair(ell, x, phi, M: int = 25, R: int = 40) -> PairingResult
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if x.shape != (q,):
         raise InvalidInputError("x must list one value per shift vector")
-    M, R = _truncation(M, "M"), _truncation(R, "R")
+    M, R = _int_arg(M, "M", 0), _int_arg(R, "R", 0)
     outer, degrees, mfact = _shells(q, M)
     weights = np.prod(x**outer, axis=1) / mfact
     rows = max(1, _BLOCK_POINTS // len(_shells(mat.shape[1], R)[0]))
@@ -197,8 +190,7 @@ def fourier_consistency_check(
     array of quadrature nodes.  ``perturbation`` is added to ell on the
     integral side only (negative-control hook).
     """
-    if nodes < 64:
-        raise InvalidInputError("need at least 64 quadrature nodes")
+    nodes = _int_arg(nodes, "nodes", 64)
     xi = np.linspace(-support, support, nodes)
     h = xi[1] - xi[0]
     weights = np.full(nodes, h)

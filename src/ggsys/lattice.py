@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet, select_base
+from .model import VectorSet, _int_arg, select_base
 
 # the largest quotient order lattice_quotient lists; larger ones are refused
 _MAX_REPRESENTATIVES = 2**18
 
 
 def _as_int_rows(rows) -> list[list[int]]:
-    return [[int(v) for v in row] for row in rows]
+    return [[_int_arg(v, "matrix entry") for v in row] for row in rows]
 
 
 def _transpose(rows, width: int) -> list[list[int]]:
@@ -125,7 +125,7 @@ class IntegerLattice:
 
     def contains(self, vector) -> bool:
         """Exact membership test by echelon reduction."""
-        v = [int(c) for c in vector]
+        v = [_int_arg(c, "vector entry") for c in vector]
         if len(v) != self.ambient_dim:
             raise InvalidInputError("vector length does not match lattice")
         for row in self.basis_rows:
@@ -178,9 +178,7 @@ def saturation_index(A: VectorSet) -> int:
 
 def project_lattice(lat: IntegerLattice, labels) -> IntegerLattice:
     """Forget all coordinates outside the 1-based positions ``labels``."""
-    cols = [int(i) - 1 for i in labels]
-    if any(c < 0 or c >= lat.ambient_dim for c in cols):
-        raise InvalidInputError("projection labels out of range")
+    cols = [_int_arg(i, "projection label", 1, lat.ambient_dim) - 1 for i in labels]
     rows = [[row[c] for c in cols] for row in lat.basis_rows]
     return _lattice(hermite_normal_form(rows))
 
@@ -195,8 +193,8 @@ def lattice_quotient(lat: IntegerLattice, I) -> QuotientStructure:
     the already-fixed ones untouched.  The order is prod h_i; the group's
     invariant factors are the elementary divisors of the projection.
     """
-    proj = project_lattice(lat, I)
-    n = len(tuple(I))
+    I = tuple(I)  # read twice: an iterator would leave n = 0 and a quotient of order 1
+    proj, n = project_lattice(lat, I), len(I)
     if proj.rank < n:
         raise InvalidInputError(
             "projection onto the chosen positions is not full-rank"
@@ -216,14 +214,8 @@ def candidate_family(A: VectorSet, bases) -> tuple[tuple[tuple[int, ...], tuple[
     through one representative per coset of the finite quotient attached to
     that base.
     """
-    base_list = [tuple(sorted(int(i) for i in labels)) for labels in bases]
+    base_list = [select_base(A, labels).I for labels in bases]
     if not base_list:
         return ()
     lat = orthogonal_lattice(A)
-    out = []
-    for I in base_list:
-        select_base(A, I)  # raises if not a base
-        quotient = lattice_quotient(lat, I)
-        for rep in quotient.representatives:
-            out.append((I, rep))
-    return tuple(out)
+    return tuple((I, rep) for I in base_list for rep in lattice_quotient(lat, I).representatives)

@@ -51,6 +51,19 @@ def _positions(labels) -> np.ndarray:
     return np.asarray([int(i) - 1 for i in labels], dtype=np.intp)
 
 
+def _int_arg(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """An integer a caller passes in, as a Python int: an int or a numpy
+    integer in [low, high]; a bool, a float (2.0 too) or anything else raises
+    InvalidInputError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer")
+    if low is not None and value < low:
+        raise InvalidInputError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InvalidInputError(f"{what} must be <= {high}, got {value}")
+    return int(value)
+
+
 def _integers(values: np.ndarray) -> np.ndarray | None:
     """``values`` as a read-only int64 array when every entry is exactly an
     integer (real part equal to its rounding, imaginary part 0) below 2**31
@@ -89,10 +102,12 @@ class VectorSet:
         return self.omega.shape[0]
 
     def row(self, label: int) -> np.ndarray:
-        """Vector with 1-based label."""
+        """Vector with 1-based label, not checked with ``_int_arg``: the
+        residual checks call this on every sample, with labels of a base."""
         return self.omega[label - 1]
 
     def rows(self, labels) -> np.ndarray:
+        """Vectors with 1-based labels, unchecked as in ``row``."""
         return self.omega[_positions(labels)]
 
 
@@ -146,11 +161,9 @@ class BaseSelection:
 
 
 def select_base(A: VectorSet, labels) -> BaseSelection:
-    I = tuple(sorted(int(i) for i in labels))
+    I = tuple(sorted(_int_arg(i, "base label", 1, A.N) for i in labels))
     if len(I) != A.n or len(set(I)) != A.n:
         raise InvalidInputError(f"base must have {A.n} distinct labels")
-    if I[0] < 1 or I[-1] > A.N:
-        raise InvalidInputError("base labels out of range")
     if _rank_count(np.linalg.svd(A.rows(I).T, compute_uv=False)) < A.n:
         raise InvalidInputError(f"vectors {I} are linearly dependent")
     return BaseSelection(A, I)

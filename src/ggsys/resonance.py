@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .model import VectorSet, _close, _svd_rank
+from .model import VectorSet, _close, _int_arg, _svd_rank, vector_set
 from .verify import ResidualReport, _call, residual_report
 
 _REL_TOL = 1e-9
@@ -67,9 +67,11 @@ class ResonanceAnalysis:
         return abs(gap) <= tol * max(1.0, abs(self.offset))
 
 
-def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition | None:
+def _build_chains(A: VectorSet, v, b_indices, steps, tol) -> ChainDecomposition | None:
     """The v-chains, or None when they leave a member unmatched (a repeated
-    vector can leave a copy over)."""
+    vector can leave a copy over).  ``steps[a, b]``: omega_a - v ~ omega_b,
+    the transpose of the table that put b among the a-indices, so a walk
+    takes a-indices only and every top is still available at its turn."""
     available = np.ones(A.N, dtype=bool)
 
     def take(hits) -> int | None:
@@ -80,11 +82,8 @@ def _build_chains(A: VectorSet, v, b_indices, tol) -> ChainDecomposition | None:
         available[found[0]] = False
         return int(found[0]) + 1
 
-    steps = _close(A.omega - v, A.omega, tol)  # [a, b]: omega_a - v ~ omega_b
     chains = []
     for top in b_indices:
-        if not available[top - 1]:
-            raise DomainError("chain tops overlap; direction is not consistent")
         available[top - 1] = False
         chain = [top]
         while (label := take(steps[chain[-1] - 1])) is not None:
@@ -113,7 +112,8 @@ def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
         raise InvalidInputError("direction has the wrong length")
     tol = _match_tolerance(A)
     shifted = A.omega + v
-    in_a = (np.linalg.norm(shifted, axis=1) <= tol) | _close(shifted, A.omega, tol).any(axis=1)
+    close = _close(shifted, A.omega, tol)  # [b, a]: omega_b + v ~ omega_a
+    in_a = (np.linalg.norm(shifted, axis=1) <= tol) | close.any(axis=1)
     a_idx = tuple(int(i) + 1 for i in np.flatnonzero(in_a))
     b_idx = tuple(int(i) + 1 for i in np.flatnonzero(~in_a))
     rows = A.omega[~in_a]
@@ -132,7 +132,7 @@ def analyze_vector(A: VectorSet, v) -> ResonanceAnalysis:
         offset = complex(np.dot(normal, v))
     decomposition = None
     if consistent and np.linalg.norm(v) > tol:
-        decomposition = _build_chains(A, v, b_idx, tol)
+        decomposition = _build_chains(A, v, b_idx, close.T, tol)
     return ResonanceAnalysis(
         v, consistent, a_idx, b_idx, basis, codim, normal,
         offset, decomposition,
@@ -253,13 +253,10 @@ class GrassmannianSet:
     vectors: VectorSet
 
     def label(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.p and 1 <= j <= self.n):
-            raise InvalidInputError("matrix position out of range")
-        return (i - 1) * self.n + j
+        return (_int_arg(i, "i", 1, self.p) - 1) * self.n + _int_arg(j, "j", 1, self.n)
 
     def pair(self, label: int) -> tuple[int, int]:
-        if not (1 <= label <= self.p * self.n):
-            raise InvalidInputError("label out of range")
+        label = _int_arg(label, "label", 1, self.p * self.n)
         return (label - 1) // self.n + 1, (label - 1) % self.n + 1
 
     def to_ambient(self, w) -> np.ndarray:
@@ -283,8 +280,7 @@ class GrassmannianSet:
 
 
 def grassmannian_set(p: int, n: int) -> GrassmannianSet:
-    from .model import vector_set
-
+    p, n = _int_arg(p, "p", 1), _int_arg(n, "n", 1)
     if p >= n:
         raise DomainError("need p < n")
     rows = []

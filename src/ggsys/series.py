@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .gammafn import _finite, _gamma, _pole_mask, rgamma
-from .model import ReducedSystem, _invariant_point
+from .model import ReducedSystem, _int_arg, _invariant_point
 
 _TWO_PI_I = 2j * np.pi
 _MAX_TERMS = 2_000_000
@@ -57,20 +57,16 @@ class SeriesSpec:
     def __post_init__(self):
         if self.mode not in ("reduced", "mixed"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if type(self.truncation) is not int:  # a bool is refused too
-            raise InvalidInputError("truncation must be an integer")
-        if self.truncation < 0:
-            raise InvalidInputError("truncation must be nonnegative")
+        object.__setattr__(self, "truncation", _int_arg(self.truncation, "truncation", 0))
+        object.__setattr__(self, "k", tuple(_int_arg(v, "k entry") for v in self.k))
         base = self.system.base
-        if any(int(v) != v for v in self.k):
-            raise InvalidInputError("twist entries must be integers")
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         if len(self.k) != len(base.I):
             raise InvalidInputError("twist length must match the base size")
         if (self.partition is not None) != (self.mode == "mixed"):
             raise InvalidInputError("partition goes with mixed mode only")
         if self.partition is not None:
-            one, two = self.partition
+            one, two = (tuple(_int_arg(i, "partition label") for i in group) for group in self.partition)
+            object.__setattr__(self, "partition", (one, two))
             if sorted(one + two) != sorted(base.I) or set(one) & set(two):
                 raise InvalidInputError("partition must split the base labels")
 
@@ -157,7 +153,7 @@ class TruncatedSeries:
 
     def derivative(self, x, j_label: int, powers=None) -> complex:
         """d/dx_j of the truncated sum, j a 1-based off-base label (``powers``: ``_powers`` at x, j lowered)."""
-        x = _invariant_point(self.spec.system, x)
+        x, j_label = _invariant_point(self.spec.system, x), _int_arg(j_label, "j_label")
         if j_label not in self.spec.system.base.J:
             raise InvalidInputError(f"label {j_label!r} is not an off-base label")
         col = self.spec.system.base.J.index(j_label)
@@ -411,6 +407,7 @@ def monomial_solution_zero(gamma, a) -> complex:
 
 def gauss_coefficients(a, b, c, M: int) -> np.ndarray:
     """Taylor coefficients Gamma(a+m)Gamma(b+m)/(Gamma(c+m) m!), m <= M."""
+    M = _int_arg(M, "M", 0)
     m = np.arange(M + 1).astype(np.complex128)
 
     def gamma_up(label, v):
@@ -424,5 +421,5 @@ def gauss_coefficients(a, b, c, M: int) -> np.ndarray:
 def gauss_series_eval(a, b, c, x, M: int = 30) -> SeriesValue:
     """The classical one-variable series with two gammas up, one down."""
     coeffs = gauss_coefficients(a, b, c, M)
-    terms = coeffs * np.power(complex(x), np.arange(M + 1))
-    return SeriesValue(complex(terms.sum()), float(abs(terms[-1])), M + 1)
+    terms = coeffs * np.power(complex(x), np.arange(len(coeffs)))
+    return SeriesValue(complex(terms.sum()), float(abs(terms[-1])), len(coeffs))

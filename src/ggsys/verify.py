@@ -180,7 +180,7 @@ def check_gg_system(
     if spec is None:
         chosen = select_base(A, base) if base is not None else first_base(A)
         if chosen is None:
-            raise InvalidInputError("the vector set has no base")
+            raise InvalidInputError(f"the vector set has no base: no {A.n}-subset passes the rank rule")
     elif spec.system.base.parent is not A or spec.mode != "reduced":
         raise InvalidInputError("the series spec is not a reduced-mode spec of a system of this vector set")
     elif base is not None:

@@ -685,6 +685,14 @@ def test_a_set_past_the_subset_cap_names_omega(tmp_path, task):
     assert _report(out)["error"] == "omega: 2704156 subsets of 12 vectors to test, above the 1048576 cap"
 
 
+def test_a_spanning_set_with_no_base_names_the_rank_rule(tmp_path):
+    # the whole 4 x 1 matrix has rank 1 (singular value 1.8e-10), but no single vector passes the rule
+    cfg = {"task": "eval", "omega": [[9e-11]] * 4, "beta": [[0.3]], "x": [[0.1, 0.1, 0.1]]}
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--quiet", "--out", str(out)]) == 2
+    assert _report(out)["error"] == "omega: the set has no base: no 1-subset passes the rank rule"
+
+
 def test_mixed_eval_overflow_exits_1_with_its_cause(tmp_path, capsys):
     # the numerator factor Gamma(180.3 - m) is past the double range
     cfg = _MIXED | {"beta": [[-180.3, 0.7]]}

@@ -317,6 +317,29 @@ def test_nested_levels_equal_full_grid_sums(n, nodes):
         count = 2 * count - 1
 
 
+def test_levels_skip_a_product_set_whose_box_is_none():
+    # F is exactly 0 off the line y = 0, which no odd-index y node of a later level meets
+    def plain(points):
+        x, y = points
+        return np.exp(-x * x) * (y == 0)
+
+    def boxed(points):
+        return plain(points)
+
+    skipped = []
+
+    def box(axes):
+        if (axes[1] == 0).any():
+            return [slice(None)] * 2
+        skipped.append(math.prod(map(len, axes)))
+
+    boxed.box = box
+    got = list(zip(range(4), contour._trapezoid_levels(boxed, [3.0], 9, 2)))
+    assert got == list(zip(range(4), contour._trapezoid_levels(plain, [3.0], 9, 2)))
+    assert skipped == [9 * 8, 17 * 16, 33 * 32]  # even x nodes, odd y nodes
+    assert [points for _, (_, points) in got] == [9**2, 17**2, 33**2, 65**2]
+
+
 @pytest.mark.parametrize("n, nodes", [(1, 20000), (2, 300)])
 def test_nested_levels_call_in_blocks_of_rows(n, nodes):
     sizes = []

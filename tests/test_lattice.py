@@ -157,6 +157,14 @@ def test_quotient_one_dimensional_bases():
     assert q1.order == 1
 
 
+def test_quotient_reads_labels_from_an_iterator():
+    # the labels were read once for the projection and again, exhausted, for n: order 1, rep ()
+    lat = orthogonal_lattice(vector_set([(1, 0), (0, 1), (1, 2)]))
+    q = lattice_quotient(lat, iter((1, 3)))
+    assert q == lattice_quotient(lat, (1, 3))
+    assert q.order == 2 and q.representatives == ((0, 0), (0, 1))
+
+
 def test_quotient_representatives_lie_in_the_hermite_box():
     lat = orthogonal_lattice(vector_set([(-3, -3), (-3, -1), (1, 0), (0, 1)]))
     q = lattice_quotient(lat, (1, 2))

@@ -221,6 +221,40 @@ def test_extra_relation_rejects_degenerate_input():
         check_extra_relation(f, G.vectors, zero)
 
 
+@pytest.mark.parametrize("first", [-1.0, -1.0 + 1e-12])
+def test_extra_relation_takes_f_at_beta_for_the_label_v_sends_to_zero(first):
+    # omega_1 + v is 0 (or within the match tolerance of it) and omega_2 + v = -1 is omega_1, so
+    # both labels carry a term: label 1 reads f at beta itself, label 2 at beta - (-1)
+    A = vector_set([(first,), (-2,)])
+    an = analyze_vector(A, [1.0])
+    assert an.consistent and an.a_indices == (1, 2) and an.codim == 1 and an.offset == 1
+    calls = []
+
+    def f(beta, a):
+        calls.append(beta)
+        return np.exp(0.3 * beta[0]) * (a[0] + 2 * a[1])
+
+    beta, a = np.array([1.0 + 0j]), np.array([0.7, 1.3], dtype=np.complex128)
+    report = check_extra_relation(f, A, an, points=[(beta, a)])
+    assert [b.tolist() for b in calls] == [[1.0], [2.0]]
+    lam = an.normal[0]
+    want = abs(lam * first * a[0] * f(beta, a) + lam * -2 * a[1] * f(beta + 1, a))
+    assert report.max_abs_residual == pytest.approx(want, rel=1e-15)
+    assert report.sample_points == 1
+
+
+def test_chain_walks_take_only_labels_the_split_put_in_a():
+    # omega_1 - v - omega_2 rounds to 9.99999986e-10, inside the match tolerance 1e-9, and
+    # (omega_2 + v) - omega_1 to 1.00000006e-9, outside it: label 2 is a chain top, and the
+    # walk from omega_1 used to take it and raise "chain tops overlap"
+    x, p, e = 0.3880120078601883, 7.723986185215859e-10, 6.351380346706305e-10
+    v = np.array([1 - x + e, p])
+    A = vector_set([(1.0, 0.0), (x, 0.0), tuple(-v)])
+    an = analyze_vector(A, v)
+    assert an.b_indices == (1, 2) and an.codim == 1
+    assert an.decomposition.chains == ((1,), (2,)) and an.decomposition.zero_chain == (3,)
+
+
 def test_extra_relation_names_a_failing_evaluator():
     G = grassmannian_set(2, 3)
     an = analyze_vector(G.vectors, G.from_ambient(np.array([0, 0, 0, -1.0, 1.0])))

@@ -60,6 +60,13 @@ def test_gg_system_default_base_is_the_first_base():
     assert all(rep.passed for rep in default)
 
 
+def test_gg_system_on_a_spanning_set_with_no_base():
+    A = vector_set([(9e-11,)] * 4)  # spans under the rank rule; no single vector passes it
+    with pytest.raises(InvalidInputError) as info:
+        check_gg_system(lambda beta, a: 1.0, A, samples=1)
+    assert str(info.value) == "the vector set has no base: no 1-subset passes the rank rule"
+
+
 def test_gg_system_negative_control():
     r1, r2, _ = check_gg_system(_gg_spec(A_G, (1, 2, 3)), A_G, samples=10, seed=3, perturbation=1e-3)
     assert not (r1.passed and r2.passed)
